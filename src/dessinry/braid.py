@@ -12,8 +12,6 @@ Words are tuples of (index, sign) letters.  Tables compose in action
 order: compose_tables(a, b) acts as a first, then b.
 """
 
-from collections import deque
-
 from .core import MonodromyTuple, canonical_form, validate
 from .errors import DessinryError
 from .perms import compose, identity, inverse
@@ -89,10 +87,6 @@ class EndomorphismTable:
             label,
             "; ".join(word_str(w) for w in self.images),
         )
-
-
-def identity_table(n, name="id"):
-    return EndomorphismTable(n, [((v, 1),) for v in range(n)], name=name)
 
 
 def evaluate_word(w, t):
@@ -256,11 +250,11 @@ def preset_gamma2():
 
 
 class OrbitResult:
-    """Closure of a seed set under endomorphism tables.
+    """Closure of a seed set under named operations.
 
     elements are canonical forms in sorted encoding order; generator_log
-    has one entry (source index, generator name, target index) for every
-    element and generator, in that sorted order.
+    has one entry (source index, operation name, target index) for every
+    element and operation, in that sorted order.
     """
 
     __slots__ = ("seeds", "elements", "generator_log")
@@ -270,19 +264,54 @@ class OrbitResult:
         self.elements = elements
         self.generator_log = generator_log
 
-    @property
-    def orbit(self):
-        return self.elements
+
+def orbit_closure(seeds, ops, key):
+    """Breadth-first closure of canonical seeds under named operations.
+
+    ops is a sequence of (name, op) with op(element) the canonical image;
+    key(element) is the hashable encoding that identifies and sorts
+    elements.  Each operation is applied once per element, and the edges
+    found on the way become the log.  The closure is automatically closed
+    under inverses: each operation is checked to act injectively on the
+    final element set, and an injection of a finite set onto itself is a
+    bijection; one that fails the check raises invalid-result.
+    """
+    found = {}
+    order = []
+    for x in seeds:
+        if key(x) not in found:
+            found[key(x)] = len(order)
+            order.append(x)
+    seeds = tuple(sorted(order, key=key))
+    targets = []  # targets[k][pos]: index of the image of order[k] under ops[pos]
+    while len(targets) < len(order):
+        x = order[len(targets)]
+        row = []
+        for _name, op in ops:
+            img = op(x)
+            k = key(img)
+            if k not in found:
+                found[k] = len(order)
+                order.append(img)
+            row.append(found[k])
+        targets.append(row)
+
+    for pos, (name, _op) in enumerate(ops):
+        if len({row[pos] for row in targets}) != len(order):
+            raise DessinryError(
+                "invalid-result",
+                "generator %s does not act invertibly on the closed orbit" % name,
+            )
+    ranked = sorted(range(len(order)), key=lambda k: key(order[k]))
+    rank = {old: new for new, old in enumerate(ranked)}
+    log = tuple((rank[old], name, rank[dst]) for old in ranked for (name, _op), dst in zip(ops, targets[old]))
+    return OrbitResult(seeds, tuple(order[k] for k in ranked), log)
 
 
 def braid_orbit(seeds, gens):
-    """Breadth-first closure of the seeds under the given tables.
+    """Closure of the seeds' classes under the given tables (see orbit_closure).
 
-    The closure is automatically closed under inverses: each table is
-    checked to act injectively on the final element set, and an injection
-    of a finite set onto itself is a bijection.  A table that fails the
-    check (not tuple-space-preserving, or not invertible on the orbit)
-    raises invalid-result.
+    A table that does not preserve tuple space raises invalid-result.
     """
     seeds = [canonical_form(t) for t in seeds]
     if not seeds:
@@ -291,36 +320,8 @@ def braid_orbit(seeds, gens):
     for t in seeds:
         if (t.n, t.d) != shape:
             raise DessinryError("invalid-tuple", "seeds mix shapes %r and %r" % (shape, (t.n, t.d)))
-
-    found = {}
-    queue = deque()
-    for t in sorted(seeds, key=lambda x: x.perms):
-        if t.perms not in found:
-            found[t.perms] = t
-            queue.append(t)
-    while queue:
-        t = queue.popleft()
-        for g in gens:
-            img = canonical_form(apply_endomorphism(g, t))
-            if img.perms not in found:
-                found[img.perms] = img
-                queue.append(img)
-
-    elements = [found[key] for key in sorted(found)]
-    index = {t.perms: k for k, t in enumerate(elements)}
-    log = []
-    columns = [[] for _ in gens]
-    for k, t in enumerate(elements):
-        for pos, g in enumerate(gens):
-            img = canonical_form(apply_endomorphism(g, t))
-            dst = index[img.perms]
-            log.append((k, g.name or "g%d" % pos, dst))
-            columns[pos].append(dst)
-    for pos, g in enumerate(gens):
-        if sorted(columns[pos]) != list(range(len(elements))):
-            raise DessinryError(
-                "invalid-result",
-                "generator %s does not act invertibly on the closed orbit" % (g.name or "g%d" % pos),
-            )
-    seeds_sorted = tuple(sorted({t.perms: t for t in seeds}.values(), key=lambda x: x.perms))
-    return OrbitResult(seeds_sorted, tuple(elements), tuple(log))
+    ops = [
+        (g.name or "g%d" % pos, lambda t, g=g: canonical_form(apply_endomorphism(g, t)))
+        for pos, g in enumerate(gens)
+    ]
+    return orbit_closure(seeds, ops, lambda t: t.perms)

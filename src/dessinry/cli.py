@@ -11,6 +11,7 @@ default tolerance; an explicit --tol flag wins over both.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,8 +20,8 @@ import mpmath
 from . import braid, cm_values, core, covers, modular, origami
 from .enumeration import enumerate_classes
 from .errors import DessinryError
+from .perms import cycle_str, cycles_str
 from .perms import cycles as perm_cycles
-from .perms import cycles_str
 
 SCHEMA = "dessinry/1"
 
@@ -30,12 +31,18 @@ def _fmt(x):
 
 
 def _tol(args, fallback):
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("DESSINRY_TOL")
-    if env is not None:
-        return float(env)
-    return fallback
+    tol = getattr(args, "tol", None)
+    if tol is None:
+        env = os.environ.get("DESSINRY_TOL")
+        if env is None:
+            return fallback
+        try:
+            tol = float(env)
+        except ValueError:
+            raise DessinryError("invalid-parameter", "DESSINRY_TOL must be a number, got %r" % env) from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise DessinryError("invalid-parameter", "tolerance must be a positive finite number, got %r" % tol)
+    return tol
 
 
 def _print_json(payload):
@@ -53,19 +60,20 @@ def _tuple_payload(t):
     }
 
 
-def _origami_payload(o):
-    return {"m": o.m, "R": list(o.R), "L": list(o.L), "U": list(o.U), "D": list(o.D)}
+def _origami_label(o):
+    return "R=%s L=%s U=%s D=%s" % (cycles_str(o.R), cycles_str(o.L), cycles_str(o.U), cycles_str(o.D))
 
 
 def _read_json_arg(path):
-    if path is None or path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _cycle_str(cyc):
-    return "(" + " ".join(str(i) for i in cyc) + ")"
+    try:
+        if path is None or path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DessinryError("invalid-parameter", "bad JSON input: %s" % exc) from None
+    except OSError as exc:
+        raise DessinryError("invalid-parameter", "cannot read %s: %s" % (path, exc.strerror)) from None
 
 
 def _dessin_dot(t):
@@ -74,7 +82,7 @@ def _dessin_dot(t):
     for nu, p in enumerate(t.perms):
         for k, cyc in enumerate(perm_cycles(p)):
             name = "v%d_%d" % (nu, k)
-            lines.append('  %s [label="%d %s"];' % (name, nu, _cycle_str(cyc)))
+            lines.append('  %s [label="%d %s"];' % (name, nu, cycle_str(cyc)))
             for i in cyc:
                 node_of[(nu, i)] = name
     for i in range(t.d):
@@ -87,7 +95,6 @@ def _dessin_dot(t):
 
 
 def _orbit_components(result):
-    index = {e: k for k, e in enumerate(result.elements)}
     parent = list(range(len(result.elements)))
 
     def find(a):
@@ -103,7 +110,7 @@ def _orbit_components(result):
     comps = {}
     for k in range(len(result.elements)):
         comps.setdefault(find(k), []).append(k)
-    return [comps[r] for r in sorted(comps)], index
+    return [comps[r] for r in sorted(comps)]
 
 
 def _orbit_dot(labels, log):
@@ -183,7 +190,7 @@ def _cmd_orbit(args):
         n = args.n
     gens = _gens_for(args.gens, n)
     result = braid.braid_orbit(seeds, gens)
-    comps, _ = _orbit_components(result)
+    comps = _orbit_components(result)
     labels = [_tuple_label(t) for t in result.elements]
     dot = _orbit_dot(labels, result.generator_log)
     if args.dot is not None:
@@ -224,9 +231,9 @@ def _cmd_origami(args):
         t = core.from_json(_read_json_arg(args.infile))
         o = origami.dessin_to_origami(t)
         if args.format == "table":
-            print("R=%s L=%s U=%s D=%s" % (cycles_str(o.R), cycles_str(o.L), cycles_str(o.U), cycles_str(o.D)))
+            print(_origami_label(o))
         else:
-            _print_json({"schema": SCHEMA, **_origami_payload(o)})
+            _print_json({"schema": SCHEMA, **origami.origami_to_json(o)})
         return 0
     if args.action == "delta":
         if args.op is None:
@@ -234,14 +241,14 @@ def _cmd_origami(args):
         o = origami.origami_from_json(_read_json_arg(args.infile))
         out = origami.DELTA_OPS[args.op](o)
         if args.format == "table":
-            print("R=%s L=%s U=%s D=%s" % (cycles_str(out.R), cycles_str(out.L), cycles_str(out.U), cycles_str(out.D)))
+            print(_origami_label(out))
         else:
-            _print_json({"schema": SCHEMA, **_origami_payload(out)})
+            _print_json({"schema": SCHEMA, **origami.origami_to_json(out)})
         return 0
     # orbit
     o = origami.origami_from_json(_read_json_arg(args.infile))
     result = origami.origami_orbit(o)
-    labels = ["R=%s L=%s U=%s D=%s" % (cycles_str(x.R), cycles_str(x.L), cycles_str(x.U), cycles_str(x.D)) for x in result.elements]
+    labels = [_origami_label(x) for x in result.elements]
     dot = _orbit_dot(labels, result.generator_log)
     if args.dot is not None:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -250,7 +257,7 @@ def _cmd_origami(args):
         payload = {
             "schema": SCHEMA,
             "element_count": len(result.elements),
-            "elements": [_origami_payload(x) for x in result.elements],
+            "elements": [origami.origami_to_json(x) for x in result.elements],
             "labels": labels,
             "edges": [[src, name, dst] for src, name, dst in result.generator_log],
         }
@@ -276,9 +283,9 @@ def _cmd_hurwitz(args):
     if args.emit == "origami":
         o = origami.dessin_to_origami(t)
         if args.format == "table":
-            print("R=%s L=%s U=%s D=%s" % (cycles_str(o.R), cycles_str(o.L), cycles_str(o.U), cycles_str(o.D)))
+            print(_origami_label(o))
         else:
-            _print_json({"schema": SCHEMA, "a": args.a, "lift": args.lift, **_origami_payload(o)})
+            _print_json({"schema": SCHEMA, "a": args.a, "lift": args.lift, **origami.origami_to_json(o)})
         return 0
     print(_dessin_dot(t))
     return 0
@@ -294,22 +301,28 @@ def _parse_complex_pair(text):
         raise DessinryError("invalid-parameter", "expected RE,IM, got %r" % text)
 
 
+def _parse_complex_list(text, what):
+    """A JSON list whose entries are numbers or [re, im] pairs."""
+    try:
+        items = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DessinryError("invalid-parameter", "bad JSON argument: %s" % exc) from None
+    if not isinstance(items, list):
+        raise DessinryError("invalid-parameter", "%s must be a JSON list, got %r" % (what, items))
+    out = []
+    for v in items:
+        try:
+            out.append(complex(v[0], v[1]) if isinstance(v, list) and len(v) == 2 else complex(v))
+        except (TypeError, ValueError, OverflowError):
+            raise DessinryError("invalid-parameter", "%s entry %r is not a number or [re, im]" % (what, v)) from None
+    return tuple(out)
+
+
 def _cmd_monodromy(args):
     tol = _tol(args, 1e-10)
-    try:
-        coeffs = json.loads(args.poly)
-        branch = json.loads(args.branch_points)
-    except json.JSONDecodeError as exc:
-        raise DessinryError("invalid-parameter", "bad JSON argument: %s" % exc)
-
-    def as_value(v):
-        if isinstance(v, list):
-            if len(v) != 2:
-                raise DessinryError("invalid-parameter", "branch point %r is not [re, im]" % (v,))
-            return complex(v[0], v[1])
-        return complex(v)
-
-    cover = covers.polynomial_cover(tuple(complex(c) for c in coeffs), tuple(as_value(b) for b in branch))
+    coeffs = _parse_complex_list(args.poly, "--poly")
+    branch = _parse_complex_list(args.branch_points, "--branch-points")
+    cover = covers.polynomial_cover(coeffs, branch)
     base = covers.BASE_POINT if args.base is None else _parse_complex_pair(args.base)
     t = core.canonical_form(covers.numerical_monodromy(cover, base, tol))
     if args.format == "table":

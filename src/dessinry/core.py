@@ -33,6 +33,7 @@ from .perms import (
     inverse,
     is_perm,
     relabel,
+    sheets_reached,
 )
 
 
@@ -90,21 +91,9 @@ def validate(t):
     prod = compose_all(t.perms, t.d)
     if prod != identity(t.d):
         return "violated: product of the permutations is %r, not the identity" % (prod,)
-    reached = [False] * t.d
-    reached[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for p in t.perms:
-            w = p[v]
-            if not reached[w]:
-                reached[w] = True
-                count += 1
-                queue.append(w)
-    if count != t.d:
-        missing = min(i for i in range(t.d) if not reached[i])
-        return "violated: not transitive, sheet %d is not reachable from sheet 0" % missing
+    reached = sheets_reached(t.perms, t.d)
+    if not all(reached):
+        return "violated: not transitive, sheet %d is not reachable from sheet 0" % reached.index(False)
     return "ok"
 
 
@@ -118,20 +107,17 @@ def _require_valid(t):
         raise DessinryError("invalid-tuple", diag)
 
 
-def canonical_form(t):
-    """Lexicographically least relabeling over all breadth-first orders.
+def _relabelings(t):
+    """The breadth-first relabeling of t from each base sheet, in base order.
 
     For each base sheet b the fiber is relabeled in breadth-first discovery
     order, probing the generators g_0..g_{n-1} and then their inverses in
-    that fixed order.  Transitivity makes each relabeling total, and every
-    conjugating permutation is realized by some (b, BFS) choice up to the
-    final lexicographic minimum, so two tuples get the same canonical form
-    exactly when they are simultaneously conjugate.
+    that fixed order.  Transitivity makes each relabeling total.
     """
     _require_valid(t)
     d = t.d
     gens = list(t.perms) + [inverse(p) for p in t.perms]
-    best = None
+    out = []
     for base in range(d):
         lab = [-1] * d
         lab[base] = 0
@@ -145,10 +131,18 @@ def canonical_form(t):
                     lab[w] = nxt
                     nxt += 1
                     queue.append(w)
-        cand = tuple(relabel(p, lab) for p in t.perms)
-        if best is None or cand < best:
-            best = cand
-    return MonodromyTuple(best)
+        out.append(tuple(relabel(p, lab) for p in t.perms))
+    return out
+
+
+def canonical_form(t):
+    """Lexicographically least relabeling over all breadth-first orders.
+
+    Every conjugating permutation is realized by some (base sheet, BFS)
+    choice up to the final lexicographic minimum, so two tuples get the
+    same canonical form exactly when they are simultaneously conjugate.
+    """
+    return MonodromyTuple(min(_relabelings(t)))
 
 
 def isomorphic(a, b):
@@ -241,17 +235,13 @@ def orientation_reverse(t):
 def centralizer_order(t):
     """Order of the simultaneous centralizer of the tuple in Sym(d).
 
-    Brute force over Sym(d); intended for the small degrees where counts of
-    marked covers are cross-checked (d <= 7 or so).
+    Two base sheets give the same breadth-first relabeling exactly when a
+    centralizing permutation carries one to the other.  The centralizer of
+    a transitive group acts semiregularly, so its order is the number of
+    base sheets whose relabeling equals the minimal one.
     """
-    from itertools import permutations
-
-    d = t.d
-    count = 0
-    for pi in permutations(range(d)):
-        if all(relabel(p, pi) == p for p in t.perms):
-            count += 1
-    return count
+    cands = _relabelings(t)
+    return cands.count(min(cands))
 
 
 def to_json(t):

@@ -44,6 +44,14 @@ def _polyder(coeffs):
     return tuple(c * (n - k) for k, c in enumerate(coeffs[:-1]))
 
 
+def _min_gap(points):
+    """Smallest distance between two of the points; inf for fewer than two."""
+    return min(
+        (abs(a - b) for i, a in enumerate(points) for b in points[i + 1 :]),
+        default=math.inf,
+    )
+
+
 def _newton_polish(coeffs, dcoeffs, x, steps=6):
     for _ in range(steps):
         f = _polyval(coeffs, x)
@@ -144,19 +152,12 @@ class _Tracker:
         coeffs = [complex(c) for c in self.cover.fiber_poly(y)]
         return coeffs, _polyder(coeffs)
 
-    def _min_pairwise(self, roots):
-        return min(
-            abs(a - b)
-            for i, a in enumerate(roots)
-            for b in roots[i + 1 :]
-        ) if len(roots) > 1 else math.inf
-
     def _advance(self, roots, y):
         """Newton-correct all roots onto the fiber over y; None on failure."""
         coeffs, dcoeffs = self._fiber_at(y)
         top = max(abs(c) for c in coeffs)
         moved = []
-        threshold = 0.45 * self._min_pairwise(roots)
+        threshold = 0.45 * _min_gap(roots)
         for r in roots:
             nr = _newton_polish(coeffs, dcoeffs, r, steps=10)
             scale = top * max(1.0, abs(nr)) ** (len(coeffs) - 1)
@@ -165,7 +166,7 @@ class _Tracker:
             if abs(nr - r) > threshold:
                 return None
             moved.append(nr)
-        if self._min_pairwise(moved) < 1e-13 * (1.0 + max(abs(r) for r in moved)):
+        if _min_gap(moved) < 1e-13 * (1.0 + max(abs(r) for r in moved)):
             return None
         return moved
 
@@ -201,9 +202,7 @@ def _circle(center, radius, theta0):
 
 def _match_to_fiber(ends, fiber0):
     """Permutation sending start index i to the fiber0 index nearest ends[i]."""
-    min_gap = min(
-        abs(a - b) for i, a in enumerate(fiber0) for b in fiber0[i + 1 :]
-    ) if len(fiber0) > 1 else math.inf
+    min_gap = _min_gap(fiber0)
     out = []
     for e in ends:
         dists = [abs(e - f) for f in fiber0]
@@ -246,10 +245,8 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
             "path-tracking-failure",
             "fiber over base has %d roots, expected %d" % (len(fiber0), cover.degree),
         )
-    if cover.degree > 1:
-        gap = min(abs(a - b) for i, a in enumerate(fiber0) for b in fiber0[i + 1 :])
-        if gap < 1e-8 * (1.0 + max(abs(r) for r in fiber0)):
-            raise DessinryError("path-tracking-failure", "fiber over base is not simple")
+    if cover.degree > 1 and _min_gap(fiber0) < 1e-8 * (1.0 + max(abs(r) for r in fiber0)):
+        raise DessinryError("path-tracking-failure", "fiber over base is not simple")
 
     def run_loop(pieces):
         roots = list(fiber0)
@@ -313,18 +310,6 @@ def hurwitz_fiber(a, tol=1e-10):
     return poly_roots((1, -2, 0, 2 * a, -a), tol)
 
 
-class HurwitzPoint:
-    __slots__ = ("s", "a", "lift_label")
-
-    def __init__(self, s, tol=1e-8):
-        self.s = complex(s)
-        self.a = hurwitz_projection(self.s)
-        self.lift_label = classify_lift(self.s, tol)
-
-    def __repr__(self):
-        return "HurwitzPoint(s=%r, a=%r, lift=%r)" % (self.s, self.a, self.lift_label)
-
-
 def classify_lift(s, tol=1e-8):
     """Which of the four standard regions over (1, inf) contains s.
 
@@ -355,13 +340,7 @@ def classify_lift(s, tol=1e-8):
 
 def hurwitz_cover(s):
     """The quartic cover f_s with finite branch values (0, 1, p(s))."""
-    coeffs = hurwitz_fs(s)
-    p = hurwitz_projection(s)
-
-    def fiber(y):
-        return coeffs[:-1] + (coeffs[-1] - y,)
-
-    return CoverSpec(fiber, (0.0, 1.0, p), 4)
+    return polynomial_cover(hurwitz_fs(s), (0.0, 1.0, hurwitz_projection(s)))
 
 
 def belyi_cubic_cover():
@@ -372,6 +351,8 @@ def belyi_cubic_cover():
 def hurwitz_dessin(a, lift, tol=1e-10):
     """Canonical monodromy tuple of the lift of p over a with the given label."""
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise DessinryError("invalid-parameter", "a must be finite, got %r" % (a,))
     if abs(a.imag) > 1e-8 or a.real <= 1.0:
         raise DessinryError("no-such-lift", "lifts are labeled only over real a > 1, got %r" % (a,))
     chosen = None

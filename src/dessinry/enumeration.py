@@ -5,8 +5,7 @@ finitely many isomorphism classes; this module lists them all.  The smart
 path fixes g_0 to one representative per cycle type (every class contains
 such a tuple, since conjugating the whole tuple moves g_0 through its
 conjugacy class), runs over all choices of g_1..g_{n-2}, and forces
-g_{n-1} through the product constraint.  A naive scan over all n-1 free
-slots is kept as a correctness oracle for tiny sizes.
+g_{n-1} through the product constraint.
 
 Two independent counting oracles accompany the enumeration: a direct count
 of valid labeled tuples, and Hall's recursion for the number of finite
@@ -29,9 +28,9 @@ from .core import (
 from .errors import DessinryError
 from .perms import acts_transitively, compose, from_cycles, identity, inverse
 
-# Hard ceiling on the number of candidate tuples either search path may
-# visit.  Keeps n=3 d<=6 and n=4 d<=4 comfortably inside (the documented
-# support) while refusing runaway requests.
+# Hard ceiling on the number of candidate tuples a search may visit.  Keeps
+# n=3 d<=6 and n=4 d<=4 comfortably inside (the documented support) while
+# refusing runaway requests.
 WORK_LIMIT = 2_000_000
 
 
@@ -142,18 +141,11 @@ def _type_representative(d, partition):
     return from_cycles(d, cycs)
 
 
-def enumerate_classes(n, d, method="reps"):
-    """All isomorphism classes of shape (n, d), sorted by canonical encoding.
-
-    method="reps" fixes g_0 per cycle type (the default); method="naive"
-    scans every choice of g_0 as well and exists as a test oracle.
-    """
+def enumerate_classes(n, d):
+    """All isomorphism classes of shape (n, d), sorted by canonical encoding."""
     _check_shape(n, d)
-    if method not in ("reps", "naive"):
-        raise DessinryError("bound-exceeded", "unknown method %r" % (method,))
-    n_types = len(_partitions_desc(d))
-    heads = n_types if method == "reps" else factorial(d)
-    work = heads * factorial(d) ** (n - 2)
+    partitions = _partitions_desc(d)
+    work = len(partitions) * factorial(d) ** (n - 2)
     if work > WORK_LIMIT:
         raise DessinryError(
             "bound-exceeded",
@@ -161,10 +153,7 @@ def enumerate_classes(n, d, method="reps"):
         )
 
     perms_all = list(permutations(range(d)))
-    if method == "reps":
-        firsts = [_type_representative(d, part) for part in _partitions_desc(d)]
-    else:
-        firsts = perms_all
+    firsts = [_type_representative(d, part) for part in partitions]
 
     seen = {}
     for g0 in firsts:

@@ -197,57 +197,6 @@ def weber_f2(p, tol=1e-12):
     return ModularValue(val, bound)
 
 
-def _product_over(tau, kind):
-    """One of the three q-product Weber forms, with truncation bound.
-
-    kind 'f':  q^{-1/48} prod (1 + q^{n-1/2})
-    kind 'f1': q^{-1/48} prod (1 - q^{n-1/2})
-    kind 'f2': sqrt(2) q^{1/24} prod (1 + q^n)
-    """
-    q = mpmath.exp(2 * mpmath.pi * _I * tau)
-    q2 = mpmath.exp(mpmath.pi * _I * tau)
-    q48 = mpmath.exp(mpmath.pi * _I * tau / 24)
-    q24 = mpmath.exp(mpmath.pi * _I * tau / 12)
-    x = abs(q)
-    N = max(16, int(-60 / mpmath.log10(x)) + 2)
-    if kind == "f":
-        pref, start, sign, off = 1 / q48, q2, 1, mpmath.mpf("0.5")
-    elif kind == "f1":
-        pref, start, sign, off = 1 / q48, q2, -1, mpmath.mpf("0.5")
-    else:
-        pref, start, sign, off = mpmath.sqrt(2) * q24, q, 1, mpmath.mpf(1)
-    prod = mpmath.mpf(1)
-    zn = start
-    for _ in range(N):
-        prod *= 1 + sign * zn
-        zn *= q
-    val = pref * prod
-    bound = abs(val) * mpmath.expm1(_tail_T(x, N + off))
-    return val, bound
-
-
-def weber_f_product(p, tol=1e-12):
-    """Cross-check form of weber_f from its own q-product."""
-    return _product_from_kind(p, tol, "f")
-
-
-def weber_f1_product(p, tol=1e-12):
-    return _product_from_kind(p, tol, "f1")
-
-
-def weber_f2_product(p, tol=1e-12):
-    return _product_from_kind(p, tol, "f2")
-
-
-def _product_from_kind(p, tol, kind):
-    point = as_upper_half(p)
-    with mp.workdps(_dps_for(tol) + 8):
-        val, bound = _product_over(mpmath.mpc(point.tau), kind)
-        if bound > tol:
-            raise DessinryError("tolerance-unreachable", "q-product tail bound %s exceeds %s" % (bound, tol))
-    return ModularValue(val, bound)
-
-
 def lambda_star(p, tol=1e-12):
     """lambda*(tau) via three expressions with enforced mutual agreement.
 
@@ -301,7 +250,7 @@ def lambda_star(p, tol=1e-12):
 def ap(t, tol=1e-12):
     """Accessory parameter ap(t) = lambda*(it) of the t-stretched tiling."""
     tv = mpmath.mpmathify(t)
-    if mpmath.im(tv) != 0 or mpmath.re(tv) <= 0:
+    if mpmath.im(tv) != 0 or not mpmath.isfinite(tv) or mpmath.re(tv) <= 0:
         raise DessinryError("invalid-parameter", "t must be a positive real number, got %r" % (t,))
     with mp.workdps(_dps_for(tol) + 10):
         point = UpperHalfPoint(_I * mpmath.re(tv))
@@ -379,29 +328,6 @@ class QSeries:
         return "QSeries(order=%d, head=%r)" % (self.order, self.coefficients[:5])
 
 
-def _poly_mul(a, b, N):
-    out = [0] * (N + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > N:
-            continue
-        top = min(len(b), N + 1 - i)
-        for j in range(top):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _poly_inv(a, N):
-    assert a[0] == 1
-    inv = [0] * (N + 1)
-    inv[0] = 1
-    for k in range(1, N + 1):
-        acc = 0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * inv[k - j]
-        inv[k] = -acc
-    return inv
-
-
 def lambda_star_qseries(N):
     """Exact coefficients of lambda* = (prod (1+q2^{2m+1})/(1-q2^{2m+1}))^8.
 
@@ -411,25 +337,9 @@ def lambda_star_qseries(N):
     """
     if not isinstance(N, int) or N < 0:
         raise DessinryError("invalid-parameter", "order must be a nonnegative integer, got %r" % (N,))
-    num = [1] + [0] * N
-    den = [1] + [0] * N
-    for k in range(1, N + 1, 2):
-        num = _poly_mul(num, [1] + [0] * (k - 1) + [1], N)
-        den = _poly_mul(den, [1] + [0] * (k - 1) + [-1], N)
-    base = _poly_mul(num, _poly_inv(den, N), N)
-    sq = _poly_mul(base, base, N)
-    quad = _poly_mul(sq, sq, N)
-    out = _poly_mul(quad, quad, N)
-    return QSeries(out)
-
-
-def _lambda_star_qseries_stepwise(N):
-    """Second, independent construction of the same coefficients.
-
-    Multiplies factor by factor: (1 + x^k) with an explicit shift-add, then
-    1/(1 - x^k) as a running geometric accumulation, then takes the 8th
-    power by seven successive long multiplications.
-    """
+    # Multiply factor by factor: (1 + x^k) as an in-place shift-add, then
+    # 1/(1 - x^k) as a running geometric accumulation; the 8th power then
+    # takes seven successive long multiplications.
     f = [0] * (N + 1)
     f[0] = 1
     for k in range(1, N + 1, 2):

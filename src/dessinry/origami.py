@@ -29,7 +29,7 @@ not merely up to isomorphism.
 
 from collections import deque
 
-from .braid import OrbitResult
+from .braid import orbit_closure
 from .core import MonodromyTuple, canonical_form, validate
 from .errors import DessinryError
 from .perms import compose, identity, inverse, is_perm
@@ -214,24 +214,8 @@ def origami_orbit(o):
     Elements are canonical origamis sorted by their gluing data; the log
     lists (source index, op name, target index) for every element and op.
     """
-    start = canonical_origami(o)
-    found = {start: start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for op_name in ("hor", "ver", "hor-inv", "ver-inv"):
-            img = canonical_origami(DELTA_OPS[op_name](cur))
-            if img not in found:
-                found[img] = img
-                queue.append(img)
-    elements = sorted(found, key=lambda x: (x.R, x.L, x.U, x.D))
-    index = {x: k for k, x in enumerate(elements)}
-    log = []
-    for k, x in enumerate(elements):
-        for op_name in ("hor", "ver", "hor-inv", "ver-inv"):
-            img = canonical_origami(DELTA_OPS[op_name](x))
-            log.append((k, op_name, index[img]))
-    return OrbitResult((start,), tuple(elements), tuple(log))
+    ops = [(name, lambda x, op=op: canonical_origami(op(x))) for name, op in DELTA_OPS.items()]
+    return orbit_closure([canonical_origami(o)], ops, lambda x: (x.R, x.L, x.U, x.D))
 
 
 def origami_to_json(o):

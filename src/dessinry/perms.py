@@ -100,26 +100,34 @@ def from_cycles(d, cycs):
     return tuple(out)
 
 
-def acts_transitively(perms, d):
-    """True if the group generated by perms has a single orbit on range(d)."""
-    if d == 0:
-        return False
+def sheets_reached(perms, d):
+    """Flags of the points reachable from 0 under the group generated by perms."""
     seen = [False] * d
+    if d == 0:
+        return seen
     seen[0] = True
     queue = deque([0])
-    count = 1
     while queue:
         v = queue.popleft()
         for p in perms:
             w = p[v]
             if not seen[w]:
                 seen[w] = True
-                count += 1
                 queue.append(w)
-    return count == d
+    return seen
+
+
+def acts_transitively(perms, d):
+    """True if the group generated by perms has a single orbit on range(d)."""
+    return d > 0 and all(sheets_reached(perms, d))
+
+
+def cycle_str(cyc):
+    """One cycle as '(a b c)'."""
+    return "(" + " ".join(str(x) for x in cyc) + ")"
 
 
 def cycles_str(p):
     """Compact cycle notation, fixed points omitted; 'id' for the identity."""
-    parts = ["(" + " ".join(str(x) for x in c) + ")" for c in cycles(p) if len(c) > 1]
+    parts = [cycle_str(c) for c in cycles(p) if len(c) > 1]
     return "".join(parts) if parts else "id"

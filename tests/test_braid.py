@@ -11,7 +11,7 @@ from dessinry.braid import (
     chain_tables,
     compose_tables,
     evaluate_word,
-    identity_table,
+    orbit_closure,
     preset_gamma2,
     preset_pure_generators,
     pure_twist_table,
@@ -29,6 +29,14 @@ from dessinry.errors import DessinryError
 CHESSBOARD = MonodromyTuple([(1, 0), (1, 0), (1, 0), (1, 0)])
 TREFOIL = MonodromyTuple([(1, 2, 0), (1, 2, 0), (1, 2, 0)])
 TREFOIL_N4 = MonodromyTuple([(1, 2, 0), (1, 2, 0), (1, 2, 0), (0, 1, 2)])
+# Four transpositions on three sheets: its pure braid orbit has four classes.
+TRANSPOSITIONS = MonodromyTuple([(0, 2, 1), (0, 2, 1), (1, 0, 2), (1, 0, 2)])
+
+
+
+def identity_table(n, name="id"):
+    return EndomorphismTable(n, [((v, 1),) for v in range(n)], name=name)
+
 
 letters = st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=12).map(tuple)
@@ -206,3 +214,31 @@ class TestOrbit:
             braid_orbit([], preset_gamma2())
         with pytest.raises(DessinryError):
             braid_orbit([CHESSBOARD, TREFOIL_N4], preset_pure_generators(4))
+
+    def test_log_matches_direct_images(self):
+        gens = preset_pure_generators(4)
+        res = braid_orbit([TRANSPOSITIONS], gens)
+        by_name = {g.name: g for g in gens}
+        for src, name, dst in res.generator_log:
+            image = core.canonical_form(apply_endomorphism(by_name[name], res.elements[src]))
+            assert image == res.elements[dst]
+
+    def test_each_generator_applied_once_per_element(self, monkeypatch):
+        calls = []
+        original = braid.apply_endomorphism
+
+        def counting(e, t):
+            calls.append(e.name)
+            return original(e, t)
+
+        monkeypatch.setattr(braid, "apply_endomorphism", counting)
+        gens = preset_pure_generators(4)
+        res = braid_orbit([TRANSPOSITIONS], gens)
+        assert len(res.elements) == 4
+        assert len(calls) == len(res.elements) * len(gens)
+
+    def test_closure_rejects_non_injective_operation(self):
+        with pytest.raises(DessinryError) as exc:
+            orbit_closure([0, 1, 2, 3], [("half", lambda x: x // 2)], lambda x: x)
+        assert exc.value.code == "invalid-result"
+        assert "half" in exc.value.message

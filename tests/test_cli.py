@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import re
 import sys
 
 import pytest
@@ -9,6 +11,11 @@ import pytest
 from dessinry.cli import main
 
 CHESSBOARD_JSON = json.dumps({"m": 2, "R": [0, 1], "L": [0, 1], "U": [1, 0], "D": [1, 0]})
+
+# argv, stdin and the exact stdout of a fixed set of commands; the output
+# of these must not drift by a single byte.
+with open(os.path.join(os.path.dirname(__file__), "data", "cli_golden.json"), "r", encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
 
 
 def run_cli(capsys, argv):
@@ -229,6 +236,44 @@ class TestModularCommands:
         assert code == 1 and "invalid-parameter" in err
 
 
+# Inputs that must end in a "code: message" diagnostic, never a traceback:
+# argv, stdin, environment.
+CONTRACT_INPUTS = [
+    (["ap", "--t", "2"], None, {"DESSINRY_TOL": "abc"}),
+    (["ap", "--t", "2", "--tol", "0"], None, {}),
+    (["ap", "--t", "2", "--tol", "-1"], None, {}),
+    (["ap", "--t", "2", "--tol", "nan"], None, {}),
+    (["ap", "--t", "nan"], None, {}),
+    (["hurwitz", "--a", "nan", "--lift", "L1"], None, {}),
+    (["origami", "to-dessin"], '{"m": 1, "R": [0]', {}),
+    (["origami", "to-dessin", "--in", "missing.json"], None, {}),
+    (["orbit", "--seed", "missing.json"], None, {}),
+    (["monodromy", "--poly", "[[1, 0], [0, 0, 0], [-3, 0], [0, 0]]", "--branch-points", "[-2, 2]"], None, {}),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,env", CONTRACT_INPUTS, ids=[" ".join(c[0]) for c in CONTRACT_INPUTS])
+def test_bad_input_gets_a_diagnostic(capsys, monkeypatch, tmp_path, argv, stdin, env):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.match(r"^[a-z][a-z-]*: \S", err.splitlines()[-1])
+
+
+def test_poly_accepts_re_im_pairs(capsys):
+    pairs = ["monodromy", "--poly", "[[1, 0], [0, 0], [-3, 0], [0, 0]]", "--branch-points", "[-2, 2]"]
+    plain = ["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[[-2, 0], [2, 0]]"]
+    code, out, err = run_cli(capsys, pairs)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, plain) == (0, out, "")
+    assert json.loads(out)["profile"] == [[3], [2, 1], [2, 1]]
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert main(["enumerate"]) == 2
@@ -241,3 +286,11 @@ class TestUsageErrors:
     def test_bad_tau_format(self, capsys):
         code, _, err = run_cli(capsys, ["lambda-star", "--tau", "1+2j"])
         assert code == 1 and "invalid-parameter" in err
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_stdout(capsys, monkeypatch, case):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"] or ""))
+    code, out, err = run_cli(capsys, case["argv"])
+    assert (code, err) == (0, "")
+    assert out == case["stdout"]

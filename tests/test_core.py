@@ -1,10 +1,13 @@
 """Monodromy tuples: construction, validation, canonical forms, invariants."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dessinry import core, perms
 from dessinry.core import MonodromyTuple
+from dessinry.enumeration import enumerate_classes
 from dessinry.errors import DessinryError
 
 
@@ -15,6 +18,13 @@ def tuple_from(*one_line):
 TORUS = tuple_from((1, 0), (1, 0), (1, 0), (1, 0))
 SPHERE_3 = tuple_from((1, 0), (1, 0), (0, 1))
 TREFOIL = tuple_from((1, 2, 0), (1, 2, 0), (1, 2, 0))
+
+
+def brute_centralizer_order(t):
+    """Order of the simultaneous centralizer by a scan over all of Sym(d)."""
+    return sum(
+        all(perms.relabel(p, pi) == p for p in t.perms) for pi in permutations(range(t.d))
+    )
 
 
 def random_valid_tuple(n, d):
@@ -125,6 +135,11 @@ class TestInvariants:
     def test_centralizer_order(self):
         assert core.centralizer_order(TORUS) == 2
         assert core.centralizer_order(TREFOIL) == 3
+
+    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3)])
+    def test_centralizer_order_matches_brute_force(self, n, d):
+        for c in enumerate_classes(n, d).classes:
+            assert core.centralizer_order(c.canonical) == brute_centralizer_order(c.canonical)
 
     @given(small_tuples)
     def test_genus_is_nonnegative_int(self, t):

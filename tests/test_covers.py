@@ -8,7 +8,6 @@ from dessinry import core
 from dessinry.covers import (
     BASE_POINT,
     CoverSpec,
-    HurwitzPoint,
     belyi_cubic_cover,
     classify_lift,
     hurwitz_cover,
@@ -21,6 +20,15 @@ from dessinry.covers import (
     polynomial_cover,
 )
 from dessinry.errors import DessinryError
+
+class HurwitzPoint:
+    """A point s of the s-line with its image a = p(s) and its lift label."""
+
+    def __init__(self, s, tol=1e-8):
+        self.s = complex(s)
+        self.a = hurwitz_projection(self.s)
+        self.lift_label = classify_lift(self.s, tol)
+
 
 SQ3 = math.sqrt(3.0)
 ROOT4_3 = 3.0 ** 0.25
@@ -177,6 +185,10 @@ class TestHurwitzDessin:
         assert exc.value.code == "no-such-lift"
         with pytest.raises(DessinryError):
             hurwitz_dessin(2.0 + 1.0j, "L1")
+        for a in (math.nan, math.inf):
+            with pytest.raises(DessinryError) as exc:
+                hurwitz_dessin(a, "L1")
+            assert exc.value.code == "invalid-parameter"
 
     def test_rejects_unknown_label(self):
         with pytest.raises(DessinryError) as exc:

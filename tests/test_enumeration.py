@@ -1,16 +1,30 @@
 """Counting and listing isomorphism classes of small monodromy tuples."""
 
+from itertools import permutations, product
+from math import factorial
+
 import pytest
 
-from dessinry import core
+from dessinry import core, perms
 from dessinry.enumeration import count_transitive_tuples, enumerate_classes, hall_count
 from dessinry.errors import DessinryError
-from math import factorial
 
 # Frozen from this package's own Hall recursion, cross-checked below against
 # the independent brute-force scan at every cell both can reach.
 HALL_RANK2 = [1, 3, 13, 71, 461, 3447]
 HALL_RANK3 = [1, 7, 97, 2143, 68641]
+
+
+def naive_classes(n, d):
+    """Canonical forms of every valid tuple, scanning all n-1 free slots
+    (g_0 included), sorted by encoding: the oracle for the enumeration's
+    one-representative-per-cycle-type shortcut."""
+    seen = set()
+    for head in product(list(permutations(range(d))), repeat=n - 1):
+        t = head + (perms.inverse(perms.compose_all(head, d)),)
+        if perms.acts_transitively(t, d):
+            seen.add(core.canonical_form(core.MonodromyTuple(t)))
+    return sorted(seen, key=lambda c: c.perms)
 
 
 class TestHallCount:
@@ -56,8 +70,11 @@ class TestEnumerate:
     def test_reps_agrees_with_naive(self):
         for n, d in [(3, 2), (3, 3), (4, 2)]:
             fast = enumerate_classes(n, d)
-            slow = enumerate_classes(n, d, method="naive")
-            assert [c.canonical for c in fast.classes] == [c.canonical for c in slow.classes]
+            assert [c.canonical for c in fast.classes] == naive_classes(n, d)
+
+    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3)])
+    def test_marked_count_equals_hall_times_factorial(self, n, d):
+        assert enumerate_classes(n, d).marked_count == hall_count(n - 1, d) * factorial(d - 1)
 
     def test_classes_are_canonical_and_sorted(self):
         res = enumerate_classes(4, 2)
@@ -79,10 +96,6 @@ class TestEnumerate:
         assert any(c.normal for c in res.classes)
         for c in res.classes:
             assert sum(sum(part) for part in c.profile) == 3 * res.d
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(DessinryError):
-            enumerate_classes(3, 2, method="guess")
 
     def test_work_limit(self):
         with pytest.raises(DessinryError) as exc:

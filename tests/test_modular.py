@@ -11,7 +11,6 @@ from dessinry.modular import (
     ModularValue,
     QSeries,
     UpperHalfPoint,
-    _lambda_star_qseries_stepwise,
     ap,
     cm_from_weber,
     delta_by_eta,
@@ -24,13 +23,67 @@ from dessinry.modular import (
     qseries_eval,
     weber_f,
     weber_f1,
-    weber_f1_product,
     weber_f2,
-    weber_f2_product,
-    weber_f_product,
 )
 
 I = mpmath.mpc(0, 1)
+
+
+def weber_product(tau, kind):
+    """A Weber function from its own q-product, at the ambient precision:
+
+    kind 'f':  q^{-1/48} prod (1 + q^{n-1/2})
+    kind 'f1': q^{-1/48} prod (1 - q^{n-1/2})
+    kind 'f2': sqrt(2) q^{1/24} prod (1 + q^n)
+
+    with enough factors that the omitted tail is below 1e-60.
+    """
+    tau = mpmath.mpc(tau)
+    q = mpmath.exp(2 * mpmath.pi * I * tau)
+    q2 = mpmath.exp(mpmath.pi * I * tau)
+    N = max(16, int(-60 / mpmath.log10(abs(q))) + 2)
+    if kind == "f2":
+        pref, zn, sign = mpmath.sqrt(2) * mpmath.exp(mpmath.pi * I * tau / 12), q, 1
+    else:
+        pref, zn, sign = 1 / mpmath.exp(mpmath.pi * I * tau / 24), q2, 1 if kind == "f" else -1
+    prod = mpmath.mpf(1)
+    for _ in range(N):
+        prod *= 1 + sign * zn
+        zn *= q
+    return pref * prod
+
+
+def _poly_mul(a, b, N):
+    out = [0] * (N + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > N:
+            continue
+        for j in range(min(len(b), N + 1 - i)):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _poly_inv(a, N):
+    assert a[0] == 1
+    inv = [1] + [0] * N
+    for k in range(1, N + 1):
+        inv[k] = -sum(a[j] * inv[k - j] for j in range(1, min(k, len(a) - 1) + 1))
+    return inv
+
+
+def qseries_by_power_series(N):
+    """lambda* coefficients to order N as (numerator * 1/denominator)^8 of
+    truncated power series, independent of the shipped factor-by-factor
+    builder."""
+    num = [1] + [0] * N
+    den = [1] + [0] * N
+    for k in range(1, N + 1, 2):
+        num = _poly_mul(num, [1] + [0] * (k - 1) + [1], N)
+        den = _poly_mul(den, [1] + [0] * (k - 1) + [-1], N)
+    base = _poly_mul(num, _poly_inv(den, N), N)
+    sq = _poly_mul(base, base, N)
+    quad = _poly_mul(sq, sq, N)
+    return _poly_mul(quad, quad, N)
 
 
 class TestUpperHalfPoint:
@@ -114,12 +167,8 @@ class TestWeber:
     def test_quotient_and_product_paths_agree(self):
         for tau in (1.2j, 0.3 + 1.4j, -0.2 + 0.9j):
             with mp.workdps(40):
-                for a, b in (
-                    (weber_f, weber_f_product),
-                    (weber_f1, weber_f1_product),
-                    (weber_f2, weber_f2_product),
-                ):
-                    assert abs(a(tau, 1e-22).value - b(tau, 1e-22).value) < 1e-20
+                for a, kind in ((weber_f, "f"), (weber_f1, "f1"), (weber_f2, "f2")):
+                    assert abs(a(tau, 1e-22).value - weber_product(tau, kind)) < 1e-20
 
 
 class TestLambdaStar:
@@ -141,6 +190,10 @@ class TestLambdaStar:
         assert exc.value.code == "invalid-parameter"
         with pytest.raises(DessinryError):
             ap(1 + 1j)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DessinryError) as exc:
+                ap(bad)
+            assert exc.value.code == "invalid-parameter"
 
 
 class TestJ:
@@ -191,7 +244,8 @@ class TestQSeries:
         assert series.order == 8
 
     def test_two_paths_agree(self):
-        assert lambda_star_qseries(50).coefficients == _lambda_star_qseries_stepwise(50).coefficients
+        for order in (0, 1, 50, 400):
+            assert list(lambda_star_qseries(order).coefficients) == qseries_by_power_series(order)
 
     def test_coefficients_are_positive_ints(self):
         for c in lambda_star_qseries(30).coefficients:
