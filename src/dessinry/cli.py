@@ -15,9 +15,10 @@ import math
 import os
 import sys
 
-import mpmath
-
-from . import braid, cm_values, core, covers, modular, origami
+# numpy (via covers) and mpmath (via modular and cm_values) are imported by
+# the handlers that need them, so that the combinatorial subcommands start
+# without either.
+from . import braid, core, origami
 from .enumeration import enumerate_classes
 from .errors import DessinryError
 from .perms import cycle_str, cycles_str
@@ -27,6 +28,8 @@ SCHEMA = "dessinry/1"
 
 
 def _fmt(x):
+    import mpmath
+
     return mpmath.nstr(x, 17)
 
 
@@ -113,6 +116,14 @@ def _orbit_components(result):
     return [comps[r] for r in sorted(comps)]
 
 
+def _write_dot(path, dot):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dot + "\n")
+    except OSError as exc:
+        raise DessinryError("invalid-parameter", "cannot write %s: %s" % (path, exc.strerror)) from None
+
+
 def _orbit_dot(labels, log):
     lines = ["digraph orbit {"]
     for k, lab in enumerate(labels):
@@ -194,8 +205,7 @@ def _cmd_orbit(args):
     labels = [_tuple_label(t) for t in result.elements]
     dot = _orbit_dot(labels, result.generator_log)
     if args.dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
+        _write_dot(args.dot, dot)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -251,8 +261,7 @@ def _cmd_origami(args):
     labels = [_origami_label(x) for x in result.elements]
     dot = _orbit_dot(labels, result.generator_log)
     if args.dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
+        _write_dot(args.dot, dot)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -272,6 +281,8 @@ def _cmd_origami(args):
 
 
 def _cmd_hurwitz(args):
+    from . import covers
+
     tol = _tol(args, 1e-10)
     t = covers.hurwitz_dessin(args.a, args.lift, tol)
     if args.emit == "dessin":
@@ -319,6 +330,8 @@ def _parse_complex_list(text, what):
 
 
 def _cmd_monodromy(args):
+    from . import covers
+
     tol = _tol(args, 1e-10)
     coeffs = _parse_complex_list(args.poly, "--poly")
     branch = _parse_complex_list(args.branch_points, "--branch-points")
@@ -333,6 +346,10 @@ def _cmd_monodromy(args):
 
 
 def _cmd_lambda_star(args):
+    import mpmath
+
+    from . import modular
+
     tol = _tol(args, 1e-12)
     tau = _parse_complex_pair(args.tau)
     out = modular.lambda_star(tau, tol)
@@ -352,6 +369,10 @@ def _cmd_lambda_star(args):
 
 
 def _cmd_ap(args):
+    import mpmath
+
+    from . import modular
+
     tol = _tol(args, 1e-12)
     out = modular.ap(args.t, tol)
     re, im = mpmath.re(out.value), mpmath.im(out.value)
@@ -371,6 +392,10 @@ def _cmd_ap(args):
 
 
 def _cmd_table1(args):
+    import mpmath
+
+    from . import cm_values, modular
+
     tol = _tol(args, 1e-9)
     wanted = None
     if args.rows:
@@ -409,6 +434,8 @@ def _cmd_table1(args):
 
 
 def _cmd_qseries(args):
+    from . import modular
+
     series = modular.lambda_star_qseries(args.order)
     if args.json:
         _print_json({"schema": SCHEMA, "order": series.order, "coefficients": list(series.coefficients)})

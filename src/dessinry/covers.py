@@ -75,6 +75,8 @@ def poly_roots(coeffs, tol=1e-10):
     coeffs = [complex(c) for c in coeffs]
     if not coeffs:
         raise DessinryError("degenerate-leading-coefficient", "empty coefficient sequence")
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise DessinryError("invalid-parameter", "coefficients must be finite, got %r" % (coeffs,))
     top = max(abs(c) for c in coeffs)
     if top == 0.0 or abs(coeffs[0]) <= 1e-14 * top:
         raise DessinryError(
@@ -110,6 +112,8 @@ class CoverSpec:
 
     def __init__(self, fiber_poly, branch_points, degree):
         branch_points = tuple(complex(b) for b in branch_points)
+        if not all(cmath.isfinite(b) for b in branch_points):
+            raise DessinryError("invalid-parameter", "branch points must be finite, got %r" % (branch_points,))
         if len(branch_points) < 2:
             raise DessinryError("invalid-tuple", "need at least two finite branch points (n >= 3)")
         for i in range(len(branch_points)):
@@ -133,6 +137,8 @@ def polynomial_cover(poly_coeffs, branch_points):
     """Cover x -> P(x) with the given finite branch values; F_y = P - y."""
     poly_coeffs = tuple(complex(c) for c in poly_coeffs)
     degree = len(poly_coeffs) - 1
+    if degree < 1 or not all(cmath.isfinite(c) for c in poly_coeffs):
+        raise DessinryError("invalid-parameter", "need finite coefficients of degree >= 1, got %r" % (poly_coeffs,))
 
     def fiber(y):
         return poly_coeffs[:-1] + (poly_coeffs[-1] - y,)
@@ -231,6 +237,8 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
     within their allowed ranges.
     """
     base = complex(base)
+    if not cmath.isfinite(base):
+        raise DessinryError("invalid-parameter", "base point must be finite, got %r" % (base,))
     if not 0 < radius_factor <= 0.25:
         raise DessinryError("invalid-parameter", "radius_factor must lie in (0, 1/4], got %r" % (radius_factor,))
     if not 0 < step_init <= 0.2:

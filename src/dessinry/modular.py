@@ -49,6 +49,8 @@ class UpperHalfPoint:
 
     def __init__(self, tau):
         tau = mpmath.mpmathify(tau)
+        if not mpmath.isfinite(tau):
+            raise DessinryError("invalid-parameter", "tau must be finite, got %s" % tau)
         if mpmath.im(tau) <= 0:
             raise DessinryError("invalid-parameter", "tau must have positive imaginary part, got %s" % tau)
         self.tau = mpmath.mpc(tau)
@@ -102,7 +104,8 @@ def _eta_worker(tau, abs_tol):
     q = mpmath.exp(2 * mpmath.pi * _I * tau)
     q24 = mpmath.exp(mpmath.pi * _I * tau / 12)
     x = abs(q)
-    assert x < 1
+    if x >= 1:
+        raise DessinryError("tolerance-unreachable", "|q| rounds to 1 at tau=%s, eta cannot converge" % tau)
     proxy = abs(q24) * mpmath.mpf("0.25")
     target = abs_tol / proxy
     if target >= 1:

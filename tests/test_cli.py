@@ -1,13 +1,17 @@
 """End-to-end command line behavior through the in-process entry point."""
 
+import contextlib
 import io
 import json
 import os
 import re
+import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dessinry
 from dessinry.cli import main
 
 CHESSBOARD_JSON = json.dumps({"m": 2, "R": [0, 1], "L": [0, 1], "U": [1, 0], "D": [1, 0]})
@@ -249,6 +253,15 @@ CONTRACT_INPUTS = [
     (["origami", "to-dessin", "--in", "missing.json"], None, {}),
     (["orbit", "--seed", "missing.json"], None, {}),
     (["monodromy", "--poly", "[[1, 0], [0, 0, 0], [-3, 0], [0, 0]]", "--branch-points", "[-2, 2]"], None, {}),
+    (["monodromy", "--poly", "[]", "--branch-points", "[0,1]"], None, {}),
+    (["monodromy", "--poly", "[1]", "--branch-points", "[0,1]"], None, {}),
+    (["lambda-star", "--tau", "nan,1"], None, {}),
+    (["lambda-star", "--tau", "0,inf"], None, {}),
+    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--dot", "missing-dir/x.dot"], None, {}),
+    (["origami", "orbit", "--dot", "missing-dir/x.dot"], CHESSBOARD_JSON, {}),
+    (["monodromy", "--poly", "[1, NaN]", "--branch-points", "[0, 1]"], None, {}),
+    (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]", "--base", "nan,1"], None, {}),
+    (["ap", "--t", "1e-300"], None, {}),
 ]
 
 
@@ -294,3 +307,163 @@ def test_golden_stdout(capsys, monkeypatch, case):
     code, out, err = run_cli(capsys, case["argv"])
     assert (code, err) == (0, "")
     assert out == case["stdout"]
+
+
+# --- start-up cost: each subcommand imports only what it uses ----------------------
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(dessinry.__file__)))
+
+# argv (None: a bare `import dessinry`) and the heavy modules it must not load.
+IMPORT_BUDGET = [
+    (None, {"numpy", "mpmath"}),
+    (["enumerate", "--n", "3", "--d", "2"], {"numpy", "mpmath"}),
+    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2"], {"numpy", "mpmath"}),
+    (["origami", "orbit", "--in", "chessboard.json"], {"numpy", "mpmath"}),
+    (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]"], {"mpmath"}),
+    (["hurwitz", "--a", "2", "--lift", "L3"], {"mpmath"}),
+    (["ap", "--t", "2"], {"numpy"}),
+    (["lambda-star", "--tau", "0,1"], {"numpy"}),
+    (["table1", "--rows", "1", "--check"], {"numpy"}),
+    (["qseries", "--order", "4"], {"numpy"}),
+]
+
+EXPORTS = """
+DessinryError MonodromyTuple validate is_valid canonical_form isomorphic genus
+cycle_profile is_normal orientation_reverse centralizer_order DessinClass
+EnumerationResult enumerate_classes count_transitive_tuples hall_count
+WORK_LIMIT EndomorphismTable OrbitResult word evaluate_word apply_endomorphism
+compose_tables chain_tables sigma_table sigma_inv_table pure_twist_table
+preset_pure_generators preset_gamma2 braid_orbit BipartiteOrigami
+validate_origami origami_to_dessin dessin_to_origami isomorphic_origami
+canonical_origami delta_hor delta_hor_inv delta_ver delta_ver_inv
+origami_orbit chessboard_origami pillowcase_origami CoverSpec polynomial_cover
+poly_roots numerical_monodromy hurwitz_fs hurwitz_projection hurwitz_fiber
+hurwitz_cover belyi_cubic_cover classify_lift hurwitz_dessin BASE_POINT
+UpperHalfPoint ModularValue QSeries eta delta_by_eta weber_f weber_f1 weber_f2
+lambda_star ap j_from_lambda_star j_oracle lambda_star_qseries qseries_eval
+cm_from_weber integrality_check CM_ROWS cm_value eval_radical
+""".split()
+
+
+def run_fresh(script, cwd):
+    """Run script in a new interpreter that finds this dessinry first; its stdout."""
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,banned", IMPORT_BUDGET, ids=["import dessinry" if a is None else a[0] for a, _ in IMPORT_BUDGET]
+)
+def test_import_budget(tmp_path, argv, banned):
+    (tmp_path / "chessboard.json").write_text(CHESSBOARD_JSON)
+    if argv is None:
+        script = "import dessinry\n"
+    else:
+        script = (
+            "import contextlib, io, dessinry.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert dessinry.cli.main(%r) == 0\n" % (argv,)
+        )
+    script += "import sys\nprint(' '.join(sorted(sys.modules)))\n"
+    loaded = set(run_fresh(script, tmp_path).split())
+    assert "dessinry" in loaded
+    assert not banned & loaded
+
+
+def test_package_namespace():
+    assert dessinry.__all__ == EXPORTS
+    for name in EXPORTS:
+        assert getattr(dessinry, name) is not None
+        assert name in dir(dessinry)
+    star = {}
+    exec("from dessinry import *", star)
+    assert set(EXPORTS) <= set(star)
+    with pytest.raises(AttributeError):
+        dessinry.no_such_name
+
+
+def test_submodules_resolve_as_package_attributes(tmp_path):
+    script = "import dessinry.cli\nprint(dessinry.covers.__name__, dessinry.modular.__name__)\n"
+    assert run_fresh(script, tmp_path).split() == ["dessinry.covers", "dessinry.modular"]
+
+
+# --- the CLI contract on hostile input ---------------------------------------------
+
+NUMBERS = ("nan", "inf", "-1", "0", "1", "2", "3", "1e-300", "1e300", "")
+JSON_LISTS = ("[]", "[1]", "[[1]]", "[1, NaN]", "[0, 1]", "[-2, 2]", "[1, 0, -3, 0]", "[[1, 0], [0]]", "{", "")
+PAIRS = ("0,1", "0.3,1.5", "nan,1", "0,inf", "0,1e-300", "1e300,1", "1", "")
+PATHS = ("missing.json", "-", "", "missing-dir/out.dot", "out.dot")
+# Every flag of every subcommand, with hostile values for it: out of range,
+# non-finite, empty, malformed, missing; plus a few valid ones, so that
+# parsing succeeds and the deeper code runs too.
+FLAGS = {
+    "enumerate": {"--n": NUMBERS, "--d": NUMBERS, "--format": ("table", "json", "dot")},
+    "orbit": {
+        "--n": NUMBERS,
+        "--d": NUMBERS,
+        "--seed": PATHS,
+        "--gens": ("preset:pure", "preset:gamma2", ""),
+        "--dot": PATHS,
+        "--format": ("table", "json", "dot"),
+    },
+    "origami": {"--op": ("hor", "ver-inv", ""), "--in": PATHS, "--dot": PATHS, "--format": ("table", "json", "dot")},
+    "hurwitz": {
+        "--a": NUMBERS,
+        "--lift": ("L1", "L3", "L5"),
+        "--emit": ("dessin", "origami", "dot"),
+        "--tol": NUMBERS,
+        "--format": ("table", "json"),
+    },
+    "monodromy": {
+        "--poly": JSON_LISTS,
+        "--branch-points": JSON_LISTS,
+        "--base": PAIRS,
+        "--tol": NUMBERS,
+        "--format": ("table", "json"),
+    },
+    "lambda-star": {"--tau": PAIRS, "--tol": NUMBERS, "--json": None},
+    "ap": {"--t": NUMBERS, "--tol": NUMBERS, "--json": None},
+    "table1": {"--rows": ("1", "1,2", "11", "x", "", "-1"), "--check": None, "--tol": NUMBERS, "--json": None},
+    "qseries": {"--order": NUMBERS, "--json": None},
+}
+STDIN = ("", "{", "[]", "null", '{"m": 1}', CHESSBOARD_JSON, '{"n": 3, "d": 1, "perms": [[0], [0], [0]]}')
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "origami":
+        argv.append(draw(st.sampled_from(("to-dessin", "from-dessin", "delta", "orbit", "nan"))))
+    flags = FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(st.sampled_from(flags[flag])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=hostile_argv(), stdin=st.sampled_from(STDIN), env_tol=st.sampled_from((None, "abc", "0", "1e-6")))
+def test_contract_holds_on_hostile_input(monkeypatch, tmp_path, argv, stdin, env_tol):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    if env_tol is None:
+        monkeypatch.delenv("DESSINRY_TOL", raising=False)
+    else:
+        monkeypatch.setenv("DESSINRY_TOL", env_tol)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    # table1 --check reports rows that miss the tolerance on stdout alone.
+    if code == 1 and err.getvalue():
+        assert re.match(r"^[a-z][a-z-]*: \S", err.getvalue().splitlines()[-1])

@@ -64,6 +64,11 @@ class TestPolyRoots:
     def test_constant_poly_has_no_roots(self):
         assert poly_roots((3.0,)) == []
 
+    def test_non_finite_coefficient(self):
+        with pytest.raises(DessinryError) as exc:
+            poly_roots((1.0, math.nan))
+        assert exc.value.code == "invalid-parameter"
+
 
 class TestCoverSpec:
     def test_needs_two_branch_points(self):
@@ -73,6 +78,18 @@ class TestCoverSpec:
     def test_rejects_coincident_branch_points(self):
         with pytest.raises(DessinryError):
             polynomial_cover((1, 0, 0), (0.0, 1e-15))
+
+    def test_rejects_non_finite_or_constant_input(self):
+        for coeffs, branch in (
+            ((), (0.0, 1.0)),
+            ((2.0,), (0.0, 1.0)),
+            ((1.0, math.nan), (0.0, 1.0)),
+            ((1.0, 0.0, 0.0), (math.nan, 1.0)),
+            ((1.0, 0.0, 0.0), (0.0, math.inf)),
+        ):
+            with pytest.raises(DessinryError) as exc:
+                polynomial_cover(coeffs, branch)
+            assert exc.value.code == "invalid-parameter"
 
     def test_color_order(self):
         cov = polynomial_cover((1, 0, 0), (0.0, 1.0))
@@ -93,6 +110,9 @@ class TestMonodromy:
         assert exc.value.code == "invalid-parameter"
         with pytest.raises(DessinryError):
             numerical_monodromy(cov, step_init=0.0)
+        with pytest.raises(DessinryError) as exc:
+            numerical_monodromy(cov, base=complex(math.nan, 1.0))
+        assert exc.value.code == "invalid-parameter"
 
     def test_class_independent_of_tracking_knobs(self):
         cov = belyi_cubic_cover()

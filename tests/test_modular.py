@@ -93,6 +93,13 @@ class TestUpperHalfPoint:
                 UpperHalfPoint(bad)
             assert exc.value.code == "invalid-parameter"
 
+    def test_rejects_non_finite(self):
+        nan, inf = float("nan"), float("inf")
+        for bad in (complex(nan, 1), complex(0, inf), complex(inf, 1)):
+            with pytest.raises(DessinryError) as exc:
+                UpperHalfPoint(bad)
+            assert exc.value.code == "invalid-parameter"
+
     def test_q_powers_consistent(self):
         p = UpperHalfPoint(0.3 + 1.7j)
         with mp.workdps(30):
