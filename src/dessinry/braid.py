@@ -12,7 +12,7 @@ Words are tuples of (index, sign) letters.  Tables compose in action
 order: compose_tables(a, b) acts as a first, then b.
 """
 
-from .core import MonodromyTuple, canonical_form, validate
+from .core import MonodromyTuple, _canonical_key, canonical_form, validate
 from .errors import DessinryError
 from .perms import compose, identity, inverse
 
@@ -89,21 +89,31 @@ class EndomorphismTable:
         )
 
 
+def _evaluate(w, perms, inverses, d):
+    """Substitute perms[v] for x_v (inverses[v] for x_v^-1) and compose left
+    to right; the letters are known to be in range."""
+    out = identity(d)
+    for idx, sign in w:
+        out = compose(out, perms[idx] if sign == 1 else inverses[idx])
+    return out
+
+
 def evaluate_word(w, t):
     """Substitute g_v for x_v and compose left to right."""
-    out = identity(t.d)
-    for idx, sign in w:
+    for idx, _sign in w:
         if not 0 <= idx < t.n:
             raise DessinryError("index-out-of-range", "word letter x%d, tuple has n=%d" % (idx, t.n))
-        p = t.perms[idx] if sign == 1 else inverse(t.perms[idx])
-        out = compose(out, p)
-    return out
+    return _evaluate(w, t.perms, [inverse(p) for p in t.perms], t.d)
 
 
 def apply_endomorphism(e, t):
     if e.n != t.n:
         raise DessinryError("index-out-of-range", "table has n=%d, tuple has n=%d" % (e.n, t.n))
-    out = MonodromyTuple([evaluate_word(w, t) for w in e.images])
+    # The table's letters are in range, and products of permutations are
+    # permutations: only the semantic invariants can fail, and validate
+    # checks them once.
+    inverses = [inverse(p) for p in t.perms]
+    out = MonodromyTuple._trusted(tuple(_evaluate(w, t.perms, inverses, t.d) for w in e.images))
     diag = validate(out)
     if diag != "ok":
         raise DessinryError(
@@ -308,6 +318,12 @@ def orbit_closure(seeds, ops, key):
     return OrbitResult(seeds, tuple(order[k] for k in ranked), log)
 
 
+def _canonical_image(g, t):
+    """Canonical form of the image of t under g; apply_endomorphism has
+    validated the image, so it goes to the kernel unchecked."""
+    return MonodromyTuple._trusted(_canonical_key(apply_endomorphism(g, t).perms)[0])
+
+
 def braid_orbit(seeds, gens):
     """Closure of the seeds' classes under the given tables (see orbit_closure).
 
@@ -321,7 +337,7 @@ def braid_orbit(seeds, gens):
         if (t.n, t.d) != shape:
             raise DessinryError("invalid-tuple", "seeds mix shapes %r and %r" % (shape, (t.n, t.d)))
     ops = [
-        (g.name or "g%d" % pos, lambda t, g=g: canonical_form(apply_endomorphism(g, t)))
+        (g.name or "g%d" % pos, lambda t, g=g: _canonical_image(g, t))
         for pos, g in enumerate(gens)
     ]
     return orbit_closure(seeds, ops, lambda t: t.perms)

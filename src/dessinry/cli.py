@@ -203,7 +203,8 @@ def _cmd_orbit(args):
     result = braid.braid_orbit(seeds, gens)
     comps = _orbit_components(result)
     labels = [_tuple_label(t) for t in result.elements]
-    dot = _orbit_dot(labels, result.generator_log)
+    if args.dot is not None or args.format == "dot":
+        dot = _orbit_dot(labels, result.generator_log)
     if args.dot is not None:
         _write_dot(args.dot, dot)
     if args.format == "json":
@@ -259,7 +260,8 @@ def _cmd_origami(args):
     o = origami.origami_from_json(_read_json_arg(args.infile))
     result = origami.origami_orbit(o)
     labels = [_origami_label(x) for x in result.elements]
-    dot = _orbit_dot(labels, result.generator_log)
+    if args.dot is not None or args.format == "dot":
+        dot = _orbit_dot(labels, result.generator_log)
     if args.dot is not None:
         _write_dot(args.dot, dot)
     if args.format == "json":
@@ -428,8 +430,12 @@ def _cmd_table1(args):
                 print("n=%d  %s  %s" % (entry["n"], entry["stored"], "PASS" if entry["pass"] else "FAIL"))
             else:
                 print("n=%d  %s" % (entry["n"], entry["stored"]))
-    if args.check and not all(e["pass"] for e in out_rows):
-        return 1
+    missed = [e["n"] for e in out_rows if args.check and not e["pass"]]
+    if missed:
+        raise DessinryError(
+            "expression-mismatch",
+            "%d of %d rows miss tol %r (n=%s)" % (len(missed), len(out_rows), tol, ",".join(str(n) for n in missed)),
+        )
     return 0
 
 

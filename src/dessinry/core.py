@@ -32,7 +32,6 @@ from .perms import (
     identity,
     inverse,
     is_perm,
-    relabel,
     sheets_reached,
 )
 
@@ -61,6 +60,15 @@ class MonodromyTuple:
                     "entry %d is not a permutation of 0..%d: %r" % (v, d - 1, p),
                 )
         object.__setattr__(self, "perms", perms)
+
+    @classmethod
+    def _trusted(cls, perms):
+        """Wrap a tuple of permutation tuples of one degree, n >= 3, without
+        the structural checks: for results built from permutations already
+        checked, such as relabelings, products and inverses of them."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "perms", perms)
+        return t
 
     @property
     def n(self):
@@ -107,32 +115,54 @@ def _require_valid(t):
         raise DessinryError("invalid-tuple", diag)
 
 
-def _relabelings(t):
-    """The breadth-first relabeling of t from each base sheet, in base order.
+def _canonical_key(perms):
+    """The least breadth-first relabeling of a valid raw tuple, and how many
+    base sheets reach it.
 
-    For each base sheet b the fiber is relabeled in breadth-first discovery
-    order, probing the generators g_0..g_{n-1} and then their inverses in
-    that fixed order.  Transitivity makes each relabeling total.
+    perms is a tuple of permutation tuples already known to form a valid
+    tuple; nothing is checked here.  For each base sheet b the fiber is
+    relabeled in breadth-first discovery order, probing the generators
+    g_0..g_{n-1} and then their inverses in that fixed order (transitivity
+    makes each relabeling total).  The relabeled entries are built g_0
+    first, and a base is dropped at the first entry that exceeds the least
+    relabeling found so far.  Two bases reach the same relabeling exactly
+    when a centralizing permutation carries one to the other, and the
+    centralizer of a transitive group acts semiregularly, so the count is
+    the order of the simultaneous centralizer.
     """
-    _require_valid(t)
-    d = t.d
-    gens = list(t.perms) + [inverse(p) for p in t.perms]
-    out = []
+    d = len(perms[0])
+    gens = perms + tuple(inverse(p) for p in perms)
+    best = None
+    count = 0
     for base in range(d):
         lab = [-1] * d
         lab[base] = 0
+        order = [base]
         nxt = 1
-        queue = deque([base])
-        while queue:
-            v = queue.popleft()
+        for v in order:
             for g in gens:
                 w = g[v]
                 if lab[w] < 0:
                     lab[w] = nxt
                     nxt += 1
-                    queue.append(w)
-        out.append(tuple(relabel(p, lab) for p in t.perms))
-    return out
+                    order.append(w)
+            if nxt == d:
+                break
+        if best is None:
+            best = tuple(tuple([lab[p[v]] for v in order]) for p in perms)
+            count = 1
+            continue
+        for k, p in enumerate(perms):
+            entry = tuple([lab[p[v]] for v in order])
+            if entry != best[k]:
+                break
+        else:
+            count += 1
+            continue
+        if entry < best[k]:
+            best = best[:k] + (entry,) + tuple(tuple([lab[p[v]] for v in order]) for p in perms[k + 1 :])
+            count = 1
+    return best, count
 
 
 def canonical_form(t):
@@ -142,7 +172,8 @@ def canonical_form(t):
     choice up to the final lexicographic minimum, so two tuples get the
     same canonical form exactly when they are simultaneously conjugate.
     """
-    return MonodromyTuple(min(_relabelings(t)))
+    _require_valid(t)
+    return MonodromyTuple._trusted(_canonical_key(t.perms)[0])
 
 
 def isomorphic(a, b):
@@ -235,13 +266,11 @@ def orientation_reverse(t):
 def centralizer_order(t):
     """Order of the simultaneous centralizer of the tuple in Sym(d).
 
-    Two base sheets give the same breadth-first relabeling exactly when a
-    centralizing permutation carries one to the other.  The centralizer of
-    a transitive group acts semiregularly, so its order is the number of
-    base sheets whose relabeling equals the minimal one.
+    Counted by the same pass as the canonical form: the number of base
+    sheets whose breadth-first relabeling is the least one.
     """
-    cands = _relabelings(t)
-    return cands.count(min(cands))
+    _require_valid(t)
+    return _canonical_key(t.perms)[1]
 
 
 def to_json(t):

@@ -1,11 +1,15 @@
 """Exhaustive enumeration of monodromy tuples of given shape (n, d).
 
 Covers of the sphere with n ordered branch points and degree d fall into
-finitely many isomorphism classes; this module lists them all.  The smart
-path fixes g_0 to one representative per cycle type (every class contains
-such a tuple, since conjugating the whole tuple moves g_0 through its
-conjugacy class), runs over all choices of g_1..g_{n-2}, and forces
-g_{n-1} through the product constraint.
+finitely many isomorphism classes; this module lists them all.  The search
+fixes g_0 to one representative per cycle type (every class contains such
+a tuple, since conjugating the whole tuple moves g_0 through its conjugacy
+class), lets g_1 run over one representative per orbit of the centralizer
+C(g_0) acting by conjugation (conjugating by C(g_0) keeps g_0 and moves g_1
+through its orbit), runs over all choices of g_2..g_{n-2}, and forces
+g_{n-1} through the product constraint.  Each class is canonicalized, and
+its labeled count d!/|centralizer| taken, by the one relabeling pass of
+core.
 
 Two independent counting oracles accompany the enumeration: a direct count
 of valid labeled tuples, and Hall's recursion for the number of finite
@@ -26,7 +30,7 @@ from .core import (
     is_normal,
 )
 from .errors import DessinryError
-from .perms import acts_transitively, compose, from_cycles, identity, inverse
+from .perms import acts_transitively, compose, from_cycles, identity, inverse, relabel
 
 # Hard ceiling on the number of candidate tuples a search may visit.  Keeps
 # n=3 d<=6 and n=4 d<=4 comfortably inside (the documented support) while
@@ -141,6 +145,24 @@ def _type_representative(d, partition):
     return from_cycles(d, cycs)
 
 
+def _centralizer(p):
+    """All permutations commuting with p, by a scan of Sym(d)."""
+    return [pi for pi in permutations(range(len(p))) if relabel(p, pi) == p]
+
+
+def _orbit_representatives(group, perms_all):
+    """The first permutation, in the order of perms_all, of each orbit of
+    group (a list of permutations, closed under products) acting on
+    perms_all by conjugation."""
+    seen = set()
+    reps = []
+    for p in perms_all:
+        if p not in seen:
+            reps.append(p)
+            seen.update(relabel(p, pi) for pi in group)
+    return reps
+
+
 def enumerate_classes(n, d):
     """All isomorphism classes of shape (n, d), sorted by canonical encoding."""
     _check_shape(n, d)
@@ -153,21 +175,21 @@ def enumerate_classes(n, d):
         )
 
     perms_all = list(permutations(range(d)))
-    firsts = [_type_representative(d, part) for part in partitions]
-
     seen = {}
-    for g0 in firsts:
-        for middle in product(perms_all, repeat=n - 2):
-            running = g0
-            for p in middle:
-                running = compose(running, p)
-            tail = inverse(running)
-            all_perms = (g0,) + middle + (tail,)
-            if not acts_transitively(all_perms, d):
-                continue
-            canon = canonical_form(MonodromyTuple(all_perms))
-            if canon.perms not in seen:
-                seen[canon.perms] = canon
+    for part in partitions:
+        g0 = _type_representative(d, part)
+        for g1 in _orbit_representatives(_centralizer(g0), perms_all):
+            head = compose(g0, g1)
+            for rest in product(perms_all, repeat=n - 3):
+                running = head
+                for p in rest:
+                    running = compose(running, p)
+                all_perms = (g0, g1) + rest + (inverse(running),)
+                if not acts_transitively(all_perms, d):
+                    continue
+                canon = canonical_form(MonodromyTuple._trusted(all_perms))
+                if canon.perms not in seen:
+                    seen[canon.perms] = canon
 
     classes = []
     marked = 0

@@ -30,6 +30,9 @@ from .errors import DessinryError
 
 _I = mpmath.mpc(0, 1)
 _PRODUCT_BUDGET = 400000
+# Largest order lambda_star_qseries accepts.  Its work grows about as the
+# cube of the order; 2000 takes a few seconds.
+QSERIES_ORDER_LIMIT = 2000
 
 
 def _dps_for(tol):
@@ -340,6 +343,8 @@ def lambda_star_qseries(N):
     """
     if not isinstance(N, int) or N < 0:
         raise DessinryError("invalid-parameter", "order must be a nonnegative integer, got %r" % (N,))
+    if N > QSERIES_ORDER_LIMIT:
+        raise DessinryError("bound-exceeded", "order %d exceeds the limit %d" % (N, QSERIES_ORDER_LIMIT))
     # Multiply factor by factor: (1 + x^k) as an in-place shift-add, then
     # 1/(1 - x^k) as a running geometric accumulation; the 8th power then
     # takes seven successive long multiplications.

@@ -30,7 +30,7 @@ not merely up to isomorphism.
 from collections import deque
 
 from .braid import orbit_closure
-from .core import MonodromyTuple, canonical_form, validate
+from .core import MonodromyTuple, _canonical_key, canonical_form, validate
 from .errors import DessinryError
 from .perms import compose, identity, inverse, is_perm
 
@@ -60,6 +60,14 @@ class BipartiteOrigami:
             maps.append(seq)
         self.R, self.L, self.U, self.D = maps
 
+    @classmethod
+    def _trusted(cls, R, L, U, D):
+        """Gluing data built from maps already known to be in range, such
+        as products and inverses of checked bijections, without the checks."""
+        o = object.__new__(cls)
+        o.R, o.L, o.U, o.D = R, L, U, D
+        return o
+
     @property
     def m(self):
         return len(self.R)
@@ -86,6 +94,7 @@ def validate_origami(o):
         if not is_perm(seq, m):
             return "violated: %s is not a bijection onto the grey squares" % label
     # Gluing graph on 2m squares: white w is node w, grey g is node m + g.
+    Rinv, Linv, Uinv, Dinv = inverse(o.R), inverse(o.L), inverse(o.U), inverse(o.D)
     seen = [False] * (2 * m)
     seen[0] = True
     queue = deque([0])
@@ -96,7 +105,7 @@ def validate_origami(o):
             nbrs = (m + o.R[v], m + o.L[v], m + o.U[v], m + o.D[v])
         else:
             g = v - m
-            nbrs = tuple(w for w in range(m) if g in (o.R[w], o.L[w], o.U[w], o.D[w]))
+            nbrs = (Rinv[g], Linv[g], Uinv[g], Dinv[g])
         for w in nbrs:
             if not seen[w]:
                 seen[w] = True
@@ -113,15 +122,23 @@ def _require_valid_origami(o):
         raise DessinryError("invalid-origami", diag)
 
 
+def _dessin_perms(o):
+    """Corner permutations g_0..g_3 of valid gluing data."""
+    Rinv, Linv, Uinv, Dinv = inverse(o.R), inverse(o.L), inverse(o.U), inverse(o.D)
+    return (compose(o.L, Dinv), compose(o.D, Rinv), compose(o.R, Uinv), compose(o.U, Linv))
+
+
+def _origami_of(perms):
+    """Gluing data, with D = id, of a valid 4-colored tuple of permutations."""
+    g0, g1, g2, _ = perms
+    R = inverse(g1)
+    return BipartiteOrigami._trusted(R, g0, compose(inverse(g2), R), identity(len(g0)))
+
+
 def origami_to_dessin(o):
     """Monodromy tuple on the white squares, one permutation per corner color."""
     _require_valid_origami(o)
-    Rinv, Linv, Uinv, Dinv = inverse(o.R), inverse(o.L), inverse(o.U), inverse(o.D)
-    g0 = compose(o.L, Dinv)
-    g1 = compose(o.D, Rinv)
-    g2 = compose(o.R, Uinv)
-    g3 = compose(o.U, Linv)
-    t = MonodromyTuple([g0, g1, g2, g3])
+    t = MonodromyTuple._trusted(_dessin_perms(o))
     assert validate(t) == "ok"
     return t
 
@@ -133,12 +150,7 @@ def dessin_to_origami(t):
         raise DessinryError("invalid-tuple", diag)
     if t.n != 4:
         raise DessinryError("invalid-tuple", "need exactly 4 colors, got n=%d" % t.n)
-    g0, g1, g2, _ = t.perms
-    R = inverse(g1)
-    L = g0
-    U = compose(inverse(g2), inverse(g1))
-    D = identity(t.d)
-    o = BipartiteOrigami(R, L, U, D)
+    o = _origami_of(t.perms)
     assert validate_origami(o) == "ok"
     return o
 
@@ -150,15 +162,25 @@ def isomorphic_origami(a, b):
 
 
 def canonical_origami(o):
-    """Canonical representative of the relabeling class; idempotent."""
-    return dessin_to_origami(canonical_form(origami_to_dessin(o)))
+    """Canonical representative of the relabeling class; idempotent.
 
-
-def delta_hor(o):
-    """Horizontal shear rewrite; new white squares are the old grey ones."""
+    o is validated once; a valid origami gives a valid tuple (the corner
+    products telescope to the identity and the gluing graph is connected),
+    so the tuple goes to the canonical kernel unchecked.
+    """
     _require_valid_origami(o)
+    return _origami_of(_canonical_key(_dessin_perms(o))[0])
+
+
+# The shear rewrites on valid gluing data, unchecked: the orbit closure
+# feeds them canonical origamis, which are valid by construction.  Each
+# result is valid when the input is, and its maps are products and inverses
+# of bijections.
+
+
+def _hor(o):
     Rinv, Linv = inverse(o.R), inverse(o.L)
-    return BipartiteOrigami(
+    return BipartiteOrigami._trusted(
         Linv,
         Rinv,
         tuple(Rinv[o.U[Linv[g]]] for g in range(o.m)),
@@ -166,10 +188,9 @@ def delta_hor(o):
     )
 
 
-def delta_hor_inv(o):
-    _require_valid_origami(o)
+def _hor_inv(o):
     Rinv, Linv = inverse(o.R), inverse(o.L)
-    return BipartiteOrigami(
+    return BipartiteOrigami._trusted(
         Linv,
         Rinv,
         tuple(Linv[o.U[Rinv[g]]] for g in range(o.m)),
@@ -177,11 +198,9 @@ def delta_hor_inv(o):
     )
 
 
-def delta_ver(o):
-    """Vertical shear rewrite; new white squares are the old grey ones."""
-    _require_valid_origami(o)
+def _ver(o):
     Uinv, Dinv = inverse(o.U), inverse(o.D)
-    return BipartiteOrigami(
+    return BipartiteOrigami._trusted(
         tuple(Uinv[o.R[Dinv[g]]] for g in range(o.m)),
         tuple(Dinv[o.L[Uinv[g]]] for g in range(o.m)),
         Dinv,
@@ -189,15 +208,39 @@ def delta_ver(o):
     )
 
 
-def delta_ver_inv(o):
-    _require_valid_origami(o)
+def _ver_inv(o):
     Uinv, Dinv = inverse(o.U), inverse(o.D)
-    return BipartiteOrigami(
+    return BipartiteOrigami._trusted(
         tuple(Dinv[o.R[Uinv[g]]] for g in range(o.m)),
         tuple(Uinv[o.L[Dinv[g]]] for g in range(o.m)),
         Dinv,
         Uinv,
     )
+
+
+_SHEARS = {"hor": _hor, "ver": _ver, "hor-inv": _hor_inv, "ver-inv": _ver_inv}
+
+
+def delta_hor(o):
+    """Horizontal shear rewrite; new white squares are the old grey ones."""
+    _require_valid_origami(o)
+    return _hor(o)
+
+
+def delta_hor_inv(o):
+    _require_valid_origami(o)
+    return _hor_inv(o)
+
+
+def delta_ver(o):
+    """Vertical shear rewrite; new white squares are the old grey ones."""
+    _require_valid_origami(o)
+    return _ver(o)
+
+
+def delta_ver_inv(o):
+    _require_valid_origami(o)
+    return _ver_inv(o)
 
 
 DELTA_OPS = {
@@ -214,7 +257,7 @@ def origami_orbit(o):
     Elements are canonical origamis sorted by their gluing data; the log
     lists (source index, op name, target index) for every element and op.
     """
-    ops = [(name, lambda x, op=op: canonical_origami(op(x))) for name, op in DELTA_OPS.items()]
+    ops = [(name, lambda x, shear=shear: canonical_origami(shear(x))) for name, shear in _SHEARS.items()]
     return orbit_closure([canonical_origami(o)], ops, lambda x: (x.R, x.L, x.U, x.D))
 
 

@@ -29,7 +29,7 @@ def is_perm(p, d):
 
 def compose(p, q):
     """Apply p first, then q."""
-    return tuple(q[i] for i in p)
+    return tuple([q[i] for i in p])
 
 
 def compose_all(perms, d):

@@ -239,6 +239,25 @@ class TestModularCommands:
         code, _, err = run_cli(capsys, ["qseries", "--order", "-1"])
         assert code == 1 and "invalid-parameter" in err
 
+    def test_qseries_refuses_orders_beyond_the_limit(self, capsys):
+        from dessinry.modular import QSERIES_ORDER_LIMIT
+
+        code, out, err = run_cli(capsys, ["qseries", "--order", str(QSERIES_ORDER_LIMIT + 1)])
+        assert code == 1 and out == ""
+        assert err.startswith("bound-exceeded: ")
+        code, _, err = run_cli(capsys, ["qseries", "--order", "100000000"])
+        assert code == 1 and err.startswith("bound-exceeded: ")
+
+    def test_table1_check_miss_has_a_diagnostic(self, capsys):
+        code, out, err = run_cli(capsys, ["table1", "--rows", "1,2,3", "--check", "--tol", "1e-300"])
+        assert code == 1
+        # The rows stay on stdout as they are; an all-PASS run has none of this.
+        assert out.splitlines()[0].startswith("n=1  2.0  ")
+        assert len(out.splitlines()) == 3
+        failed = [line.split()[0][2:] for line in out.splitlines() if line.endswith("FAIL")]
+        assert failed
+        assert err == "expression-mismatch: %d of 3 rows miss tol 1e-300 (n=%s)\n" % (len(failed), ",".join(failed))
+
 
 # Inputs that must end in a "code: message" diagnostic, never a traceback:
 # argv, stdin, environment.
@@ -299,6 +318,33 @@ class TestUsageErrors:
     def test_bad_tau_format(self, capsys):
         code, _, err = run_cli(capsys, ["lambda-star", "--tau", "1+2j"])
         assert code == 1 and "invalid-parameter" in err
+
+
+# argv, stdin, and whether the orbit's DOT text is needed.
+DOT_CASES = [
+    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--format", "json"], "", False),
+    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2"], "", False),
+    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--format", "dot"], "", True),
+    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--dot", "out.dot"], "", True),
+    (["origami", "orbit"], CHESSBOARD_JSON, False),
+    (["origami", "orbit", "--format", "table"], CHESSBOARD_JSON, False),
+    (["origami", "orbit", "--format", "dot"], CHESSBOARD_JSON, True),
+    (["origami", "orbit", "--dot", "out.dot"], CHESSBOARD_JSON, True),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,built", DOT_CASES, ids=[" ".join(c[0]) for c in DOT_CASES])
+def test_orbit_dot_built_only_when_asked(capsys, monkeypatch, tmp_path, argv, stdin, built):
+    from dessinry import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    calls = []
+    original = cli._orbit_dot
+    monkeypatch.setattr(cli, "_orbit_dot", lambda *a: calls.append(a) or original(*a))
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(calls) == int(built)
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
@@ -464,6 +510,6 @@ def test_contract_holds_on_hostile_input(monkeypatch, tmp_path, argv, stdin, env
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
-    # table1 --check reports rows that miss the tolerance on stdout alone.
-    if code == 1 and err.getvalue():
+    if code == 1:
+        assert err.getvalue(), "exit 1 without a diagnostic"
         assert re.match(r"^[a-z][a-z-]*: \S", err.getvalue().splitlines()[-1])

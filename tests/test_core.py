@@ -136,7 +136,7 @@ class TestInvariants:
         assert core.centralizer_order(TORUS) == 2
         assert core.centralizer_order(TREFOIL) == 3
 
-    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3), (4, 4)])
     def test_centralizer_order_matches_brute_force(self, n, d):
         for c in enumerate_classes(n, d).classes:
             assert core.centralizer_order(c.canonical) == brute_centralizer_order(c.canonical)

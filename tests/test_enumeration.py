@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from dessinry import core, perms
+from dessinry import core, enumeration, perms
 from dessinry.enumeration import count_transitive_tuples, enumerate_classes, hall_count
 from dessinry.errors import DessinryError
 
@@ -25,6 +25,29 @@ def naive_classes(n, d):
         if perms.acts_transitively(t, d):
             seen.add(core.canonical_form(core.MonodromyTuple(t)))
     return sorted(seen, key=lambda c: c.perms)
+
+
+def conjugacy_orbit(p, group):
+    """{c^-1 p c : c in group}, with products taken by perms.compose."""
+    return {perms.compose(perms.compose(perms.inverse(c), p), c) for c in group}
+
+
+class TestSecondEntryRepresentatives:
+    """g_1 runs over one representative per orbit of the centralizer of g_0
+    acting by conjugation; checked here against a centralizer found by
+    testing g c = c g, not through the enumeration's own relabel scan."""
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_orbits_partition_sym_d(self, d):
+        sym = list(permutations(range(d)))
+        for part in enumeration._partitions_desc(d):
+            g0 = enumeration._type_representative(d, part)
+            assert perms.cycle_type(g0) == part
+            cent = [c for c in sym if perms.compose(g0, c) == perms.compose(c, g0)]
+            reps = enumeration._orbit_representatives(enumeration._centralizer(g0), sym)
+            orbits = [conjugacy_orbit(r, cent) for r in reps]
+            assert sum(len(o) for o in orbits) == len(sym)
+            assert set().union(*orbits) == set(sym)
 
 
 class TestHallCount:
@@ -73,6 +96,10 @@ class TestEnumerate:
             assert [c.canonical for c in fast.classes] == naive_classes(n, d)
 
     @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3)])
+    def test_agrees_with_naive_class_for_class(self, n, d):
+        assert [c.canonical for c in enumerate_classes(n, d).classes] == naive_classes(n, d)
+
+    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3), (4, 4), (3, 6), (6, 3), (4, 5)])
     def test_marked_count_equals_hall_times_factorial(self, n, d):
         assert enumerate_classes(n, d).marked_count == hall_count(n - 1, d) * factorial(d - 1)
 
