@@ -250,7 +250,7 @@ def _cmd_origami(args):
         if args.op is None:
             raise DessinryError("invalid-parameter", "origami delta needs --op hor|ver|hor-inv|ver-inv")
         o = origami.origami_from_json(_read_json_arg(args.infile))
-        out = origami.DELTA_OPS[args.op](o)
+        out = origami._delta(o, args.op)
         if args.format == "table":
             print(_origami_label(out))
         else:
@@ -471,7 +471,7 @@ def build_parser():
 
     p = sub.add_parser("origami", help="square-tiling conversions, shears, orbits")
     p.add_argument("action", choices=("to-dessin", "from-dessin", "delta", "orbit"))
-    p.add_argument("--op", choices=tuple(sorted(origami.DELTA_OPS)), default=None)
+    p.add_argument("--op", choices=tuple(sorted(origami._SHEARS)), default=None)
     p.add_argument("--in", dest="infile", default=None, help="input JSON file (default: stdin)")
     p.add_argument("--dot", help="for orbit: also write the orbit graph to this DOT file")
     p.add_argument("--format", choices=("table", "json", "dot"), default="json")

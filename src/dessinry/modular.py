@@ -1,5 +1,5 @@
 """High-precision evaluation of eta, Weber functions, lambda*, j, and the
-accessory-parameter function ap(t), with rigorous truncation bounds.
+accessory-parameter function ap(t), with rigorous error bounds.
 
 All fractional powers of q = e^{2 pi i tau} are fixed by exponential
 formulas and never by complex powers of q itself:
@@ -9,9 +9,10 @@ formulas and never by complex powers of q itself:
 Truncation control for an infinite product prod (1 +- z_n) with |z_n| <=
 x^{e_n}, x = |q| < 1, e_n increasing in steps of 1: the discarded log-tail
 is at most T = x^{e_{N+1}} / (1-x)^2, so the truncated value val_N is off
-by at most |val_N| (e^T - 1).  Every ModularValue carries that bound; the
-working mantissa adds ten guard digits beyond the requested tolerance so
-rounding stays far below the reported truncation bound.
+by at most |val_N| (e^T - 1).  That relative bound depends on tau only
+through x, so each eta product's length N comes from it in closed form.
+A value takes at most two passes (_two_passes), each at the precision its
+relative target needs; every bound adds a rounding allowance (_rounding).
 
 lambda*(tau) = 1/(1 - lambda(tau)) is evaluated three independent ways
 (Weber quotient f^8/f1^8, the eta quotient with prefactor e^{-pi i/3},
@@ -35,8 +36,28 @@ _PRODUCT_BUDGET = 400000
 QSERIES_ORDER_LIMIT = 2000
 
 
-def _dps_for(tol):
-    return max(20, int(round(-math.log10(float(tol)))) + 12)
+def _dps_for(rel):
+    """Digits for relative target rel (an mpf: it can fall below 1e-308) plus 12 guard digits."""
+    return max(20, int(-mpmath.log10(rel)) + 12)
+
+
+def _extra_bits(amp):
+    """Extra bits that shrink amp units of rounding below an eighth of a unit."""
+    return int(mpmath.log(amp, 2)) + 4
+
+
+def _rounding(value):
+    """Rounding allowance of a value assembled at the working precision.
+
+    Each loop (eta product, E4 sum, q-series sum) runs with _extra_bits for
+    its own rounding and comes back within an eighth of a unit.  Assembling
+    a value from at most three of them takes an exp or sqrt prefactor, a few
+    products and quotients and one power of at most 24; counting a unit per
+    rounding and k times the base's units for a k-th power, the worst case,
+    lambda*'s eighth power of a quotient of quotients, stays below 2^8 units.
+    2^12 leaves a factor 16 for the looser rounding of complex arithmetic.
+    """
+    return abs(value) * mpmath.ldexp(1, 12 - mp.prec)
 
 
 class UpperHalfPoint:
@@ -85,7 +106,7 @@ def as_upper_half(p):
 
 
 class ModularValue:
-    """A computed value together with a rigorous truncation bound."""
+    """A computed value with a rigorous error bound, truncation and rounding."""
 
     __slots__ = ("value", "trunc_bound")
 
@@ -97,110 +118,112 @@ class ModularValue:
         return "ModularValue(%s, trunc_bound=%s)" % (self.value, self.trunc_bound)
 
 
-def _tail_T(x, first_exp):
-    """Bound x^first_exp / (1-x)^2 on the log-tail of a truncated product."""
-    return x ** first_exp / (1 - x) ** 2
+def _rel_err(*factors):
+    """Relative error bound of prod x_i^k_i from pairs (d_i, k_i), each x_i
+    known to relative error d_i (below 1 where k_i < 0): the product of
+    (1 + d_i)^k_i over k_i > 0 and (1 - d_i)^k_i over k_i < 0, minus 1."""
+    return mpmath.expm1(mpmath.fsum(k * mpmath.log1p(d if k > 0 else -d) for d, k in factors))
 
 
-def _eta_worker(tau, abs_tol):
-    """eta(tau) with truncation bound <= abs_tol, at ambient precision."""
-    q = mpmath.exp(2 * mpmath.pi * _I * tau)
-    q24 = mpmath.exp(mpmath.pi * _I * tau / 12)
-    x = abs(q)
+def _affine(tau, shift, scale):
+    """(tau + shift) * scale without rounding, so derived points are exact."""
+    return mpmath.fmul(mpmath.fadd(tau, shift, exact=True), scale, exact=True)
+
+
+def _eta(tau, rel):
+    """eta(tau) = q^{1/24} prod_{n<=N} (1 - q^n) and its truncation bound,
+    at most rel * |value|, at the working precision.
+
+    N is the least length, at least 8, with expm1(x^{N+1} / (1-x)^2) <= rel
+    for x = |q|.  The product runs with extra bits for its own rounding: a
+    unit per factor and per product, and the phase error of q and q^{1/24}
+    from exp (3 |2 pi tau| units), which the powers q^n carry into the
+    product at most x / (1-x)^3 times.
+    """
+    x = mpmath.exp(-2 * mpmath.pi * mpmath.im(tau))
     if x >= 1:
         raise DessinryError("tolerance-unreachable", "|q| rounds to 1 at tau=%s, eta cannot converge" % tau)
-    proxy = abs(q24) * mpmath.mpf("0.25")
-    target = abs_tol / proxy
-    if target >= 1:
-        N = 8
-    else:
-        N = max(8, int(mpmath.log(target * (1 - x) ** 2) / mpmath.log(x)) + 2)
-    while True:
-        if N > _PRODUCT_BUDGET:
-            raise DessinryError(
-                "tolerance-unreachable",
-                "eta product needs more than %d terms at tau=%s" % (_PRODUCT_BUDGET, tau),
-            )
+    N = max(8, int(mpmath.ceil(mpmath.log(mpmath.log1p(rel) * (1 - x) ** 2) / mpmath.log(x))))
+    if N > _PRODUCT_BUDGET:
+        raise DessinryError(
+            "tolerance-unreachable", "eta product needs more than %d terms at tau=%s" % (_PRODUCT_BUDGET, tau)
+        )
+    with mp.workprec(mp.prec + _extra_bits(3 * N + 8 + (20 * abs(tau) + 4) * (1 + x / (1 - x) ** 3))):
+        q = mpmath.exp(2 * mpmath.pi * _I * tau)
         prod = mpmath.mpf(1)
         qn = q
         for _ in range(N):
             prod *= 1 - qn
             qn *= q
-        val = q24 * prod
-        bound = abs(val) * mpmath.expm1(_tail_T(x, N + 1))
-        if bound <= abs_tol:
-            return val, bound
-        N *= 2
+        val = mpmath.exp(mpmath.pi * _I * tau / 12) * prod
+    return val, abs(val) * mpmath.expm1(x ** (N + 1) / (1 - x) ** 2)
 
 
-def _eta_rel(tau, rel):
-    """eta(tau) with trunc_bound <= rel * |value|."""
-    guess = abs(mpmath.exp(mpmath.pi * _I * tau / 12)) * mpmath.mpf("0.25")
-    val, bound = _eta_worker(tau, rel * guess)
-    while bound > rel * abs(val):
-        val, bound = _eta_worker(tau, rel * abs(val) / 2)
-    return val, bound
+def _pass(compute, rel):
+    """compute(rel) -> (value, bound, ...) with bound <= rel * |value|, run at
+    the precision rel needs; the bound gains the rounding allowance."""
+    rel = mpmath.mpf(rel)
+    with mp.workdps(_dps_for(rel)):
+        value, bound, *rest = compute(rel)
+        return (value, bound + _rounding(value), *rest)
+
+
+def _two_passes(compute, tol):
+    """_pass at rel = tol, and once more at rel = tol / (2 |value|) when a
+    value above 1 leaves the bound above tol."""
+    tol = mpmath.mpf(tol)
+    out = _pass(compute, tol)
+    if out[1] > tol and abs(out[0]) > 1:
+        out = _pass(compute, tol / (2 * abs(out[0])))
+    return out
 
 
 def eta(p, tol=1e-12):
     """Dedekind eta as the truncated product q^{1/24} prod (1 - q^n)."""
-    point = as_upper_half(p)
-    with mp.workdps(_dps_for(tol)):
-        val, bound = _eta_worker(mpmath.mpc(point.tau), mpmath.mpf(tol))
-    return ModularValue(val, bound)
+    tau = as_upper_half(p).tau
+    return ModularValue(*_two_passes(lambda rel: _eta(tau, rel), tol))
 
 
 def delta_by_eta(p, tol=1e-12):
-    """Discriminant (2 pi i)^12 eta(tau)^24 = (2 pi)^12 eta(tau)^24."""
-    point = as_upper_half(p)
-    with mp.workdps(_dps_for(tol) + 8):
-        tau = mpmath.mpc(point.tau)
-        ev, eb = _eta_rel(tau, mpmath.mpf(tol))
+    """Discriminant (2 pi i)^12 eta(tau)^24 = (2 pi)^12 eta(tau)^24, in one
+    pass, with a bound of at most tol * |value|."""
+    tau = as_upper_half(p).tau
+
+    def compute(rel):
+        ev, eb = _eta(tau, rel / 48)
         val = (2 * mpmath.pi) ** 12 * ev ** 24
-        bound = abs(val) * 24 * (eb / abs(ev)) * mpmath.mpf("1.1")
-    return ModularValue(val, bound)
+        return val, abs(val) * _rel_err((eb / abs(ev), 24))
+
+    return ModularValue(*_pass(compute, tol))
 
 
-def _quotient_value(pref, tau_num, tau_den, tol):
-    """pref * eta(tau_num) / eta(tau_den) with propagated relative bound."""
-    rel = mpmath.mpf(tol) / 8
-    while True:
-        nv, nb = _eta_rel(tau_num, rel)
-        dv, db = _eta_rel(tau_den, rel)
-        val = pref * nv / dv
-        relsum = nb / abs(nv) + db / abs(dv)
-        bound = abs(val) * relsum * mpmath.mpf("1.1")
-        if bound <= tol:
-            return val, bound
-        rel /= 8
+def _weber(p, tol, pref, tau_num):
+    """pref() * eta(tau_num(tau)) / eta(tau) with its propagated bound."""
+    tau = as_upper_half(p).tau
+    num = tau_num(tau)
+
+    def compute(rel):
+        nv, nb = _eta(num, rel / 4)
+        dv, db = _eta(tau, rel / 4)
+        val = pref() * nv / dv
+        return val, abs(val) * _rel_err((nb / abs(nv), 1), (db / abs(dv), -1))
+
+    return ModularValue(*_two_passes(compute, tol))
 
 
 def weber_f(p, tol=1e-12):
     """f(tau) = e^{-pi i / 24} eta((tau+1)/2) / eta(tau)."""
-    point = as_upper_half(p)
-    with mp.workdps(_dps_for(tol) + 8):
-        tau = mpmath.mpc(point.tau)
-        pref = mpmath.exp(-mpmath.pi * _I / 24)
-        val, bound = _quotient_value(pref, (tau + 1) / 2, tau, mpmath.mpf(tol))
-    return ModularValue(val, bound)
+    return _weber(p, tol, lambda: mpmath.exp(-mpmath.pi * _I / 24), lambda tau: _affine(tau, 1, 0.5))
 
 
 def weber_f1(p, tol=1e-12):
     """f1(tau) = eta(tau/2) / eta(tau)."""
-    point = as_upper_half(p)
-    with mp.workdps(_dps_for(tol) + 8):
-        tau = mpmath.mpc(point.tau)
-        val, bound = _quotient_value(mpmath.mpf(1), tau / 2, tau, mpmath.mpf(tol))
-    return ModularValue(val, bound)
+    return _weber(p, tol, lambda: 1, lambda tau: _affine(tau, 0, 0.5))
 
 
 def weber_f2(p, tol=1e-12):
     """f2(tau) = sqrt(2) eta(2 tau) / eta(tau)."""
-    point = as_upper_half(p)
-    with mp.workdps(_dps_for(tol) + 8):
-        tau = mpmath.mpc(point.tau)
-        val, bound = _quotient_value(mpmath.sqrt(2), 2 * tau, tau, mpmath.mpf(tol))
-    return ModularValue(val, bound)
+    return _weber(p, tol, lambda: mpmath.sqrt(2), lambda tau: _affine(tau, 0, 2))
 
 
 def lambda_star(p, tol=1e-12):
@@ -210,46 +233,29 @@ def lambda_star(p, tol=1e-12):
     and discriminant expressions must agree with it within 10*tol, else
     expression-mismatch is raised.
     """
-    point = as_upper_half(p)
-    tol = float(tol)
-    with mp.workdps(_dps_for(tol) + 10):
-        tau = mpmath.mpc(point.tau)
-        t_shift = (tau + 1) / 2
-        t_half = tau / 2
+    tau = as_upper_half(p).tau
+    t_shift, t_half = _affine(tau, 1, 0.5), _affine(tau, 0, 0.5)
 
-        def assemble(rel):
-            e_shift = _eta_rel(t_shift, rel)
-            e_half = _eta_rel(t_half, rel)
-            e_tau = _eta_rel(tau, rel)
-            f = mpmath.exp(-mpmath.pi * _I / 24) * e_shift[0] / e_tau[0]
-            f1 = e_half[0] / e_tau[0]
-            expr1 = (f / f1) ** 8
-            rels = [b / abs(v) for v, b in (e_shift, e_half, e_tau)]
-            bound1 = abs(expr1) * 8 * (rels[0] + rels[1]) * mpmath.mpf("1.1")
-            expr2 = mpmath.exp(-mpmath.pi * _I / 3) * (e_shift[0] / e_half[0]) ** 8
-            bound2 = bound1
-            c = (2 * mpmath.pi) ** 12
-            d_shift = c * e_shift[0] ** 24
-            d_half = c * e_half[0] ** 24
-            d_tau = c * e_tau[0] ** 24
-            err = [abs(v) * 24 * r * mpmath.mpf("1.1") for v, r in zip((d_shift, d_half, d_tau), rels)]
-            num = -(d_shift + 16 * d_tau)
-            den = d_half + 16 * d_tau
-            expr3 = num / den
-            bound3 = (err[0] + 16 * err[2] + abs(expr3) * (err[1] + 16 * err[2])) / abs(den) * mpmath.mpf("1.1")
-            return expr1, bound1, expr2, expr3, bound3
+    def compute(rel):
+        # Each eta to rel / 32: expr1 is the eighth power of a quotient of two
+        # (eta(tau) cancels from f / f1), so its relative error is about rel / 2.
+        (vs, bs), (vh, bh), (vt, _) = (_eta(z, rel / 32) for z in (t_shift, t_half, tau))
+        f = mpmath.exp(-mpmath.pi * _I / 24) * vs / vt
+        f1 = vh / vt
+        expr1 = (f / f1) ** 8
+        bound1 = abs(expr1) * _rel_err((bs / abs(vs), 8), (bh / abs(vh), -8))
+        expr2 = mpmath.exp(-mpmath.pi * _I / 3) * (vs / vh) ** 8
+        d_shift, d_half, d_tau = ((2 * mpmath.pi) ** 12 * v ** 24 for v in (vs, vh, vt))
+        expr3 = -(d_shift + 16 * d_tau) / (d_half + 16 * d_tau)
+        return expr1, bound1, expr2, expr3
 
-        expr1, bound1, expr2, expr3, bound3 = assemble(mpmath.mpf(tol) / 256)
-        if bound1 > tol or bound3 > 10 * tol:
-            expr1, bound1, expr2, expr3, bound3 = assemble(
-                mpmath.mpf(tol) / (256 * 64 * (1 + abs(expr1)))
-            )
-        worst = max(abs(expr1 - expr2), abs(expr1 - expr3), abs(expr2 - expr3))
-        if worst > 10 * tol:
-            raise DessinryError(
-                "expression-mismatch",
-                "lambda* expressions disagree by %s at tau=%s (allowed %s)" % (worst, tau, 10 * tol),
-            )
+    expr1, bound1, expr2, expr3 = _two_passes(compute, tol)
+    worst = max(abs(expr1 - expr2), abs(expr1 - expr3), abs(expr2 - expr3))
+    if worst > 10 * tol:
+        raise DessinryError(
+            "expression-mismatch",
+            "lambda* expressions disagree by %s at tau=%s (allowed %s)" % (worst, tau, 10 * tol),
+        )
     return ModularValue(expr1, bound1)
 
 
@@ -258,10 +264,10 @@ def ap(t, tol=1e-12):
     tv = mpmath.mpmathify(t)
     if mpmath.im(tv) != 0 or not mpmath.isfinite(tv) or mpmath.re(tv) <= 0:
         raise DessinryError("invalid-parameter", "t must be a positive real number, got %r" % (t,))
-    with mp.workdps(_dps_for(tol) + 10):
-        point = UpperHalfPoint(_I * mpmath.re(tv))
-        out = lambda_star(point, tol)
-    return out
+    t_re = mpmath.re(tv)
+    with mp.workprec(max(mp.prec, t_re.bc)):  # the point holds t exactly
+        point = UpperHalfPoint(mpmath.mpc(0, t_re))
+    return lambda_star(point, tol)
 
 
 def j_from_lambda_star(x):
@@ -271,51 +277,41 @@ def j_from_lambda_star(x):
     return 256 * (x * x - x + 1) ** 3 / (x * x * (x - 1) ** 2)
 
 
-def _sigma3_table(N):
-    out = [0] * (N + 1)
-    for d in range(1, N + 1):
-        cube = d * d * d
-        for n in range(d, N + 1, d):
-            out[n] += cube
-    return out
-
-
 def j_oracle(p, tol=1e-9):
     """Independent j via the Eisenstein series E4 and the eta product:
 
         j = E4(q)^3 / (q prod (1-q^n)^24),   E4 = 1 + 240 sum sigma3(n) q^n.
 
-    The E4 tail uses sigma3(n) <= 1.21 n^3 and a ratio comparison, so the
-    reported bound is rigorous.
+    One pass at relative target tol.  The E4 tail uses sigma3(n) <= 1.21 n^3
+    and the ratio test x (1 + 1/(N+1))^3 <= sqrt(x) < 1, which the length N
+    meets outright; the bound is at most tol * |j| where |E4| >= 1/2, as
+    for Im tau >= 1.
     """
-    point = as_upper_half(p)
-    tol = float(tol)
-    with mp.workdps(_dps_for(tol) + 10):
-        tau = mpmath.mpc(point.tau)
-        q = mpmath.exp(2 * mpmath.pi * _I * tau)
-        x = abs(q)
-        rel = mpmath.mpf(tol) / 256
-        while True:
-            ev, eb = _eta_rel(tau, rel)
-            eta24 = ev ** 24
-            N = max(12, int(mpmath.log(rel) / mpmath.log(x)) + 4)
-            sig = _sigma3_table(N)
-            e4 = mpmath.mpf(1)
-            qn = q
-            for n in range(1, N + 1):
-                e4 += 240 * sig[n] * qn
-                qn *= q
-            ratio = x * (1 + mpmath.mpf(1) / (N + 1)) ** 3
-            if ratio >= 1:
-                rel /= 16
-                continue
-            e4_tail = 240 * mpmath.mpf("1.21") * (N + 1) ** 3 * x ** (N + 1) / (1 - ratio)
-            val = e4 ** 3 / eta24
-            rel_total = 3 * e4_tail / abs(e4) + 24 * eb / abs(ev)
-            bound = abs(val) * rel_total * mpmath.mpf("1.1")
-            if bound <= tol * max(1, abs(val)):
-                return ModularValue(val, bound)
-            rel /= 16
+    tau = as_upper_half(p).tau
+
+    def compute(rel):
+        ev, eb = _eta(tau, rel / 48)
+        x = mpmath.exp(-2 * mpmath.pi * mpmath.im(tau))
+        a, sx = -mpmath.log(x), mpmath.sqrt(x)
+        # m = N + 1 meets (1 + 1/m)^3 <= x^{-1/2} and x^{m/2} <= cap; as m^3 x^{m/2}
+        # is at most (6 / (e a))^3, the tail stays below rel / 16.
+        cap = rel * (1 - sx) / (16 * 290.4 * (6 / (mpmath.e * a)) ** 3)
+        m = int(mpmath.ceil(max(13, 1 / mpmath.expm1(a / 6), 2 * mpmath.log(cap) / -a)))
+        sig = [0] * m
+        for d in range(1, m):
+            for n in range(d, m, d):
+                sig[n] += d ** 3
+        # s bounds the terms' moduli; the sum's rounding stays below a unit.
+        s = 1 + 290.4 * x * (1 + 4 * x + x * x) / (1 - x) ** 4
+        with mp.workprec(mp.prec + _extra_bits(s * m * (20 * abs(tau) + 4))):
+            q = mpmath.exp(2 * mpmath.pi * _I * tau)
+            e4 = 1 + 240 * mpmath.fsum(sig[n] * q ** n for n in range(1, m))
+        tail = 290.4 * m ** 3 * x ** m / (1 - x * (1 + mpmath.mpf(1) / m) ** 3)
+        err4 = (tail + mpmath.ldexp(1, -mp.prec)) / abs(e4)
+        val = e4 ** 3 / ev ** 24
+        return val, abs(val) * _rel_err((err4, 3), (eb / abs(ev), -24))
+
+    return ModularValue(*_pass(compute, tol))
 
 
 class QSeries:
@@ -368,7 +364,7 @@ def lambda_star_qseries(N):
 
 
 def qseries_eval(series, p):
-    """Evaluate a truncated lambda* expansion with a rigorous tail bound.
+    """Evaluate a truncated lambda* expansion with a rigorous error bound.
 
     Valid for Im tau > 1: the coefficients c_k are nonnegative and sum to
     lambda*(i) = 2 against e^{-pi k}, so c_k <= 2 e^{pi k} and the tail
@@ -383,13 +379,16 @@ def qseries_eval(series, p):
         tail = 2 * y ** (series.order + 1) / (1 - y)
         dps = max(40, int(-mpmath.log10(tail)) + 15)
     with mp.workdps(dps):
-        q2 = point.q2
-        val = mpmath.mpf(0)
-        power = mpmath.mpc(1)
-        for c in series.coefficients:
-            val += c * power
-            power *= q2
-        tail = mpmath.mpf(tail)
+        # The terms' moduli sum to at most lambda*(i) = 2 and |lambda*| >= 1/2
+        # for Im tau > 1: the sum rounds by at most 4 (N+1) (20 |tau| + 4) units.
+        with mp.workprec(mp.prec + _extra_bits(4 * (series.order + 1) * (20 * abs(point.tau) + 4))):
+            q2 = point.q2
+            val = mpmath.mpf(0)
+            power = mpmath.mpc(1)
+            for c in series.coefficients:
+                val += c * power
+                power *= q2
+        tail = mpmath.mpf(tail) + _rounding(val)
     return ModularValue(val, tail)
 
 

@@ -175,7 +175,9 @@ def canonical_origami(o):
 # The shear rewrites on valid gluing data, unchecked: the orbit closure
 # feeds them canonical origamis, which are valid by construction.  Each
 # result is valid when the input is, and its maps are products and inverses
-# of bijections.
+# of bijections.  Only the horizontal shear is written out: its inverse is
+# its mirror image (R and L swapped), and the vertical pair is the
+# horizontal pair turned a quarter (R with U, L with D).
 
 
 def _hor(o):
@@ -188,67 +190,45 @@ def _hor(o):
     )
 
 
-def _hor_inv(o):
-    Rinv, Linv = inverse(o.R), inverse(o.L)
-    return BipartiteOrigami._trusted(
-        Linv,
-        Rinv,
-        tuple(Linv[o.U[Rinv[g]]] for g in range(o.m)),
-        tuple(Rinv[o.D[Linv[g]]] for g in range(o.m)),
-    )
+def _mirror(o):
+    return BipartiteOrigami._trusted(o.L, o.R, o.U, o.D)
 
 
-def _ver(o):
-    Uinv, Dinv = inverse(o.U), inverse(o.D)
-    return BipartiteOrigami._trusted(
-        tuple(Uinv[o.R[Dinv[g]]] for g in range(o.m)),
-        tuple(Dinv[o.L[Uinv[g]]] for g in range(o.m)),
-        Dinv,
-        Uinv,
-    )
+def _turn(o):
+    return BipartiteOrigami._trusted(o.U, o.D, o.R, o.L)
 
 
-def _ver_inv(o):
-    Uinv, Dinv = inverse(o.U), inverse(o.D)
-    return BipartiteOrigami._trusted(
-        tuple(Dinv[o.R[Uinv[g]]] for g in range(o.m)),
-        tuple(Uinv[o.L[Dinv[g]]] for g in range(o.m)),
-        Dinv,
-        Uinv,
-    )
+# The shears by their --op names, in the order the orbit log lists them.
+_SHEARS = {
+    "hor": _hor,
+    "ver": lambda o: _turn(_hor(_turn(o))),
+    "hor-inv": lambda o: _mirror(_hor(_mirror(o))),
+    "ver-inv": lambda o: _turn(_mirror(_hor(_mirror(_turn(o))))),
+}
 
 
-_SHEARS = {"hor": _hor, "ver": _ver, "hor-inv": _hor_inv, "ver-inv": _ver_inv}
+def _delta(o, name):
+    """The shear named name, after validating o."""
+    _require_valid_origami(o)
+    return _SHEARS[name](o)
 
 
 def delta_hor(o):
     """Horizontal shear rewrite; new white squares are the old grey ones."""
-    _require_valid_origami(o)
-    return _hor(o)
+    return _delta(o, "hor")
 
 
 def delta_hor_inv(o):
-    _require_valid_origami(o)
-    return _hor_inv(o)
+    return _delta(o, "hor-inv")
 
 
 def delta_ver(o):
     """Vertical shear rewrite; new white squares are the old grey ones."""
-    _require_valid_origami(o)
-    return _ver(o)
+    return _delta(o, "ver")
 
 
 def delta_ver_inv(o):
-    _require_valid_origami(o)
-    return _ver_inv(o)
-
-
-DELTA_OPS = {
-    "hor": delta_hor,
-    "ver": delta_ver,
-    "hor-inv": delta_hor_inv,
-    "ver-inv": delta_ver_inv,
-}
+    return _delta(o, "ver-inv")
 
 
 def origami_orbit(o):

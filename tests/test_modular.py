@@ -1,8 +1,10 @@
 """Eta, Weber, the tiling parameter, j, q-expansions, and the CM table."""
 
+import math
+
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from dessinry.cm_values import CM_ROWS, cm_value, eval_radical
@@ -201,6 +203,35 @@ class TestLambdaStar:
             with pytest.raises(DessinryError) as exc:
                 ap(bad)
             assert exc.value.code == "invalid-parameter"
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(math.log(0.02), math.log(50)).map(math.exp),
+        st.floats(-30, -8).map(lambda e: 10.0 ** e),
+    )
+    @example(0.05, 1e-12)
+    @example(0.06, 1e-12)
+    @example(7.0, 1e-12)
+    def test_error_bound_holds_against_theta_quotient(self, t, tol):
+        # lambda*(it) = theta3(q)^4 / theta4(q)^4 with nome q = e^{-pi t}: no
+        # eta product involved.  2/t digits cover both |lambda*| ~ e^{pi/t}
+        # and the cancellation in theta4 near the cusp.
+        got = ap(t, tol)
+        with mp.workdps(int(-math.log10(tol) + 2 / t) + 30):
+            q = mpmath.exp(-mpmath.pi * mpmath.mpf(t))
+            want = mpmath.jtheta(3, 0, q) ** 4 / mpmath.jtheta(4, 0, q) ** 4
+            assert abs(got.value - want) <= got.trunc_bound <= tol
+
+
+    def test_ap_takes_t_at_its_own_precision(self):
+        with mp.workdps(60):
+            t = mpmath.sqrt(2) / 7
+            q = mpmath.exp(-mpmath.pi * t)
+            want = mpmath.jtheta(3, 0, q) ** 4 / mpmath.jtheta(4, 0, q) ** 4
+        got = ap(t, 1e-30)
+        with mp.workdps(60):
+            assert abs(got.value - want) <= got.trunc_bound <= 1e-30
 
 
 class TestJ:

@@ -1,5 +1,7 @@
 """Bipartite square tilings, corner tracing, and the shear rewrites."""
 
+import random
+
 import pytest
 
 from dessinry import core
@@ -7,7 +9,6 @@ from dessinry.core import MonodromyTuple
 from dessinry.enumeration import enumerate_classes
 from dessinry.errors import DessinryError
 from dessinry.origami import (
-    DELTA_OPS,
     BipartiteOrigami,
     canonical_origami,
     chessboard_origami,
@@ -24,10 +25,56 @@ from dessinry.origami import (
     pillowcase_origami,
     validate_origami,
 )
+from dessinry.perms import inverse
 
 # Six-square example: three whites, three greys, a nontrivial shear image.
 SIX_A = BipartiteOrigami((1, 2, 0), (0, 1, 2), (1, 0, 2), (1, 0, 2))
 SIX_B = BipartiteOrigami((1, 2, 0), (0, 1, 2), (1, 0, 2), (0, 2, 1))
+DELTAS = {"hor": delta_hor, "ver": delta_ver, "hor-inv": delta_hor_inv, "ver-inv": delta_ver_inv}
+
+
+# The three shears the package derives from the horizontal one, written out
+# one by one as an oracle.
+def explicit_hor_inv(o):
+    Rinv, Linv = inverse(o.R), inverse(o.L)
+    return BipartiteOrigami(
+        Linv,
+        Rinv,
+        tuple(Linv[o.U[Rinv[g]]] for g in range(o.m)),
+        tuple(Rinv[o.D[Linv[g]]] for g in range(o.m)),
+    )
+
+
+def explicit_ver(o):
+    Uinv, Dinv = inverse(o.U), inverse(o.D)
+    return BipartiteOrigami(
+        tuple(Uinv[o.R[Dinv[g]]] for g in range(o.m)),
+        tuple(Dinv[o.L[Uinv[g]]] for g in range(o.m)),
+        Dinv,
+        Uinv,
+    )
+
+
+def explicit_ver_inv(o):
+    Uinv, Dinv = inverse(o.U), inverse(o.D)
+    return BipartiteOrigami(
+        tuple(Dinv[o.R[Uinv[g]]] for g in range(o.m)),
+        tuple(Uinv[o.L[Dinv[g]]] for g in range(o.m)),
+        Dinv,
+        Uinv,
+    )
+
+
+def random_valid_origamis(seed, count, max_m=7):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(1, max_m)
+        maps = [rng.sample(range(m), m) for _ in range(4)]
+        o = BipartiteOrigami(*maps)
+        if validate_origami(o) == "ok":
+            out.append(o)
+    return out
 
 
 class TestConstruction:
@@ -123,7 +170,7 @@ class TestShears:
     def test_images_stay_valid_and_preserve_invariants(self):
         for o in (SIX_A, SIX_B):
             t = origami_to_dessin(o)
-            for op in DELTA_OPS.values():
+            for op in DELTAS.values():
                 img = op(o)
                 assert validate_origami(img) == "ok"
                 assert img.m == o.m
@@ -131,6 +178,12 @@ class TestShears:
                 assert core.genus(ti) == core.genus(t)
                 # Shears conjugate each corner permutation, color by color.
                 assert core.cycle_profile(ti) == core.cycle_profile(t)
+
+    def test_derived_shears_match_explicit_bodies(self):
+        pairs = ((delta_hor_inv, explicit_hor_inv), (delta_ver, explicit_ver), (delta_ver_inv, explicit_ver_inv))
+        for o in random_valid_origamis(7, 400) + [chessboard_origami(), SIX_A, SIX_B]:
+            for op, oracle in pairs:
+                assert op(o) == oracle(o), (op.__name__, o)
 
     def test_gate_pair(self, gate_pair):
         first, second = gate_pair
