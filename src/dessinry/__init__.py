@@ -4,8 +4,8 @@ covers, and the modular side of the square pillowcase family.
 
 Submodules load on first use: ``import dessinry`` imports none of them,
 ``dessinry.enumerate_classes`` imports ``dessinry.enumeration`` (and what it
-needs), and only ``covers`` pulls in numpy, only ``modular`` and
-``cm_values`` pull in mpmath.
+needs), and only ``modular`` and ``cm_values`` pull in mpmath, the one
+runtime dependency.
 """
 
 from importlib import import_module

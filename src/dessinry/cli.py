@@ -15,10 +15,9 @@ import math
 import os
 import sys
 
-# numpy (via covers) and mpmath (via modular and cm_values) are imported by
-# the handlers that need them, so that the combinatorial subcommands start
-# without either.
-from . import braid, core, origami
+# mpmath (via modular and cm_values) is imported by the handlers that need
+# it, so that every other subcommand starts without it.
+from . import braid, core, covers, origami
 from .enumeration import enumerate_classes
 from .errors import DessinryError
 from .perms import cycle_str, cycles_str
@@ -53,13 +52,15 @@ def _print_json(payload):
 
 
 def _tuple_payload(t):
+    core._require_valid(t)
+    g, profile = core._genus_profile(t.perms)
     return {
         "n": t.n,
         "d": t.d,
         "perms": [list(p) for p in t.perms],
         "cycles": [cycles_str(p) for p in t.perms],
-        "genus": core.genus(t),
-        "profile": [list(part) for part in core.cycle_profile(t)],
+        "genus": g,
+        "profile": [list(part) for part in profile],
     }
 
 
@@ -283,8 +284,6 @@ def _cmd_origami(args):
 
 
 def _cmd_hurwitz(args):
-    from . import covers
-
     tol = _tol(args, 1e-10)
     t = covers.hurwitz_dessin(args.a, args.lift, tol)
     if args.emit == "dessin":
@@ -332,8 +331,6 @@ def _parse_complex_list(text, what):
 
 
 def _cmd_monodromy(args):
-    from . import covers
-
     tol = _tol(args, 1e-10)
     coeffs = _parse_complex_list(args.poly, "--poly")
     branch = _parse_complex_list(args.branch_points, "--branch-points")

@@ -27,7 +27,6 @@ from .errors import DessinryError
 from .perms import (
     compose,
     compose_all,
-    cycles,
     cycle_type,
     identity,
     inverse,
@@ -182,6 +181,20 @@ def isomorphic(a, b):
     return canonical_form(a).perms == canonical_form(b).perms
 
 
+def _genus_profile(perms):
+    """Genus and ramification profile of a valid raw tuple, from one pass
+    over the cycles of its entries; nothing is checked about the tuple."""
+    d = len(perms[0])
+    profile = tuple(cycle_type(p) for p in perms)
+    chi = 2 * d - sum(d - len(part) for part in profile)
+    if chi % 2 != 0:
+        raise DessinryError("non-integer-genus", "Euler characteristic %d is odd" % chi)
+    g = (2 - chi) // 2
+    if g < 0:
+        raise DessinryError("non-integer-genus", "negative genus %d" % g)
+    return g, profile
+
+
 def cycle_profile(t):
     """Ramification profile: one partition of d per color, in color order.
 
@@ -189,7 +202,7 @@ def cycle_profile(t):
     point of a degree-4 cover.
     """
     _require_valid(t)
-    return tuple(cycle_type(p) for p in t.perms)
+    return _genus_profile(t.perms)[1]
 
 
 def genus(t):
@@ -200,14 +213,26 @@ def genus(t):
     reported as an internal error rather than silently rounded.
     """
     _require_valid(t)
-    d = t.d
-    chi = 2 * d - sum(d - len(cycles(p)) for p in t.perms)
-    if chi % 2 != 0:
-        raise DessinryError("non-integer-genus", "Euler characteristic %d is odd" % chi)
-    g = (2 - chi) // 2
-    if g < 0:
-        raise DessinryError("non-integer-genus", "negative genus %d" % g)
-    return g
+    return _genus_profile(t.perms)[0]
+
+
+def _is_normal(perms):
+    """is_normal on a valid raw tuple; nothing is checked here."""
+    d = len(perms[0])
+    start = identity(d)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        g = queue.popleft()
+        for p in perms:
+            h = compose(g, p)
+            if h not in seen:
+                if len(seen) >= d:
+                    return False
+                seen.add(h)
+                queue.append(h)
+    assert len(seen) == d
+    return True
 
 
 def is_normal(t):
@@ -218,21 +243,7 @@ def is_normal(t):
     as soon as it exceeds d elements.
     """
     _require_valid(t)
-    d = t.d
-    start = identity(d)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        for p in t.perms:
-            h = compose(g, p)
-            if h not in seen:
-                if len(seen) >= d:
-                    return False
-                seen.add(h)
-                queue.append(h)
-    assert len(seen) == d
-    return True
+    return _is_normal(t.perms)
 
 
 def orientation_reverse(t):

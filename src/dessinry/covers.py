@@ -23,13 +23,17 @@ L1..L4 by classify_lift.
 import cmath
 import math
 
-import numpy as np
-
 from .core import MonodromyTuple, canonical_form, validate
 from .errors import DessinryError
 from .perms import identity, inverse
 
 BASE_POINT = 2j
+
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Sweeps of the root finder; a root still moving after them is left to the
+# caller's residual check.
+_ABERTH_SWEEPS = 500
 
 
 def _polyval(coeffs, x):
@@ -65,6 +69,62 @@ def _newton_polish(coeffs, dcoeffs, x, steps=6):
     return x
 
 
+def _aberth(coeffs, dcoeffs):
+    """Approximations to all roots of a polynomial of degree >= 1 at once.
+
+    Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973), sweeping the
+    iterates in order and using each update at once: z <- z - p / (p' - p S)
+    with S the sum of 1 / (z - w) over the other iterates w.  The iterates
+    start evenly spaced on a circle about the centroid c = -a_1 / (d a_0) of
+    the roots.  Its radius max(|b_k / b_0|^(1/k), |b_d / 2 b_0|^(1/d)), with
+    p(x + c) = sum b_k x^(d-k), is half of Fujiwara's bound on the roots of
+    the recentred polynomial.  As in Bini (Numer. Algorithms 13, 1996), an
+    iterate is frozen once its residual is down to the rounding error of
+    Horner's rule, here its running estimate |p(z)| <= 2 u mu with
+    mu = sum |z|^(d-k) |q_k| over the computed Horner partial values q_k
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 5.1).
+    Iteration stops when all are frozen or after _ABERTH_SWEEPS sweeps.
+    """
+    deg = len(coeffs) - 1
+    lead = coeffs[0]
+    centre = -coeffs[1] / (deg * lead)
+    # Taylor shift: the coefficients of p(x + centre), highest first.
+    shifted = list(coeffs)
+    for top in range(deg, 0, -1):
+        for k in range(1, top + 1):
+            shifted[k] += shifted[k - 1] * centre
+    radius = max(
+        [abs(shifted[k] / lead) ** (1.0 / k) for k in range(1, deg)]
+        + [abs(shifted[deg] / (2.0 * lead)) ** (1.0 / deg)]
+    )
+    if radius == 0.0:
+        # p is a_0 (x - c)^d.
+        return [centre] * deg
+    # The angular offset keeps the start off the symmetry axes of the input.
+    roots = [centre + radius * cmath.exp(1j * (2.0 * math.pi * k / deg + 0.4)) for k in range(deg)]
+    active = range(deg)
+    for _ in range(_ABERTH_SWEEPS):
+        moving = []
+        for i in active:
+            z = roots[i]
+            f, mu, size = 0j, 0.0, abs(z)
+            for c in coeffs:
+                f = f * z + c
+                mu = mu * size + abs(f)
+            if abs(f) <= 2.0 * _UNIT_ROUNDOFF * mu:
+                continue
+            moving.append(i)
+            denom = _polyval(dcoeffs, z) - f * sum(1.0 / (z - w) for w in roots if w != z)
+            if denom != 0.0:
+                step = f / denom
+                if cmath.isfinite(step):
+                    roots[i] = z - step
+        if not moving:
+            break
+        active = moving
+    return roots
+
+
 def poly_roots(coeffs, tol=1e-10):
     """All complex roots, polished so that |F(root)| <= tol * scale.
 
@@ -85,8 +145,8 @@ def poly_roots(coeffs, tol=1e-10):
         )
     if len(coeffs) == 1:
         return []
-    roots = [complex(r) for r in np.roots(coeffs)]
     dcoeffs = _polyder(coeffs)
+    roots = _aberth(coeffs, dcoeffs)
     deg = len(coeffs) - 1
     polished = []
     for r in roots:
@@ -284,8 +344,9 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
     if big != prod:
         raise DessinryError(
             "product-constraint-violation",
-            "large-circle monodromy %r disagrees with the ordered product %r "
-            "(branch points are expected in planar order)" % (big, prod),
+            "large-circle monodromy %r disagrees with the ordered product %r: "
+            "either the branch points are not in planar order, or a critical "
+            "value is missing from them" % (big, prod),
         )
 
     t = MonodromyTuple([g_inf] + finite_perms)
@@ -321,7 +382,8 @@ def hurwitz_fiber(a, tol=1e-10):
 def classify_lift(s, tol=1e-8):
     """Which of the four standard regions over (1, inf) contains s.
 
-    None when p(s) is not real above 1 (within tol).  Over (1, inf):
+    None when p(s) is not real above 1 (within tol, taken relative to
+    |p(s)| once that exceeds 1, where rounding grows with it).  Over (1, inf):
     L3 for real s < -1, L4 for real s in (1/2, 1), L1 and L2 for the upper
     and lower half plane.  A real s clear of both intervals while p(s)
     looks real above 1 cannot be classified and raises 'ambiguous'.
@@ -331,7 +393,7 @@ def classify_lift(s, tol=1e-8):
         p = hurwitz_projection(s)
     except DessinryError:
         return None
-    if abs(p.imag) > tol or p.real <= 1.0 + tol:
+    if abs(p.imag) > tol * max(1.0, abs(p)) or p.real <= 1.0 + tol:
         return None
     if abs(s.imag) <= tol:
         x = s.real
@@ -363,12 +425,16 @@ def hurwitz_dessin(a, lift, tol=1e-10):
         raise DessinryError("invalid-parameter", "a must be finite, got %r" % (a,))
     if abs(a.imag) > 1e-8 or a.real <= 1.0:
         raise DessinryError("no-such-lift", "lifts are labeled only over real a > 1, got %r" % (a,))
-    chosen = None
+    # A fiber point that cannot be classified is reported only when no other
+    # point carries the label, whatever order the roots come in.
+    unclassified = None
     for s in hurwitz_fiber(a, tol):
-        if classify_lift(s) == lift:
-            chosen = s
-            break
-    if chosen is None:
-        raise DessinryError("no-such-lift", "no fiber point of p over %r carries label %r" % (a, lift))
-    t = numerical_monodromy(hurwitz_cover(chosen), BASE_POINT, tol)
+        try:
+            if classify_lift(s) == lift:
+                break
+        except DessinryError as exc:
+            unclassified = exc
+    else:
+        raise unclassified or DessinryError("no-such-lift", "no fiber point of p over %r carries label %r" % (a, lift))
+    t = numerical_monodromy(hurwitz_cover(s), BASE_POINT, tol)
     return canonical_form(t)

@@ -23,11 +23,11 @@ from math import factorial
 
 from .core import (
     MonodromyTuple,
+    _genus_profile,
+    _is_normal,
+    _require_valid,
     canonical_form,
     centralizer_order,
-    cycle_profile,
-    genus,
-    is_normal,
 )
 from .errors import DessinryError
 from .perms import acts_transitively, compose, from_cycles, identity, inverse, relabel
@@ -44,10 +44,10 @@ class DessinClass:
     __slots__ = ("canonical", "genus", "profile", "normal")
 
     def __init__(self, canonical_tuple):
+        _require_valid(canonical_tuple)
         self.canonical = canonical_tuple
-        self.genus = genus(canonical_tuple)
-        self.profile = cycle_profile(canonical_tuple)
-        self.normal = is_normal(canonical_tuple)
+        self.genus, self.profile = _genus_profile(canonical_tuple.perms)
+        self.normal = _is_normal(canonical_tuple.perms)
 
     def __eq__(self, other):
         return isinstance(other, DessinClass) and self.canonical == other.canonical

@@ -365,8 +365,8 @@ IMPORT_BUDGET = [
     (["enumerate", "--n", "3", "--d", "2"], {"numpy", "mpmath"}),
     (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2"], {"numpy", "mpmath"}),
     (["origami", "orbit", "--in", "chessboard.json"], {"numpy", "mpmath"}),
-    (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]"], {"mpmath"}),
-    (["hurwitz", "--a", "2", "--lift", "L3"], {"mpmath"}),
+    (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]"], {"numpy", "mpmath"}),
+    (["hurwitz", "--a", "2", "--lift", "L3"], {"numpy", "mpmath"}),
     (["ap", "--t", "2"], {"numpy"}),
     (["lambda-star", "--tau", "0,1"], {"numpy"}),
     (["table1", "--rows", "1", "--check"], {"numpy"}),

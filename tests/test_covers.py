@@ -1,5 +1,6 @@
 """Root finding, path tracking, and the quartic family over the line."""
 
+import cmath
 import math
 
 import pytest
@@ -34,7 +35,64 @@ SQ3 = math.sqrt(3.0)
 ROOT4_3 = 3.0 ** 0.25
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def chebyshev_coeffs(d):
+    """Exact integer coefficients of T_d, highest degree first."""
+    prev, cur = [1], [1, 0]
+    for _ in range(d - 1):
+        prev, cur = cur, [2 * c - p for c, p in zip(cur + [0], [0, 0] + prev)]
+    return cur if d else prev
+
+
+def multiset_distance(roots, reference):
+    """Largest distance under a greedy nearest-point pairing of two
+    multisets of equal size; within a bound far below the smallest gap of
+    reference, it is the distance of the best pairing."""
+    assert len(roots) == len(reference)
+    left = list(reference)
+    worst = 0.0
+    for z in roots:
+        k = min(range(len(left)), key=lambda j: abs(z - left[j]))
+        worst = max(worst, abs(z - left.pop(k)))
+    return worst
+
+
 class TestPolyRoots:
+    @pytest.mark.parametrize("d", [3, 8, 17, 30, 42])
+    def test_chebyshev_fiber_closed_form(self, d):
+        # T_d(x) = y at x_k = cos((acos(y) + 2 pi k) / d).  In the monomial
+        # basis the roots are ill conditioned: an evaluation error of one
+        # unit roundoff, relative to sum |a_j| |x|^j, moves x_k by that
+        # amount over |T_d'(x_k)| = d |sqrt(1 - y^2) / sqrt(1 - x_k^2)|.
+        # The roots must lie within 8 times the worst such move.
+        y = 2j
+        coeffs = chebyshev_coeffs(d)
+        coeffs[-1] -= y
+        exact = [cmath.cos((cmath.acos(y) + 2 * math.pi * k) / d) for k in range(d)]
+        bound = 8 * UNIT_ROUNDOFF * max(
+            sum(abs(a) * abs(x) ** (d - j) for j, a in enumerate(coeffs))
+            / abs(d * cmath.sqrt(1 - y * y) / cmath.sqrt(1 - x * x))
+            for x in exact
+        )
+        assert multiset_distance(poly_roots(coeffs), exact) <= bound
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 31])
+    def test_scaled_roots_of_unity(self, d):
+        c, r = 3 - 2j, 5 + 1j
+        coeffs = [c] + [0] * (d - 1) + [-c * r]
+        rho = r ** (1.0 / d)
+        exact = [rho * cmath.exp(2j * math.pi * k / d) for k in range(d)]
+        assert multiset_distance(poly_roots(coeffs), exact) <= 1e-13 * abs(rho)
+
+    def test_double_root(self):
+        # (x - 1)^2 (x + 2): a double root is only determined to about
+        # sqrt(unit roundoff), 1e-8.
+        roots = poly_roots((1, 0, -3, 2))
+        assert multiset_distance(roots, (1, 1, -2)) <= 1e-7
+        assert abs(min(roots, key=lambda z: z.real) + 2) <= 1e-13
+
     def test_quadratic(self):
         roots = sorted(poly_roots((1, 0, -2)), key=lambda z: z.real)
         assert abs(roots[0] + math.sqrt(2)) < 1e-12
@@ -113,6 +171,13 @@ class TestMonodromy:
         with pytest.raises(DessinryError) as exc:
             numerical_monodromy(cov, base=complex(math.nan, 1.0))
         assert exc.value.code == "invalid-parameter"
+
+    def test_missing_critical_value_is_named(self):
+        # x^3 - 3x has critical values -2 and 2; the list 2, 5 leaves -2 out.
+        with pytest.raises(DessinryError) as exc:
+            numerical_monodromy(polynomial_cover((1, 0, -3, 0), (2, 5)))
+        assert exc.value.code == "product-constraint-violation"
+        assert "critical value is missing" in exc.value.message
 
     def test_class_independent_of_tracking_knobs(self):
         cov = belyi_cubic_cover()
@@ -198,6 +263,18 @@ class TestHurwitzDessin:
 
     def test_l3_stable_in_a(self):
         assert hurwitz_dessin(2.0, "L3") == hurwitz_dessin(3.0, "L3")
+
+    def test_large_a_does_not_depend_on_root_order(self):
+        # For large a the L4 point lies within 1e-8 of 1/2 and cannot be
+        # classified; the other three lifts are still found, in whatever
+        # order the fiber comes, and with p(s) = a real only up to rounding
+        # relative to a.
+        for a in (1e7, 1e8, 1e9):
+            for lift in ("L1", "L2", "L3"):
+                assert hurwitz_dessin(a, lift) == hurwitz_dessin(3.0, lift)
+            with pytest.raises(DessinryError) as exc:
+                hurwitz_dessin(a, "L4")
+            assert exc.value.code == "ambiguous"
 
     def test_rejects_bad_base_values(self):
         with pytest.raises(DessinryError) as exc:

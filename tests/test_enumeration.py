@@ -124,6 +124,14 @@ class TestEnumerate:
         for c in res.classes:
             assert sum(sum(part) for part in c.profile) == 3 * res.d
 
+    def test_class_invariants_match_core_and_need_a_valid_tuple(self):
+        for c in enumerate_classes(4, 3).classes:
+            t = c.canonical
+            assert (c.genus, c.profile, c.normal) == (core.genus(t), core.cycle_profile(t), core.is_normal(t))
+        with pytest.raises(DessinryError) as exc:
+            enumeration.DessinClass(core.MonodromyTuple(((1, 0), (1, 0), (1, 0))))
+        assert exc.value.code == "invalid-tuple"
+
     def test_work_limit(self):
         with pytest.raises(DessinryError) as exc:
             enumerate_classes(3, 40)
