@@ -15,9 +15,10 @@ import math
 import os
 import sys
 
-# mpmath (via modular and cm_values) is imported by the handlers that need
-# it, so that every other subcommand starts without it.
-from . import braid, core, covers, origami
+# braid, covers, origami and the mpmath users modular and cm_values are
+# imported by the handlers that need them, so that every other subcommand
+# starts without loading or compiling them.
+from . import core
 from .enumeration import enumerate_classes
 from .errors import DessinryError
 from .perms import cycle_str, cycles_str
@@ -177,6 +178,8 @@ def _cmd_enumerate(args):
 
 
 def _gens_for(spec_name, n):
+    from . import braid
+
     if spec_name == "preset:pure":
         return braid.preset_pure_generators(n)
     if spec_name == "preset:gamma2":
@@ -200,6 +203,8 @@ def _cmd_orbit(args):
             raise DessinryError("invalid-parameter", "orbit needs --seed FILE or both --n and --d")
         seeds = [c.canonical for c in enumerate_classes(args.n, args.d).classes]
         n = args.n
+    from . import braid
+
     gens = _gens_for(args.gens, n)
     result = braid.braid_orbit(seeds, gens)
     comps = _orbit_components(result)
@@ -231,6 +236,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_origami(args):
+    from . import origami
+
     if args.action == "to-dessin":
         o = origami.origami_from_json(_read_json_arg(args.infile))
         t = origami.origami_to_dessin(o)
@@ -284,6 +291,8 @@ def _cmd_origami(args):
 
 
 def _cmd_hurwitz(args):
+    from . import covers
+
     tol = _tol(args, 1e-10)
     t = covers.hurwitz_dessin(args.a, args.lift, tol)
     if args.emit == "dessin":
@@ -293,6 +302,8 @@ def _cmd_hurwitz(args):
             _print_json({"schema": SCHEMA, "a": args.a, "lift": args.lift, **_tuple_payload(t)})
         return 0
     if args.emit == "origami":
+        from . import origami
+
         o = origami.dessin_to_origami(t)
         if args.format == "table":
             print(_origami_label(o))
@@ -331,6 +342,8 @@ def _parse_complex_list(text, what):
 
 
 def _cmd_monodromy(args):
+    from . import covers
+
     tol = _tol(args, 1e-10)
     coeffs = _parse_complex_list(args.poly, "--poly")
     branch = _parse_complex_list(args.branch_points, "--branch-points")
@@ -468,7 +481,9 @@ def build_parser():
 
     p = sub.add_parser("origami", help="square-tiling conversions, shears, orbits")
     p.add_argument("action", choices=("to-dessin", "from-dessin", "delta", "orbit"))
-    p.add_argument("--op", choices=tuple(sorted(origami._SHEARS)), default=None)
+    # The sorted names of origami._SHEARS, spelled out so that building the
+    # parser does not import origami.
+    p.add_argument("--op", choices=("hor", "hor-inv", "ver", "ver-inv"), default=None)
     p.add_argument("--in", dest="infile", default=None, help="input JSON file (default: stdin)")
     p.add_argument("--dot", help="for orbit: also write the orbit graph to this DOT file")
     p.add_argument("--format", choices=("table", "json", "dot"), default="json")

@@ -128,12 +128,21 @@ def _canonical_key(perms):
     when a centralizing permutation carries one to the other, and the
     centralizer of a transitive group acts semiregularly, so the count is
     the order of the simultaneous centralizer.
+
+    Only bases that can win are tried.  The relabeled g_0 begins (0, ...)
+    exactly at a fixed point of g_0, and (1, 0, ...) exactly on a 2-cycle
+    of it (g_0 is probed first, so g_0(base) gets label 1), so the fixed
+    points are tried when there are any, else the points on 2-cycles, else
+    all.  Every base that reaches the least relabeling is among those
+    tried, so the count is unchanged.
     """
     d = len(perms[0])
+    g0 = perms[0]
     gens = perms + tuple(inverse(p) for p in perms)
     best = None
     count = 0
-    for base in range(d):
+    bases = [b for b in range(d) if g0[b] == b] or [b for b in range(d) if g0[g0[b]] == b] or range(d)
+    for base in bases:
         lab = [-1] * d
         lab[base] = 0
         order = [base]

@@ -6,7 +6,9 @@ the d roots along a lasso around a branch point permutes them; doing this
 for every finite branch point, in order, yields a monodromy tuple whose
 color 0 is the point at infinity (never encircled: its permutation comes
 from the product constraint and is cross-checked against an explicit large
-circle).
+circle).  Each lasso is tracked once, out along its tail and around its
+loop: the way back would retrace the way out, so the permutation is read
+off where the loop closes, against the roots it started from.
 
 The concrete family of interest is the pencil of quartics
 
@@ -152,9 +154,10 @@ def poly_roots(coeffs, tol=1e-10):
     for r in roots:
         r = _newton_polish(coeffs, dcoeffs, r)
         scale = top * max(1.0, abs(r)) ** deg
-        if abs(_polyval(coeffs, r)) > tol * scale:
+        # Phrased so that a NaN residual fails the test.
+        if not abs(_polyval(coeffs, r)) <= tol * scale:
             r = _newton_polish(coeffs, dcoeffs, r, steps=40)
-            if abs(_polyval(coeffs, r)) > tol * scale:
+            if not abs(_polyval(coeffs, r)) <= tol * scale:
                 raise DessinryError(
                     "path-tracking-failure",
                     "root %r refuses to polish below residual %g" % (r, tol * scale),
@@ -218,32 +221,46 @@ class _Tracker:
         coeffs = [complex(c) for c in self.cover.fiber_poly(y)]
         return coeffs, _polyder(coeffs)
 
-    def _advance(self, roots, y):
-        """Newton-correct all roots onto the fiber over y; None on failure."""
+    def _advance(self, roots, gap, y, order):
+        """Newton-correct all roots onto the fiber over y.
+
+        gap is the smallest distance between two of the roots.  Returns the
+        corrected roots, in the order of roots, with their smallest gap; or
+        None on failure.  The roots are corrected in the given order, a
+        permutation of their indices: the result does not depend on it, but
+        a failing step is refused sooner when the roots that moved most
+        come first.
+        """
         coeffs, dcoeffs = self._fiber_at(y)
         top = max(abs(c) for c in coeffs)
-        moved = []
-        threshold = 0.45 * _min_gap(roots)
-        for r in roots:
+        deg = len(coeffs) - 1
+        threshold = 0.45 * gap
+        moved = list(roots)
+        for i in order:
+            r = roots[i]
             nr = _newton_polish(coeffs, dcoeffs, r, steps=10)
-            scale = top * max(1.0, abs(nr)) ** (len(coeffs) - 1)
-            if abs(_polyval(coeffs, nr)) > self.tol * scale:
+            scale = top * max(1.0, abs(nr)) ** deg
+            # Each test is phrased so that a NaN fails it.
+            if not abs(_polyval(coeffs, nr)) <= self.tol * scale:
                 return None
-            if abs(nr - r) > threshold:
+            if not abs(nr - r) <= threshold:
                 return None
-            moved.append(nr)
-        if _min_gap(moved) < 1e-13 * (1.0 + max(abs(r) for r in moved)):
+            moved[i] = nr
+        gap = _min_gap(moved)
+        if not gap >= 1e-13 * (1.0 + max(abs(r) for r in moved)):
             return None
-        return moved
+        return moved, gap
 
     def track(self, roots, path):
         """path: t in [0, 1] -> base value; returns transported roots."""
         t = 0.0
         h = self.step_init
         roots = list(roots)
+        gap = _min_gap(roots)
+        order = range(len(roots))
         while t < 1.0:
             step_to = min(1.0, t + h)
-            nxt = self._advance(roots, path(step_to))
+            nxt = self._advance(roots, gap, path(step_to), order)
             if nxt is None:
                 h *= 0.5
                 if h < 1e-9:
@@ -252,7 +269,10 @@ class _Tracker:
                         "step size underflow at path parameter %.6f" % t,
                     )
                 continue
-            roots = nxt
+            moved, gap = nxt
+            # Roots that moved most in this step lead the next one.
+            order = sorted(order, key=lambda i: abs(moved[i] - roots[i]), reverse=True)
+            roots = moved
             t = step_to
             h = min(h * 1.5, 2.5 * self.step_init)
         return roots
@@ -266,21 +286,23 @@ def _circle(center, radius, theta0):
     return lambda t: center + radius * cmath.exp(1j * (theta0 + 2 * math.pi * t))
 
 
-def _match_to_fiber(ends, fiber0):
-    """Permutation sending start index i to the fiber0 index nearest ends[i]."""
-    min_gap = _min_gap(fiber0)
+def _match_to_fiber(ends, fiber):
+    """Permutation sending index i to the index of the fiber point nearest
+    ends[i]; ends and fiber lie over the same base value."""
+    min_gap = _min_gap(fiber)
     out = []
     for e in ends:
-        dists = [abs(e - f) for f in fiber0]
-        j = min(range(len(fiber0)), key=dists.__getitem__)
-        if len(fiber0) > 1 and dists[j] > 0.45 * min_gap:
+        dists = [abs(e - f) for f in fiber]
+        j = min(range(len(fiber)), key=dists.__getitem__)
+        # Phrased so that a NaN end fails the test.
+        if len(fiber) > 1 and not dists[j] <= 0.45 * min_gap:
             raise DessinryError(
                 "path-tracking-failure",
-                "transported root %r does not land on the base fiber" % (e,),
+                "transported root %r does not land on the fiber" % (e,),
             )
         out.append(j)
-    if sorted(out) != list(range(len(fiber0))):
-        raise DessinryError("path-tracking-failure", "transported fiber does not match the base fiber bijectively")
+    if sorted(out) != list(range(len(fiber))):
+        raise DessinryError("path-tracking-failure", "transported fiber does not match the fiber bijectively")
     return tuple(out)
 
 
@@ -289,10 +311,14 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
 
     One lasso per finite branch point: straight segment from the base to a
     circle of radius radius_factor times the distance to the nearest other
-    branch point, one positive circuit, segment back.  The permutation at
-    infinity is inverse(product of the finite ones) and is independently
-    cross-checked by tracking one large positive circle around everything;
-    disagreement raises product-constraint-violation.  The canonical class
+    branch point, then one positive circuit.  The segment back is not
+    tracked: it transports the roots on the circle's start to the base in
+    the reverse of the way out, so the fiber there keeps the base labels
+    and the circuit's permutation is read off against it.  The permutation
+    at infinity is inverse(product of the finite ones) and is independently
+    cross-checked by tracking one large positive circle around everything,
+    read off the same way; disagreement raises
+    product-constraint-violation.  The canonical class
     of the result does not depend on base, radius_factor, or step_init
     within their allowed ranges.
     """
@@ -316,11 +342,12 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
     if cover.degree > 1 and _min_gap(fiber0) < 1e-8 * (1.0 + max(abs(r) for r in fiber0)):
         raise DessinryError("path-tracking-failure", "fiber over base is not simple")
 
-    def run_loop(pieces):
-        roots = list(fiber0)
-        for piece in pieces:
-            roots = tracker.track(roots, piece)
-        return _match_to_fiber(roots, fiber0)
+    def run_lasso(tail, loop):
+        # Transport along the tail and its reverse are inverse bijections,
+        # so the roots where the loop starts keep the labels of fiber0 and
+        # the loop's permutation is read off there.
+        start = tracker.track(fiber0, tail)
+        return _match_to_fiber(tracker.track(start, loop), start)
 
     finite_perms = []
     for b in cover.branch_points:
@@ -328,9 +355,7 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
         direction = (base - b) / abs(base - b)
         entry = b + r * direction
         theta0 = cmath.phase(base - b)
-        finite_perms.append(
-            run_loop([_segment(base, entry), _circle(b, r, theta0), _segment(entry, base)])
-        )
+        finite_perms.append(run_lasso(_segment(base, entry), _circle(b, r, theta0)))
 
     prod = identity(cover.degree)
     for p in finite_perms:
@@ -340,7 +365,7 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
     rho = 2.0 * max(max(abs(b) for b in cover.branch_points), abs(base), 1.0)
     direction = base / abs(base) if abs(base) > 1e-12 else 1j
     far = rho * direction
-    big = run_loop([_segment(base, far), _circle(0.0, rho, cmath.phase(far)), _segment(far, base)])
+    big = run_lasso(_segment(base, far), _circle(0.0, rho, cmath.phase(far)))
     if big != prod:
         raise DessinryError(
             "product-constraint-violation",
@@ -399,7 +424,9 @@ def classify_lift(s, tol=1e-8):
         x = s.real
         if x < -1.0 - tol:
             return "L3"
-        if 0.5 + tol < x < 1.0 - tol:
+        # With p(s) real above 1, a real s near the pole lies above 1/2
+        # exactly when 2s - 1 > 0, so that side needs no margin.
+        if 0.5 < x < 1.0 - tol:
             return "L4"
         raise DessinryError(
             "ambiguous",

@@ -7,9 +7,9 @@ a tuple, since conjugating the whole tuple moves g_0 through its conjugacy
 class), lets g_1 run over one representative per orbit of the centralizer
 C(g_0) acting by conjugation (conjugating by C(g_0) keeps g_0 and moves g_1
 through its orbit), runs over all choices of g_2..g_{n-2}, and forces
-g_{n-1} through the product constraint.  Each class is canonicalized, and
-its labeled count d!/|centralizer| taken, by the one relabeling pass of
-core.
+g_{n-1} through the product constraint.  Each candidate is canonicalized,
+and its labeled count d!/|centralizer| taken, by one call of the
+relabeling kernel of core.
 
 Two independent counting oracles accompany the enumeration: a direct count
 of valid labeled tuples, and Hall's recursion for the number of finite
@@ -23,12 +23,15 @@ from math import factorial
 
 from .core import (
     MonodromyTuple,
+    _canonical_key,
     _genus_profile,
     _is_normal,
     _require_valid,
-    canonical_form,
-    centralizer_order,
 )
+
+# Unused here; imported so that bench/tracing.py finds them in this module
+# to wrap, as in every module that imports them from core.
+from .core import canonical_form, centralizer_order  # noqa: F401
 from .errors import DessinryError
 from .perms import acts_transitively, compose, from_cycles, identity, inverse, relabel
 
@@ -187,17 +190,17 @@ def enumerate_classes(n, d):
                 all_perms = (g0, g1) + rest + (inverse(running),)
                 if not acts_transitively(all_perms, d):
                     continue
-                canon = canonical_form(MonodromyTuple._trusted(all_perms))
-                if canon.perms not in seen:
-                    seen[canon.perms] = canon
+                # One kernel pass gives the class and its centralizer order.
+                key, count = _canonical_key(all_perms)
+                seen.setdefault(key, count)
 
     classes = []
     marked = 0
     # Genus is maximal when every color acts as a single d-cycle.
     bound = (n * (d - 1)) // 2 - d + 1
     for key in sorted(seen):
-        cls = DessinClass(seen[key])
+        cls = DessinClass(MonodromyTuple._trusted(key))
         assert cls.genus <= bound, "genus exceeds the single-cycle bound"
         classes.append(cls)
-        marked += factorial(d) // centralizer_order(cls.canonical)
+        marked += factorial(d) // seen[key]
     return EnumerationResult(n, d, tuple(classes), marked)

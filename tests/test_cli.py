@@ -1,5 +1,6 @@
 """End-to-end command line behavior through the in-process entry point."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -360,17 +361,24 @@ def test_golden_stdout(capsys, monkeypatch, case):
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(dessinry.__file__)))
 
 # argv (None: a bare `import dessinry`) and the heavy modules it must not load.
+# Modules of the package that only some subcommands use; the CLI does not
+# even compile them for the others.
+BRAID_COVERS_ORIGAMI = {"dessinry.braid", "dessinry.covers", "dessinry.origami"}
+
 IMPORT_BUDGET = [
     (None, {"numpy", "mpmath"}),
-    (["enumerate", "--n", "3", "--d", "2"], {"numpy", "mpmath"}),
+    (["enumerate", "--n", "3", "--d", "2"], {"numpy", "mpmath"} | BRAID_COVERS_ORIGAMI),
     (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2"], {"numpy", "mpmath"}),
     (["origami", "orbit", "--in", "chessboard.json"], {"numpy", "mpmath"}),
-    (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]"], {"numpy", "mpmath"}),
+    (
+        ["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]"],
+        {"numpy", "mpmath", "dessinry.braid", "dessinry.origami"},
+    ),
     (["hurwitz", "--a", "2", "--lift", "L3"], {"numpy", "mpmath"}),
-    (["ap", "--t", "2"], {"numpy"}),
+    (["ap", "--t", "2"], {"numpy"} | BRAID_COVERS_ORIGAMI),
     (["lambda-star", "--tau", "0,1"], {"numpy"}),
     (["table1", "--rows", "1", "--check"], {"numpy"}),
-    (["qseries", "--order", "4"], {"numpy"}),
+    (["qseries", "--order", "4"], {"numpy"} | BRAID_COVERS_ORIGAMI),
 ]
 
 EXPORTS = """
@@ -422,6 +430,15 @@ def test_import_budget(tmp_path, argv, banned):
     loaded = set(run_fresh(script, tmp_path).split())
     assert "dessinry" in loaded
     assert not banned & loaded
+
+
+def test_shear_choices_name_every_shear():
+    from dessinry import origami
+    from dessinry.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (op,) = [a for a in sub.choices["origami"]._actions if "--op" in a.option_strings]
+    assert op.choices == tuple(sorted(origami._SHEARS))
 
 
 def test_package_namespace():

@@ -1,5 +1,6 @@
 """Monodromy tuples: construction, validation, canonical forms, invariants."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -111,6 +112,76 @@ class TestCanonicalForm:
         with pytest.raises(DessinryError) as exc:
             core.canonical_form(broken)
         assert exc.value.code == "invalid-tuple"
+
+
+def unpruned_canonical_key(raw):
+    """core._canonical_key trying every base sheet: the kernel's oracle for
+    its choice of the bases that can win."""
+    d = len(raw[0])
+    gens = raw + tuple(perms.inverse(p) for p in raw)
+    best = None
+    count = 0
+    for base in range(d):
+        lab = [-1] * d
+        lab[base] = 0
+        order = [base]
+        nxt = 1
+        for v in order:
+            for g in gens:
+                w = g[v]
+                if lab[w] < 0:
+                    lab[w] = nxt
+                    nxt += 1
+                    order.append(w)
+        key = tuple(tuple(lab[p[v]] for v in order) for p in raw)
+        if best is None or key < best:
+            best, count = key, 1
+        elif key == best:
+            count += 1
+    return best, count
+
+
+def g0_kind(g0):
+    if any(g0[b] == b for b in range(len(g0))):
+        return "fixed points"
+    if any(g0[g0[b]] == b for b in range(len(g0))):
+        return "2-cycles"
+    return "neither"
+
+
+def random_raw_tuple(rng, n, d, kind):
+    """A random valid raw tuple of shape (n, d) whose g_0 is of the kind."""
+    while True:
+        head = [tuple(rng.sample(range(d), d)) for _ in range(n - 1)]
+        if g0_kind(head[0]) != kind:
+            continue
+        running = perms.identity(d)
+        for p in head:
+            running = perms.compose(running, p)
+        raw = tuple(head) + (perms.inverse(running),)
+        if perms.acts_transitively(raw, d):
+            return raw
+
+
+class TestCanonicalKernel:
+    @pytest.mark.parametrize("kind", ["fixed points", "2-cycles", "neither"])
+    def test_pruned_bases_match_all_bases_on_random_tuples(self, kind):
+        rng = random.Random(kind)
+        for _ in range(300):
+            # Every kind occurs for d >= 4 (a g_0 of degree 3 without fixed
+            # points is a 3-cycle).
+            n, d = rng.randint(3, 5), rng.randint(4, 8)
+            raw = random_raw_tuple(rng, n, d, kind)
+            assert core._canonical_key(raw) == unpruned_canonical_key(raw)
+
+    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (4, 4), (3, 6)])
+    def test_pruned_bases_match_all_bases_on_relabeled_classes(self, n, d):
+        # Classes with large centralizers: the count must survive pruning.
+        rng = random.Random(n * 10 + d)
+        for c in enumerate_classes(n, d).classes:
+            pi = tuple(rng.sample(range(d), d))
+            raw = tuple(perms.relabel(p, pi) for p in c.canonical.perms)
+            assert core._canonical_key(raw) == unpruned_canonical_key(raw)
 
 
 class TestInvariants:

@@ -2,10 +2,11 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
-from dessinry import core
+from dessinry import core, covers, perms
 from dessinry.covers import (
     BASE_POINT,
     CoverSpec,
@@ -21,6 +22,7 @@ from dessinry.covers import (
     polynomial_cover,
 )
 from dessinry.errors import DessinryError
+
 
 class HurwitzPoint:
     """A point s of the s-line with its image a = p(s) and its lift label."""
@@ -127,6 +129,13 @@ class TestPolyRoots:
             poly_roots((1.0, math.nan))
         assert exc.value.code == "invalid-parameter"
 
+    def test_nan_roots_are_refused(self):
+        # The start circle's Taylor shift overflows and every iterate ends
+        # as NaN, which the residual test must not let through.
+        with pytest.raises(DessinryError) as exc:
+            poly_roots([1, 1e13] + [0] * 40 + [1])
+        assert exc.value.code == "path-tracking-failure"
+
 
 class TestCoverSpec:
     def test_needs_two_branch_points(self):
@@ -192,6 +201,111 @@ class TestMonodromy:
             assert core.canonical_form(t) == ref
 
 
+def three_leg_monodromy(cover, base=BASE_POINT, tol=1e-10):
+    """numerical_monodromy with the way back tracked: each lasso runs out
+    along its tail, around its loop and back along the tail, and is read
+    off against the fiber over the base.  The oracle for reading a lasso
+    off where its loop closes."""
+    tracker = covers._Tracker(cover, tol)
+    fiber0 = sorted(poly_roots(cover.fiber_poly(base), tol), key=lambda z: (z.real, z.imag))
+
+    def run_loop(pieces):
+        roots = fiber0
+        for piece in pieces:
+            roots = tracker.track(roots, piece)
+        return covers._match_to_fiber(roots, fiber0)
+
+    finite = []
+    for b in cover.branch_points:
+        r = 0.25 * min(abs(b - other) for other in cover.branch_points if other != b)
+        entry = b + r * (base - b) / abs(base - b)
+        loop = covers._circle(b, r, cmath.phase(base - b))
+        finite.append(run_loop([covers._segment(base, entry), loop, covers._segment(entry, base)]))
+    prod = perms.identity(cover.degree)
+    for p in finite:
+        prod = tuple(p[i] for i in prod)
+    rho = 2.0 * max(max(abs(b) for b in cover.branch_points), abs(base), 1.0)
+    far = rho * (base / abs(base) if abs(base) > 1e-12 else 1j)
+    loop = covers._circle(0.0, rho, cmath.phase(far))
+    assert run_loop([covers._segment(base, far), loop, covers._segment(far, base)]) == prod
+    return (perms.inverse(prod),) + tuple(finite)
+
+
+def random_planar_cover(rng, d):
+    """A polynomial of degree d whose critical points are the (d-1)-th roots
+    of unity, each moved by up to 15 %, with its critical values listed
+    counter-clockwise from the upward ray, the planar order about the base
+    0; redrawn until those values are well apart and no straight lasso
+    from 0 passes near another of them."""
+
+    def seg_distance(p, b):
+        s = max(0.0, min(1.0, (p * b.conjugate()).real / abs(b) ** 2))
+        return abs(p - s * b)
+
+    m = d - 1
+    while True:
+        crit = [
+            cmath.exp(2j * math.pi * k / m) * (1 + complex(rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15)))
+            for k in range(m)
+        ]
+        deriv = [1 + 0j]
+        for c in crit:
+            deriv = [a - c * b for a, b in zip(deriv + [0j], [0j] + deriv)]
+        coeffs = [d * a / (d - k) for k, a in enumerate(deriv)] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
+        values = [covers._polyval(coeffs, c) for c in crit]
+        values.sort(key=lambda v: (cmath.phase(v) - math.pi / 2) % (2 * math.pi))
+        gap = covers._min_gap(values)
+        if min(abs(v) for v in values) > 0.3 * max(abs(v) for v in values) and all(
+            seg_distance(o, b) > 0.2 * gap for b in values for o in values if o is not b
+        ):
+            return polynomial_cover(coeffs, values)
+
+
+class TestLassoReadOffWhereTheLoopCloses:
+    @pytest.mark.parametrize("base", [2j, 1.5 + 1j, -0.3 + 3j])
+    def test_chebyshev_matches_three_legs(self, base):
+        for d in range(2, 43):
+            cover = polynomial_cover(chebyshev_coeffs(d), (-1, 1))
+            assert numerical_monodromy(cover, base).perms == three_leg_monodromy(cover, base), d
+
+    def test_random_covers_match_three_legs(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            cover = random_planar_cover(rng, rng.randint(3, 20))
+            assert numerical_monodromy(cover, 0j).perms == three_leg_monodromy(cover, 0j)
+
+    @pytest.mark.parametrize("lift", ["L1", "L2", "L3", "L4"])
+    def test_hurwitz_dessin_matches_three_legs(self, lift):
+        for a in (1.5, 3.0, 30.0):
+            s = next(s for s in hurwitz_fiber(a) if classify_lift(s) == lift)
+            want = core.canonical_form(core.MonodromyTuple(three_leg_monodromy(hurwitz_cover(s))))
+            assert hurwitz_dessin(a, lift) == want
+
+
+class TestTracker:
+    def test_advance_does_not_depend_on_the_order_of_correction(self):
+        cover = polynomial_cover(chebyshev_coeffs(20), (-1, 1))
+        tracker = covers._Tracker(cover, 1e-10)
+        roots = poly_roots(cover.fiber_poly(2j))
+        gap = covers._min_gap(roots)
+        rng = random.Random(3)
+        for y in (2j + 0.01, 2j + 0.1, 2j + 0.5, 1.5j, 0.5j):
+            want = tracker._advance(roots, gap, y, range(len(roots)))
+            for _ in range(5):
+                order = rng.sample(range(len(roots)), len(roots))
+                assert tracker._advance(roots, gap, y, order) == want
+        # Small steps are accepted and a long one is refused.
+        assert tracker._advance(roots, gap, 2j + 0.01, range(len(roots))) is not None
+        assert tracker._advance(roots, gap, 0.5j, range(len(roots))) is None
+
+    def test_match_to_fiber_refuses_a_nan_end(self):
+        fiber = [1 + 0j, -1 + 0j, 2j]
+        assert covers._match_to_fiber([-1 + 1e-9j, 2j, 1.0], fiber) == (1, 2, 0)
+        with pytest.raises(DessinryError) as exc:
+            covers._match_to_fiber([complex(math.nan, 0.0), 2j, 1.0], fiber)
+        assert exc.value.code == "path-tracking-failure"
+
+
 class TestQuarticFamily:
     def test_pole_at_half(self):
         with pytest.raises(DessinryError) as exc:
@@ -231,13 +345,17 @@ class TestQuarticFamily:
     def test_classify_branches(self):
         assert classify_lift(-1.5) == "L3"
         assert classify_lift(0.75) == "L4"
+        # p(s) > 1 puts a real s next to the pole on the side 2s - 1 > 0.
+        assert classify_lift(0.5 + 1e-9) == "L4"
         assert classify_lift(0.2) is None
         assert classify_lift(2.0 + 0.0j) is None
         assert classify_lift(0.5) is None
 
     def test_classify_ambiguous(self):
+        # Just left of -1, p(s) is real and just above 1 + tol, but s is
+        # within tol of the end of the L3 interval.
         with pytest.raises(DessinryError) as exc:
-            classify_lift(0.5 + 1e-9)
+            classify_lift(-1.0 - 5e-9)
         assert exc.value.code == "ambiguous"
 
     def test_point_wrapper(self):
@@ -265,16 +383,12 @@ class TestHurwitzDessin:
         assert hurwitz_dessin(2.0, "L3") == hurwitz_dessin(3.0, "L3")
 
     def test_large_a_does_not_depend_on_root_order(self):
-        # For large a the L4 point lies within 1e-8 of 1/2 and cannot be
-        # classified; the other three lifts are still found, in whatever
-        # order the fiber comes, and with p(s) = a real only up to rounding
-        # relative to a.
-        for a in (1e7, 1e8, 1e9):
-            for lift in ("L1", "L2", "L3"):
+        # For large a the L4 point lies within 1e-8 of 1/2; all four lifts
+        # are still found, in whatever order the fiber comes, and with
+        # p(s) = a real only up to rounding relative to a.
+        for a in (1e7, 2.2e7, 5.3e7, 1e8, 1e9):
+            for lift in ("L1", "L2", "L3", "L4"):
                 assert hurwitz_dessin(a, lift) == hurwitz_dessin(3.0, lift)
-            with pytest.raises(DessinryError) as exc:
-                hurwitz_dessin(a, "L4")
-            assert exc.value.code == "ambiguous"
 
     def test_rejects_bad_base_values(self):
         with pytest.raises(DessinryError) as exc:
