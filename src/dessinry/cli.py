@@ -3,10 +3,12 @@
 Subcommands: enumerate, orbit, origami, hurwitz, monodromy, lambda-star,
 ap, table1, qseries.  Exit codes: 0 success, 1 domain error (diagnostic
 ``code: message`` on stderr), 2 usage error.  Identical argv gives
-byte-identical stdout.  JSON outputs carry ``"schema": "dessinry/1"``;
- high-precision numbers are emitted as decimal strings of 17 significant
-digits.  The environment variable DESSINRY_TOL overrides each command's
-default tolerance; an explicit --tol flag wins over both.
+byte-identical stdout.  Each subcommand prints text or JSON (--format json,
+or --json where that is the flag), and every JSON output carries
+``"schema": "dessinry/1"``; high-precision numbers are emitted as decimal
+strings of 17 significant digits.  DOT is printed only for graphs.  The
+environment variable DESSINRY_TOL overrides each command's default
+tolerance; an explicit --tol flag wins over both.
 """
 
 import argparse
@@ -48,21 +50,78 @@ def _tol(args, fallback):
     return tol
 
 
-def _print_json(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args, payload, lines):
+    """Print payload() as JSON with the schema tag under --format json (or
+    --json), else the text lines(); only the one printed is built."""
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA, **payload()}, indent=2, sort_keys=True))
+    else:
+        for line in lines():
+            print(line)
 
 
-def _tuple_payload(t):
-    core._require_valid(t)
-    g, profile = core._genus_profile(t.perms)
-    return {
-        "n": t.n,
-        "d": t.d,
-        "perms": [list(p) for p in t.perms],
-        "cycles": [cycles_str(p) for p in t.perms],
-        "genus": g,
-        "profile": [list(part) for part in profile],
-    }
+def _emit_tuple(args, t, **extra):
+    def payload():
+        core._require_valid(t)
+        g, profile = core._genus_profile(t.perms)
+        return {
+            **extra,
+            "n": t.n,
+            "d": t.d,
+            "perms": [list(p) for p in t.perms],
+            "cycles": [cycles_str(p) for p in t.perms],
+            "genus": g,
+            "profile": [list(part) for part in profile],
+        }
+
+    _emit(args, payload, lambda: [_tuple_label(t)])
+
+
+def _emit_origami(args, o, **extra):
+    from . import origami
+
+    _emit(args, lambda: {**extra, **origami.origami_to_json(o)}, lambda: [_origami_label(o)])
+
+
+def _emit_orbit(args, result, labels, element_json, lines, **extra):
+    """An orbit as DOT, JSON or text; its DOT text is built only for
+    --format dot or --dot, which also writes it to that file."""
+    if args.dot is not None or args.format == "dot":
+        dot = _orbit_dot(labels, result.generator_log)
+        if args.dot is not None:
+            try:
+                with open(args.dot, "w", encoding="utf-8") as fh:
+                    fh.write(dot + "\n")
+            except OSError as exc:
+                raise DessinryError("invalid-parameter", "cannot write %s: %s" % (args.dot, exc.strerror)) from None
+        if args.format == "dot":
+            print(dot)
+            return
+    _emit(
+        args,
+        lambda: {
+            **extra,
+            "element_count": len(result.elements),
+            "elements": [element_json(x) for x in result.elements],
+            "labels": labels,
+            "edges": [[src, name, dst] for src, name, dst in result.generator_log],
+        },
+        lines,
+    )
+
+
+def _emit_value(args, head, shown, out, tol, **where):
+    """A ModularValue as 'head = shown  (error <= bound)' or as JSON."""
+    _emit(
+        args,
+        lambda: {
+            **where,
+            "value": {"re": _fmt(out.value.real), "im": _fmt(out.value.imag)},
+            "trunc_bound": _fmt(out.trunc_bound),
+            "tol": tol,
+        },
+        lambda: ["%s = %s  (error <= %s)" % (head, _fmt(shown), _fmt(out.trunc_bound))],
+    )
 
 
 def _origami_label(o):
@@ -118,14 +177,6 @@ def _orbit_components(result):
     return [comps[r] for r in sorted(comps)]
 
 
-def _write_dot(path, dot):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dot + "\n")
-    except OSError as exc:
-        raise DessinryError("invalid-parameter", "cannot write %s: %s" % (path, exc.strerror)) from None
-
-
 def _orbit_dot(labels, log):
     lines = ["digraph orbit {"]
     for k, lab in enumerate(labels):
@@ -142,9 +193,22 @@ def _tuple_label(t):
 
 def _cmd_enumerate(args):
     result = enumerate_classes(args.n, args.d)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
+
+    def lines():
+        yield "n=%d d=%d: %d classes, %d marked" % (result.n, result.d, len(result.classes), result.marked_count)
+        for k, c in enumerate(result.classes):
+            profile = " ".join("+".join(str(x) for x in part) for part in c.profile)
+            yield "class %d: %s  genus %d  profile %s  normal %s" % (
+                k,
+                _tuple_label(c.canonical),
+                c.genus,
+                profile,
+                "yes" if c.normal else "no",
+            )
+
+    _emit(
+        args,
+        lambda: {
             "n": result.n,
             "d": result.d,
             "class_count": len(result.classes),
@@ -159,22 +223,9 @@ def _cmd_enumerate(args):
                 }
                 for c in result.classes
             ],
-        }
-        _print_json(payload)
-    else:
-        print("n=%d d=%d: %d classes, %d marked" % (result.n, result.d, len(result.classes), result.marked_count))
-        for k, c in enumerate(result.classes):
-            print(
-                "class %d: %s  genus %d  profile %s  normal %s"
-                % (
-                    k,
-                    _tuple_label(c.canonical),
-                    c.genus,
-                    " ".join("+".join(str(x) for x in part) for part in c.profile),
-                    "yes" if c.normal else "no",
-                )
-            )
-    return 0
+        },
+        lines,
+    )
 
 
 def _gens_for(spec_name, n):
@@ -209,85 +260,42 @@ def _cmd_orbit(args):
     result = braid.braid_orbit(seeds, gens)
     comps = _orbit_components(result)
     labels = [_tuple_label(t) for t in result.elements]
-    if args.dot is not None or args.format == "dot":
-        dot = _orbit_dot(labels, result.generator_log)
-    if args.dot is not None:
-        _write_dot(args.dot, dot)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "gens": args.gens,
-            "element_count": len(result.elements),
-            "elements": [[list(p) for p in t.perms] for t in result.elements],
-            "labels": labels,
-            "orbits": comps,
-            "edges": [[src, name, dst] for src, name, dst in result.generator_log],
-        }
-        _print_json(payload)
-    elif args.format == "dot":
-        print(dot)
-    else:
-        print("%d elements, %d orbits under %s" % (len(result.elements), len(comps), args.gens))
+
+    def lines():
+        yield "%d elements, %d orbits under %s" % (len(result.elements), len(comps), args.gens)
         for k, comp in enumerate(comps):
-            print("orbit %d (size %d):" % (k, len(comp)))
+            yield "orbit %d (size %d):" % (k, len(comp))
             for idx in comp:
-                print("  element %d: %s" % (idx, labels[idx]))
-    return 0
+                yield "  element %d: %s" % (idx, labels[idx])
+
+    _emit_orbit(args, result, labels, lambda t: [list(p) for p in t.perms], lines, gens=args.gens, orbits=comps)
 
 
 def _cmd_origami(args):
     from . import origami
 
-    if args.action == "to-dessin":
-        o = origami.origami_from_json(_read_json_arg(args.infile))
-        t = origami.origami_to_dessin(o)
-        if args.format == "table":
-            print(_tuple_label(t))
-        else:
-            _print_json({"schema": SCHEMA, **_tuple_payload(t)})
-        return 0
+    if args.format == "dot" and args.action != "orbit":
+        raise DessinryError("invalid-parameter", "--format dot is only for origami orbit, not %s" % args.action)
     if args.action == "from-dessin":
-        t = core.from_json(_read_json_arg(args.infile))
-        o = origami.dessin_to_origami(t)
-        if args.format == "table":
-            print(_origami_label(o))
-        else:
-            _print_json({"schema": SCHEMA, **origami.origami_to_json(o)})
-        return 0
-    if args.action == "delta":
-        if args.op is None:
-            raise DessinryError("invalid-parameter", "origami delta needs --op hor|ver|hor-inv|ver-inv")
-        o = origami.origami_from_json(_read_json_arg(args.infile))
-        out = origami._delta(o, args.op)
-        if args.format == "table":
-            print(_origami_label(out))
-        else:
-            _print_json({"schema": SCHEMA, **origami.origami_to_json(out)})
-        return 0
-    # orbit
+        _emit_origami(args, origami.dessin_to_origami(core.from_json(_read_json_arg(args.infile))))
+        return
+    if args.action == "delta" and args.op is None:
+        raise DessinryError("invalid-parameter", "origami delta needs --op hor|ver|hor-inv|ver-inv")
     o = origami.origami_from_json(_read_json_arg(args.infile))
-    result = origami.origami_orbit(o)
-    labels = [_origami_label(x) for x in result.elements]
-    if args.dot is not None or args.format == "dot":
-        dot = _orbit_dot(labels, result.generator_log)
-    if args.dot is not None:
-        _write_dot(args.dot, dot)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "element_count": len(result.elements),
-            "elements": [origami.origami_to_json(x) for x in result.elements],
-            "labels": labels,
-            "edges": [[src, name, dst] for src, name, dst in result.generator_log],
-        }
-        _print_json(payload)
-    elif args.format == "dot":
-        print(dot)
+    if args.action == "to-dessin":
+        _emit_tuple(args, origami.origami_to_dessin(o))
+    elif args.action == "delta":
+        _emit_origami(args, origami._delta(o, args.op))
     else:
-        print("%d origamis in the shear orbit" % len(result.elements))
-        for k, lab in enumerate(labels):
-            print("  element %d: %s" % (k, lab))
-    return 0
+        result = origami.origami_orbit(o)
+        labels = [_origami_label(x) for x in result.elements]
+
+        def lines():
+            yield "%d origamis in the shear orbit" % len(result.elements)
+            for k, lab in enumerate(labels):
+                yield "  element %d: %s" % (k, lab)
+
+        _emit_orbit(args, result, labels, origami.origami_to_json, lines)
 
 
 def _cmd_hurwitz(args):
@@ -295,23 +303,14 @@ def _cmd_hurwitz(args):
 
     tol = _tol(args, 1e-10)
     t = covers.hurwitz_dessin(args.a, args.lift, tol)
-    if args.emit == "dessin":
-        if args.format == "table":
-            print(_tuple_label(t))
-        else:
-            _print_json({"schema": SCHEMA, "a": args.a, "lift": args.lift, **_tuple_payload(t)})
-        return 0
-    if args.emit == "origami":
+    if args.emit == "dot":
+        print(_dessin_dot(t))
+    elif args.emit == "origami":
         from . import origami
 
-        o = origami.dessin_to_origami(t)
-        if args.format == "table":
-            print(_origami_label(o))
-        else:
-            _print_json({"schema": SCHEMA, "a": args.a, "lift": args.lift, **origami.origami_to_json(o)})
-        return 0
-    print(_dessin_dot(t))
-    return 0
+        _emit_origami(args, origami.dessin_to_origami(t), a=args.a, lift=args.lift)
+    else:
+        _emit_tuple(args, t, a=args.a, lift=args.lift)
 
 
 def _parse_complex_pair(text):
@@ -349,58 +348,24 @@ def _cmd_monodromy(args):
     branch = _parse_complex_list(args.branch_points, "--branch-points")
     cover = covers.polynomial_cover(coeffs, branch)
     base = covers.BASE_POINT if args.base is None else _parse_complex_pair(args.base)
-    t = core.canonical_form(covers.numerical_monodromy(cover, base, tol))
-    if args.format == "table":
-        print(_tuple_label(t))
-    else:
-        _print_json({"schema": SCHEMA, **_tuple_payload(t)})
-    return 0
+    _emit_tuple(args, core.canonical_form(covers.numerical_monodromy(cover, base, tol)))
 
 
 def _cmd_lambda_star(args):
-    import mpmath
-
     from . import modular
 
     tol = _tol(args, 1e-12)
     tau = _parse_complex_pair(args.tau)
     out = modular.lambda_star(tau, tol)
-    if args.json:
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "tau": [tau.real, tau.imag],
-                "value": {"re": _fmt(mpmath.re(out.value)), "im": _fmt(mpmath.im(out.value))},
-                "trunc_bound": _fmt(out.trunc_bound),
-                "tol": tol,
-            }
-        )
-    else:
-        print("lambda_star(%s) = %s  (error <= %s)" % (args.tau, _fmt(out.value), _fmt(out.trunc_bound)))
-    return 0
+    _emit_value(args, "lambda_star(%s)" % args.tau, out.value, out, tol, tau=[tau.real, tau.imag])
 
 
 def _cmd_ap(args):
-    import mpmath
-
     from . import modular
 
     tol = _tol(args, 1e-12)
     out = modular.ap(args.t, tol)
-    re, im = mpmath.re(out.value), mpmath.im(out.value)
-    if args.json:
-        _print_json(
-            {
-                "schema": SCHEMA,
-                "t": args.t,
-                "value": {"re": _fmt(re), "im": _fmt(im)},
-                "trunc_bound": _fmt(out.trunc_bound),
-                "tol": tol,
-            }
-        )
-    else:
-        print("ap(%s) = %s  (error <= %s)" % (_fmt(args.t), _fmt(re), _fmt(out.trunc_bound)))
-    return 0
+    _emit_value(args, "ap(%s)" % _fmt(args.t), out.value.real, out, tol, t=args.t)
 
 
 def _cmd_table1(args):
@@ -432,32 +397,30 @@ def _cmd_table1(args):
                 entry["error"] = _fmt(err)
                 entry["pass"] = bool(err <= tol)
             out_rows.append(entry)
-    if args.json:
-        _print_json({"schema": SCHEMA, "tol": tol, "checked": bool(args.check), "rows": out_rows})
-    else:
+
+    def lines():
         for entry in out_rows:
-            if args.check:
-                print("n=%d  %s  %s" % (entry["n"], entry["stored"], "PASS" if entry["pass"] else "FAIL"))
-            else:
-                print("n=%d  %s" % (entry["n"], entry["stored"]))
+            verdict = ("  PASS" if entry["pass"] else "  FAIL") if args.check else ""
+            yield "n=%d  %s%s" % (entry["n"], entry["stored"], verdict)
+
+    _emit(args, lambda: {"tol": tol, "checked": bool(args.check), "rows": out_rows}, lines)
     missed = [e["n"] for e in out_rows if args.check and not e["pass"]]
     if missed:
         raise DessinryError(
             "expression-mismatch",
             "%d of %d rows miss tol %r (n=%s)" % (len(missed), len(out_rows), tol, ",".join(str(n) for n in missed)),
         )
-    return 0
 
 
 def _cmd_qseries(args):
     from . import modular
 
     series = modular.lambda_star_qseries(args.order)
-    if args.json:
-        _print_json({"schema": SCHEMA, "order": series.order, "coefficients": list(series.coefficients)})
-    else:
-        print(" ".join(str(c) for c in series.coefficients))
-    return 0
+    _emit(
+        args,
+        lambda: {"order": series.order, "coefficients": list(series.coefficients)},
+        lambda: [" ".join(str(c) for c in series.coefficients)],
+    )
 
 
 def build_parser():
@@ -508,34 +471,34 @@ def build_parser():
     p = sub.add_parser("lambda-star", help="evaluate lambda* on the upper half plane")
     p.add_argument("--tau", required=True, help="RE,IM")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
     p.set_defaults(func=_cmd_lambda_star)
 
     p = sub.add_parser("ap", help="accessory parameter ap(t) = lambda*(it)")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
     p.set_defaults(func=_cmd_ap)
 
     p = sub.add_parser("table1", help="stored CM values of ap, optionally re-derived")
     p.add_argument("--rows", default=None, help="comma list of n values (default: all)")
     p.add_argument("--check", action="store_true")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("qseries", help="exact expansion coefficients of lambda*")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
     p.set_defaults(func=_cmd_qseries)
 
     return parser
 
 
 def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    args.func(args)
+    return 0
 
 
 def main(argv=None):

@@ -1,14 +1,14 @@
 """Numerical monodromy of explicit polynomial covers by root path-tracking.
 
-A cover is presented as a family of fiber polynomials: for each base value
-y, F_y(x) is a degree-d polynomial whose roots are the fiber.  Transporting
-the d roots along a lasso around a branch point permutes them; doing this
-for every finite branch point, in order, yields a monodromy tuple whose
-color 0 is the point at infinity (never encircled: its permutation comes
-from the product constraint and is cross-checked against an explicit large
-circle).  Each lasso is tracked once, out along its tail and around its
-loop: the way back would retrace the way out, so the permutation is read
-off where the loop closes, against the roots it started from.
+A cover is a polynomial P of degree d, whose fiber over a base value y is
+the d roots of P(x) - y.  Transporting the d roots along a lasso around a
+branch point permutes them; doing this for every finite branch point, in
+order, yields a monodromy tuple whose color 0 is the point at infinity
+(never encircled: its permutation comes from the product constraint and is
+cross-checked against an explicit large circle).  Each lasso is tracked
+once, out along its tail and around its loop: the way back would retrace
+the way out, so the permutation is read off where the loop closes, against
+the roots it started from.
 
 The concrete family of interest is the pencil of quartics
 
@@ -36,6 +36,12 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # Sweeps of the root finder; a root still moving after them is left to the
 # caller's residual check.
 _ABERTH_SWEEPS = 500
+# A lasso's circle has this fraction of the distance from its branch point
+# to the nearest other one as its radius.
+_RADIUS_FACTOR = 0.25
+# First step of the tracker, as a fraction of the path; later steps grow
+# to at most 2.5 times it.
+_STEP_INIT = 0.1
 
 
 def _polyval(coeffs, x):
@@ -167,13 +173,18 @@ def poly_roots(coeffs, tol=1e-10):
 
 
 class CoverSpec:
-    """fiber_poly: y -> coefficient sequence (degree d, highest first);
-    branch_points: the finite branch values in color order 1..n-1;
-    color 0 is infinity (color_order records the full assignment)."""
+    """The cover x -> P(x), with fiber P - y over each base value y.
 
-    __slots__ = ("fiber_poly", "branch_points", "degree", "color_order")
+    coeffs: P's coefficients, highest degree first; branch_points: the
+    finite branch values in color order 1..n-1; color 0 is infinity
+    (color_order records the full assignment)."""
 
-    def __init__(self, fiber_poly, branch_points, degree):
+    __slots__ = ("coeffs", "dcoeffs", "branch_points", "degree", "color_order")
+
+    def __init__(self, coeffs, branch_points):
+        coeffs = tuple(complex(c) for c in coeffs)
+        if len(coeffs) < 2 or not all(cmath.isfinite(c) for c in coeffs):
+            raise DessinryError("invalid-parameter", "need finite coefficients of degree >= 1, got %r" % (coeffs,))
         branch_points = tuple(complex(b) for b in branch_points)
         if not all(cmath.isfinite(b) for b in branch_points):
             raise DessinryError("invalid-parameter", "branch points must be finite, got %r" % (branch_points,))
@@ -186,40 +197,33 @@ class CoverSpec:
                         "invalid-tuple",
                         "branch points %d and %d coincide" % (i, j),
                     )
-        self.fiber_poly = fiber_poly
+        self.coeffs = coeffs
+        # P' is also the derivative of every fiber polynomial P - y.
+        self.dcoeffs = _polyder(coeffs)
         self.branch_points = branch_points
-        self.degree = degree
+        self.degree = len(coeffs) - 1
         self.color_order = ("inf",) + branch_points
 
     @property
     def n(self):
         return len(self.branch_points) + 1
 
+    def fiber(self, y):
+        """Coefficients of P - y, highest degree first."""
+        return self.coeffs[:-1] + (self.coeffs[-1] - y,)
+
 
 def polynomial_cover(poly_coeffs, branch_points):
     """Cover x -> P(x) with the given finite branch values; F_y = P - y."""
-    poly_coeffs = tuple(complex(c) for c in poly_coeffs)
-    degree = len(poly_coeffs) - 1
-    if degree < 1 or not all(cmath.isfinite(c) for c in poly_coeffs):
-        raise DessinryError("invalid-parameter", "need finite coefficients of degree >= 1, got %r" % (poly_coeffs,))
-
-    def fiber(y):
-        return poly_coeffs[:-1] + (poly_coeffs[-1] - y,)
-
-    return CoverSpec(fiber, branch_points, degree)
+    return CoverSpec(poly_coeffs, branch_points)
 
 
 class _Tracker:
     """Adaptive continuation of one fiber along a parametrized path."""
 
-    def __init__(self, cover, tol, step_init=0.1):
+    def __init__(self, cover, tol):
         self.cover = cover
         self.tol = tol
-        self.step_init = step_init
-
-    def _fiber_at(self, y):
-        coeffs = [complex(c) for c in self.cover.fiber_poly(y)]
-        return coeffs, _polyder(coeffs)
 
     def _advance(self, roots, gap, y, order):
         """Newton-correct all roots onto the fiber over y.
@@ -231,7 +235,7 @@ class _Tracker:
         a failing step is refused sooner when the roots that moved most
         come first.
         """
-        coeffs, dcoeffs = self._fiber_at(y)
+        coeffs, dcoeffs = self.cover.fiber(y), self.cover.dcoeffs
         top = max(abs(c) for c in coeffs)
         deg = len(coeffs) - 1
         threshold = 0.45 * gap
@@ -254,7 +258,7 @@ class _Tracker:
     def track(self, roots, path):
         """path: t in [0, 1] -> base value; returns transported roots."""
         t = 0.0
-        h = self.step_init
+        h = _STEP_INIT
         roots = list(roots)
         gap = _min_gap(roots)
         order = range(len(roots))
@@ -274,7 +278,7 @@ class _Tracker:
             order = sorted(order, key=lambda i: abs(moved[i] - roots[i]), reverse=True)
             roots = moved
             t = step_to
-            h = min(h * 1.5, 2.5 * self.step_init)
+            h = min(h * 1.5, 2.5 * _STEP_INIT)
         return roots
 
 
@@ -306,11 +310,11 @@ def _match_to_fiber(ends, fiber):
     return tuple(out)
 
 
-def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, step_init=0.1):
+def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10):
     """Monodromy tuple of the cover, colors (inf, branch points in order).
 
     One lasso per finite branch point: straight segment from the base to a
-    circle of radius radius_factor times the distance to the nearest other
+    circle of radius _RADIUS_FACTOR times the distance to the nearest other
     branch point, then one positive circuit.  The segment back is not
     tracked: it transports the roots on the circle's start to the base in
     the reverse of the way out, so the fiber there keeps the base labels
@@ -318,22 +322,18 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
     at infinity is inverse(product of the finite ones) and is independently
     cross-checked by tracking one large positive circle around everything,
     read off the same way; disagreement raises
-    product-constraint-violation.  The canonical class
-    of the result does not depend on base, radius_factor, or step_init
-    within their allowed ranges.
+    product-constraint-violation.  The canonical class of the result does
+    not depend on base, _RADIUS_FACTOR in (0, 1/4] or _STEP_INIT in
+    (0, 0.2].
     """
     base = complex(base)
     if not cmath.isfinite(base):
         raise DessinryError("invalid-parameter", "base point must be finite, got %r" % (base,))
-    if not 0 < radius_factor <= 0.25:
-        raise DessinryError("invalid-parameter", "radius_factor must lie in (0, 1/4], got %r" % (radius_factor,))
-    if not 0 < step_init <= 0.2:
-        raise DessinryError("invalid-parameter", "step_init must lie in (0, 0.2], got %r" % (step_init,))
     for b in cover.branch_points:
         if abs(base - b) < 1e-9:
             raise DessinryError("path-tracking-failure", "base point sits on branch point %r" % (b,))
-    tracker = _Tracker(cover, tol, step_init)
-    fiber0 = sorted(poly_roots(cover.fiber_poly(base), tol), key=lambda z: (z.real, z.imag))
+    tracker = _Tracker(cover, tol)
+    fiber0 = sorted(poly_roots(cover.fiber(base), tol), key=lambda z: (z.real, z.imag))
     if len(fiber0) != cover.degree:
         raise DessinryError(
             "path-tracking-failure",
@@ -351,7 +351,7 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10, radius_factor=0.25, s
 
     finite_perms = []
     for b in cover.branch_points:
-        r = radius_factor * min(abs(b - other) for other in cover.branch_points if other != b)
+        r = _RADIUS_FACTOR * min(abs(b - other) for other in cover.branch_points if other != b)
         direction = (base - b) / abs(base - b)
         entry = b + r * direction
         theta0 = cmath.phase(base - b)

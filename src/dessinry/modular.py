@@ -125,6 +125,24 @@ def _rel_err(*factors):
     return mpmath.expm1(mpmath.fsum(k * mpmath.log1p(d if k > 0 else -d) for d, k in factors))
 
 
+def _ipow(z, k):
+    """z^k for an integer k >= 2, within k units of rounding.
+
+    mpmath's ** rounds the exact complex power once while k times the
+    operand's size in bits, the gap between its parts' exponents included,
+    stays below 10^4.  Beyond that it takes exp(k log z), whose error grows
+    with |log z| past what _rounding counts; there the power is taken by
+    k - 1 products instead, a unit each.
+    """
+    a, b = mpmath.re(z), mpmath.im(z)
+    if not (a and b) or k * (abs(a.exp - b.exp) + max(a.bc, b.bc)) < 10000:
+        return z ** k
+    out = z
+    for _ in range(k - 1):
+        out *= z
+    return out
+
+
 def _affine(tau, shift, scale):
     """(tau + shift) * scale without rounding, so derived points are exact."""
     return mpmath.fmul(mpmath.fadd(tau, shift, exact=True), scale, exact=True)
@@ -191,7 +209,7 @@ def delta_by_eta(p, tol=1e-12):
 
     def compute(rel):
         ev, eb = _eta(tau, rel / 48)
-        val = (2 * mpmath.pi) ** 12 * ev ** 24
+        val = (2 * mpmath.pi) ** 12 * _ipow(ev, 24)
         return val, abs(val) * _rel_err((eb / abs(ev), 24))
 
     return ModularValue(*_pass(compute, tol))
@@ -242,10 +260,10 @@ def lambda_star(p, tol=1e-12):
         (vs, bs), (vh, bh), (vt, _) = (_eta(z, rel / 32) for z in (t_shift, t_half, tau))
         f = mpmath.exp(-mpmath.pi * _I / 24) * vs / vt
         f1 = vh / vt
-        expr1 = (f / f1) ** 8
+        expr1 = _ipow(f / f1, 8)
         bound1 = abs(expr1) * _rel_err((bs / abs(vs), 8), (bh / abs(vh), -8))
-        expr2 = mpmath.exp(-mpmath.pi * _I / 3) * (vs / vh) ** 8
-        d_shift, d_half, d_tau = ((2 * mpmath.pi) ** 12 * v ** 24 for v in (vs, vh, vt))
+        expr2 = mpmath.exp(-mpmath.pi * _I / 3) * _ipow(vs / vh, 8)
+        d_shift, d_half, d_tau = ((2 * mpmath.pi) ** 12 * _ipow(v, 24) for v in (vs, vh, vt))
         expr3 = -(d_shift + 16 * d_tau) / (d_half + 16 * d_tau)
         return expr1, bound1, expr2, expr3
 
@@ -308,7 +326,7 @@ def j_oracle(p, tol=1e-9):
             e4 = 1 + 240 * mpmath.fsum(sig[n] * q ** n for n in range(1, m))
         tail = 290.4 * m ** 3 * x ** m / (1 - x * (1 + mpmath.mpf(1) / m) ** 3)
         err4 = (tail + mpmath.ldexp(1, -mp.prec)) / abs(e4)
-        val = e4 ** 3 / ev ** 24
+        val = _ipow(e4, 3) / _ipow(ev, 24)
         return val, abs(val) * _rel_err((err4, 3), (eb / abs(ev), -24))
 
     return ModularValue(*_pass(compute, tol))

@@ -282,6 +282,10 @@ CONTRACT_INPUTS = [
     (["monodromy", "--poly", "[1, NaN]", "--branch-points", "[0, 1]"], None, {}),
     (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]", "--base", "nan,1"], None, {}),
     (["ap", "--t", "1e-300"], None, {}),
+    # DOT is a graph format; only orbits have a graph.
+    (["origami", "to-dessin", "--format", "dot"], CHESSBOARD_JSON, {}),
+    (["origami", "from-dessin", "--format", "dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
+    (["origami", "delta", "--op", "hor", "--format", "dot"], CHESSBOARD_JSON, {}),
 ]
 
 

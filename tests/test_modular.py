@@ -151,6 +151,17 @@ class TestEta:
             assert abs(got.value - want) < 1e-20
             assert got.trunc_bound < 1e-25 * abs(got.value) * 100
 
+    @pytest.mark.parametrize("tol", [1e-150, 1e-200])
+    def test_discriminant_far_up_the_cusp(self, tol):
+        # At Im tau = 10^6 the product prod (1 - q^n)^24 is 1 - O(e^{-2 pi 10^6}),
+        # so Delta(tau) = (2 pi)^12 q to far beyond tol; the 24th power runs
+        # at more than 417 bits, where a power through exp(24 log z) is off.
+        tau = 0.3 + 1e6j
+        got = delta_by_eta(tau, tol)
+        with mp.workdps(300):
+            want = (2 * mpmath.pi) ** 12 * mpmath.exp(2 * mpmath.pi * I * mpmath.mpc(tau))
+            assert abs(got.value - want) <= got.trunc_bound <= tol * abs(want) * 1.01
+
 
 class TestWeber:
     def test_eighth_powers_at_i(self):
@@ -223,6 +234,11 @@ class TestLambdaStar:
             want = mpmath.jtheta(3, 0, q) ** 4 / mpmath.jtheta(4, 0, q) ** 4
             assert abs(got.value - want) <= got.trunc_bound <= tol
 
+
+    def test_ap_far_up_the_cusp(self):
+        # ap(t) - 1 is about 16 e^{-pi t}: nothing at t = 10^100.
+        got = ap(1e100)
+        assert abs(got.value - 1) <= got.trunc_bound <= 1e-12
 
     def test_ap_takes_t_at_its_own_precision(self):
         with mp.workdps(60):
