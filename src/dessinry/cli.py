@@ -6,9 +6,9 @@ ap, table1, qseries.  Exit codes: 0 success, 1 domain error (diagnostic
 byte-identical stdout.  Each subcommand prints text or JSON (--format json,
 or --json where that is the flag), and every JSON output carries
 ``"schema": "dessinry/1"``; high-precision numbers are emitted as decimal
-strings of 17 significant digits.  DOT is printed only for graphs.  The
-environment variable DESSINRY_TOL overrides each command's default
-tolerance; an explicit --tol flag wins over both.
+strings of 17 significant digits.  DOT is printed only for graphs.  For
+lambda-star, ap and table1 only, the environment variable DESSINRY_TOL
+overrides the default tolerance; an explicit --tol flag wins over both.
 """
 
 import argparse
@@ -36,7 +36,7 @@ def _fmt(x):
 
 
 def _tol(args, fallback):
-    tol = getattr(args, "tol", None)
+    tol = args.tol
     if tol is None:
         env = os.environ.get("DESSINRY_TOL")
         if env is None:
@@ -274,8 +274,9 @@ def _cmd_orbit(args):
 def _cmd_origami(args):
     from . import origami
 
-    if args.format == "dot" and args.action != "orbit":
-        raise DessinryError("invalid-parameter", "--format dot is only for origami orbit, not %s" % args.action)
+    if args.action != "orbit" and (args.format == "dot" or args.dot is not None):
+        flag = "--format dot" if args.format == "dot" else "--dot"
+        raise DessinryError("invalid-parameter", "%s is only for origami orbit, not %s" % (flag, args.action))
     if args.action == "from-dessin":
         _emit_origami(args, origami.dessin_to_origami(core.from_json(_read_json_arg(args.infile))))
         return
@@ -301,8 +302,7 @@ def _cmd_origami(args):
 def _cmd_hurwitz(args):
     from . import covers
 
-    tol = _tol(args, 1e-10)
-    t = covers.hurwitz_dessin(args.a, args.lift, tol)
+    t = covers.hurwitz_dessin(args.a, args.lift)
     if args.emit == "dot":
         print(_dessin_dot(t))
     elif args.emit == "origami":
@@ -343,12 +343,11 @@ def _parse_complex_list(text, what):
 def _cmd_monodromy(args):
     from . import covers
 
-    tol = _tol(args, 1e-10)
     coeffs = _parse_complex_list(args.poly, "--poly")
     branch = _parse_complex_list(args.branch_points, "--branch-points")
     cover = covers.polynomial_cover(coeffs, branch)
     base = covers.BASE_POINT if args.base is None else _parse_complex_pair(args.base)
-    _emit_tuple(args, core.canonical_form(covers.numerical_monodromy(cover, base, tol)))
+    _emit_tuple(args, core.canonical_form(covers.numerical_monodromy(cover, base)))
 
 
 def _cmd_lambda_star(args):
@@ -456,7 +455,6 @@ def build_parser():
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--lift", choices=("L1", "L2", "L3", "L4"), required=True)
     p.add_argument("--emit", choices=("dessin", "origami", "dot"), default="dessin")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("table", "json"), default="json")
     p.set_defaults(func=_cmd_hurwitz)
 
@@ -464,7 +462,6 @@ def build_parser():
     p.add_argument("--poly", required=True, help="JSON coefficient list, highest degree first")
     p.add_argument("--branch-points", required=True, dest="branch_points", help="JSON list of finite branch values")
     p.add_argument("--base", default=None, help="base point RE,IM (default 0,2)")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("table", "json"), default="json")
     p.set_defaults(func=_cmd_monodromy)
 

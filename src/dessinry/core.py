@@ -46,7 +46,10 @@ class MonodromyTuple:
     __slots__ = ("perms",)
 
     def __init__(self, perms):
-        perms = tuple(tuple(p) for p in perms)
+        try:
+            perms = tuple(tuple(p) for p in perms)
+        except TypeError:
+            raise DessinryError("invalid-tuple", "need a sequence of permutations, got %r" % (perms,)) from None
         if len(perms) < 3:
             raise DessinryError("invalid-tuple", "need at least 3 permutations, got %d" % len(perms))
         d = len(perms[0])

@@ -33,8 +33,14 @@ BASE_POINT = 2j
 
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = 2.0 ** -53
+# _on_fiber accepts z when |p(z)| <= _ACCEPT_ROUNDING * mu.  A complex Horner
+# step q <- z q + c rounds by at most 2 sqrt(2) u |z q| + u |z q + c|, so at a
+# root the computed p(z) can be as large as (1 + 2 sqrt(2)) u mu < 4 u mu.
+_ACCEPT_ROUNDING = 4.0 * _UNIT_ROUNDOFF
+# classify_lift's margin for "real" and "real above 1".
+_LIFT_TOL = 1e-8
 # Sweeps of the root finder; a root still moving after them is left to the
-# caller's residual check.
+# polish and acceptance test of poly_roots.
 _ABERTH_SWEEPS = 500
 # A lasso's circle has this fraction of the distance from its branch point
 # to the nearest other one as its radius.
@@ -51,6 +57,23 @@ def _polyval(coeffs, x):
     return out
 
 
+def _horner(coeffs, z):
+    """p(z) by Horner's rule and its running error estimate mu, the sum of
+    |z|^(d-k) |q_k| over the computed partial values q_k (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 5.1)."""
+    f, mu, size = 0j, 0.0, abs(z)
+    for c in coeffs:
+        f = f * z + c
+        mu = mu * size + abs(f)
+    return f, mu
+
+
+def _on_fiber(coeffs, z):
+    """Whether p(z) is zero up to its rounding; a NaN fails the test."""
+    f, mu = _horner(coeffs, z)
+    return abs(f) <= _ACCEPT_ROUNDING * mu
+
+
 def _polyder(coeffs):
     n = len(coeffs) - 1
     return tuple(c * (n - k) for k, c in enumerate(coeffs[:-1]))
@@ -64,7 +87,7 @@ def _min_gap(points):
     )
 
 
-def _newton_polish(coeffs, dcoeffs, x, steps=6):
+def _newton_polish(coeffs, dcoeffs, x, steps):
     for _ in range(steps):
         f = _polyval(coeffs, x)
         fp = _polyval(dcoeffs, x)
@@ -88,9 +111,7 @@ def _aberth(coeffs, dcoeffs):
     p(x + c) = sum b_k x^(d-k), is half of Fujiwara's bound on the roots of
     the recentred polynomial.  As in Bini (Numer. Algorithms 13, 1996), an
     iterate is frozen once its residual is down to the rounding error of
-    Horner's rule, here its running estimate |p(z)| <= 2 u mu with
-    mu = sum |z|^(d-k) |q_k| over the computed Horner partial values q_k
-    (Higham, Accuracy and Stability of Numerical Algorithms, section 5.1).
+    Horner's rule, here its running estimate |p(z)| <= 2 u mu from _horner.
     Iteration stops when all are frozen or after _ABERTH_SWEEPS sweeps.
     """
     deg = len(coeffs) - 1
@@ -115,10 +136,7 @@ def _aberth(coeffs, dcoeffs):
         moving = []
         for i in active:
             z = roots[i]
-            f, mu, size = 0j, 0.0, abs(z)
-            for c in coeffs:
-                f = f * z + c
-                mu = mu * size + abs(f)
+            f, mu = _horner(coeffs, z)
             if abs(f) <= 2.0 * _UNIT_ROUNDOFF * mu:
                 continue
             moving.append(i)
@@ -133,12 +151,13 @@ def _aberth(coeffs, dcoeffs):
     return roots
 
 
-def poly_roots(coeffs, tol=1e-10):
-    """All complex roots, polished so that |F(root)| <= tol * scale.
+def poly_roots(coeffs):
+    """All complex roots, coefficients highest degree first.
 
-    Coefficients are highest degree first.  A leading coefficient at
-    relative size below 1e-14 is rejected as degenerate rather than
-    silently deflated.
+    Aberth-Ehrlich approximations are Newton-polished, and each is accepted
+    only when |p(r)| <= 4 u mu, with mu Horner's running error estimate at
+    r; else path-tracking-failure.  A leading coefficient at relative size
+    below 1e-14 is rejected as degenerate rather than silently deflated.
     """
     coeffs = [complex(c) for c in coeffs]
     if not coeffs:
@@ -154,20 +173,11 @@ def poly_roots(coeffs, tol=1e-10):
     if len(coeffs) == 1:
         return []
     dcoeffs = _polyder(coeffs)
-    roots = _aberth(coeffs, dcoeffs)
-    deg = len(coeffs) - 1
     polished = []
-    for r in roots:
-        r = _newton_polish(coeffs, dcoeffs, r)
-        scale = top * max(1.0, abs(r)) ** deg
-        # Phrased so that a NaN residual fails the test.
-        if not abs(_polyval(coeffs, r)) <= tol * scale:
-            r = _newton_polish(coeffs, dcoeffs, r, steps=40)
-            if not abs(_polyval(coeffs, r)) <= tol * scale:
-                raise DessinryError(
-                    "path-tracking-failure",
-                    "root %r refuses to polish below residual %g" % (r, tol * scale),
-                )
+    for r in _aberth(coeffs, dcoeffs):
+        r = _newton_polish(coeffs, dcoeffs, r, steps=46)
+        if not _on_fiber(coeffs, r):
+            raise DessinryError("path-tracking-failure", "root %r refuses to polish to its rounding bound" % (r,))
         polished.append(r)
     return polished
 
@@ -218,68 +228,56 @@ def polynomial_cover(poly_coeffs, branch_points):
     return CoverSpec(poly_coeffs, branch_points)
 
 
-class _Tracker:
-    """Adaptive continuation of one fiber along a parametrized path."""
+def _advance(cover, roots, gap, y, order):
+    """Newton-correct all roots onto the fiber of the cover over y.
 
-    def __init__(self, cover, tol):
-        self.cover = cover
-        self.tol = tol
-
-    def _advance(self, roots, gap, y, order):
-        """Newton-correct all roots onto the fiber over y.
-
-        gap is the smallest distance between two of the roots.  Returns the
-        corrected roots, in the order of roots, with their smallest gap; or
-        None on failure.  The roots are corrected in the given order, a
-        permutation of their indices: the result does not depend on it, but
-        a failing step is refused sooner when the roots that moved most
-        come first.
-        """
-        coeffs, dcoeffs = self.cover.fiber(y), self.cover.dcoeffs
-        top = max(abs(c) for c in coeffs)
-        deg = len(coeffs) - 1
-        threshold = 0.45 * gap
-        moved = list(roots)
-        for i in order:
-            r = roots[i]
-            nr = _newton_polish(coeffs, dcoeffs, r, steps=10)
-            scale = top * max(1.0, abs(nr)) ** deg
-            # Each test is phrased so that a NaN fails it.
-            if not abs(_polyval(coeffs, nr)) <= self.tol * scale:
-                return None
-            if not abs(nr - r) <= threshold:
-                return None
-            moved[i] = nr
-        gap = _min_gap(moved)
-        if not gap >= 1e-13 * (1.0 + max(abs(r) for r in moved)):
+    gap is the smallest distance between two of the roots.  Returns the
+    corrected roots, in the order of roots, with their smallest gap; or None
+    on failure.  The roots are corrected in the given order, a permutation
+    of their indices: the result does not depend on it, but a failing step
+    is refused sooner when the roots that moved most come first.
+    """
+    coeffs, dcoeffs = cover.fiber(y), cover.dcoeffs
+    threshold = 0.45 * gap
+    moved = list(roots)
+    for i in order:
+        r = roots[i]
+        nr = _newton_polish(coeffs, dcoeffs, r, steps=10)
+        # Each test is phrased so that a NaN fails it.
+        if not _on_fiber(coeffs, nr):
             return None
-        return moved, gap
+        if not abs(nr - r) <= threshold:
+            return None
+        moved[i] = nr
+    gap = _min_gap(moved)
+    if not gap >= 1e-13 * (1.0 + max(abs(r) for r in moved)):
+        return None
+    return moved, gap
 
-    def track(self, roots, path):
-        """path: t in [0, 1] -> base value; returns transported roots."""
-        t = 0.0
-        h = _STEP_INIT
-        roots = list(roots)
-        gap = _min_gap(roots)
-        order = range(len(roots))
-        while t < 1.0:
-            step_to = min(1.0, t + h)
-            nxt = self._advance(roots, gap, path(step_to), order)
-            if nxt is None:
-                h *= 0.5
-                if h < 1e-9:
-                    raise DessinryError(
-                        "path-tracking-failure",
-                        "step size underflow at path parameter %.6f" % t,
-                    )
-                continue
-            moved, gap = nxt
-            # Roots that moved most in this step lead the next one.
-            order = sorted(order, key=lambda i: abs(moved[i] - roots[i]), reverse=True)
-            roots = moved
-            t = step_to
-            h = min(h * 1.5, 2.5 * _STEP_INIT)
-        return roots
+
+def _track(cover, roots, path):
+    """Adaptive continuation of a fiber of the cover along path: t in
+    [0, 1] -> base value; returns the transported roots."""
+    t = 0.0
+    h = _STEP_INIT
+    roots = list(roots)
+    gap = _min_gap(roots)
+    order = range(len(roots))
+    while t < 1.0:
+        step_to = min(1.0, t + h)
+        nxt = _advance(cover, roots, gap, path(step_to), order)
+        if nxt is None:
+            h *= 0.5
+            if h < 1e-9:
+                raise DessinryError("path-tracking-failure", "step size underflow at path parameter %.6f" % t)
+            continue
+        moved, gap = nxt
+        # Roots that moved most in this step lead the next one.
+        order = sorted(order, key=lambda i: abs(moved[i] - roots[i]), reverse=True)
+        roots = moved
+        t = step_to
+        h = min(h * 1.5, 2.5 * _STEP_INIT)
+    return roots
 
 
 def _segment(z0, z1):
@@ -310,7 +308,7 @@ def _match_to_fiber(ends, fiber):
     return tuple(out)
 
 
-def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10):
+def numerical_monodromy(cover, base=BASE_POINT):
     """Monodromy tuple of the cover, colors (inf, branch points in order).
 
     One lasso per finite branch point: straight segment from the base to a
@@ -332,13 +330,7 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10):
     for b in cover.branch_points:
         if abs(base - b) < 1e-9:
             raise DessinryError("path-tracking-failure", "base point sits on branch point %r" % (b,))
-    tracker = _Tracker(cover, tol)
-    fiber0 = sorted(poly_roots(cover.fiber(base), tol), key=lambda z: (z.real, z.imag))
-    if len(fiber0) != cover.degree:
-        raise DessinryError(
-            "path-tracking-failure",
-            "fiber over base has %d roots, expected %d" % (len(fiber0), cover.degree),
-        )
+    fiber0 = sorted(poly_roots(cover.fiber(base)), key=lambda z: (z.real, z.imag))
     if cover.degree > 1 and _min_gap(fiber0) < 1e-8 * (1.0 + max(abs(r) for r in fiber0)):
         raise DessinryError("path-tracking-failure", "fiber over base is not simple")
 
@@ -346,8 +338,8 @@ def numerical_monodromy(cover, base=BASE_POINT, tol=1e-10):
         # Transport along the tail and its reverse are inverse bijections,
         # so the roots where the loop starts keep the labels of fiber0 and
         # the loop's permutation is read off there.
-        start = tracker.track(fiber0, tail)
-        return _match_to_fiber(tracker.track(start, loop), start)
+        start = _track(cover, fiber0, tail)
+        return _match_to_fiber(_track(cover, start, loop), start)
 
     finite_perms = []
     for b in cover.branch_points:
@@ -398,16 +390,16 @@ def hurwitz_projection(s):
     return (2 - s) * s ** 3 / (2 * s - 1)
 
 
-def hurwitz_fiber(a, tol=1e-10):
+def hurwitz_fiber(a):
     """The four solutions of p(s) = a, as roots of s^4 - 2s^3 + 2as - a."""
     a = complex(a)
-    return poly_roots((1, -2, 0, 2 * a, -a), tol)
+    return poly_roots((1, -2, 0, 2 * a, -a))
 
 
-def classify_lift(s, tol=1e-8):
+def classify_lift(s):
     """Which of the four standard regions over (1, inf) contains s.
 
-    None when p(s) is not real above 1 (within tol, taken relative to
+    None when p(s) is not real above 1 (within _LIFT_TOL, relative to
     |p(s)| once that exceeds 1, where rounding grows with it).  Over (1, inf):
     L3 for real s < -1, L4 for real s in (1/2, 1), L1 and L2 for the upper
     and lower half plane.  A real s clear of both intervals while p(s)
@@ -418,15 +410,15 @@ def classify_lift(s, tol=1e-8):
         p = hurwitz_projection(s)
     except DessinryError:
         return None
-    if abs(p.imag) > tol * max(1.0, abs(p)) or p.real <= 1.0 + tol:
+    if abs(p.imag) > _LIFT_TOL * max(1.0, abs(p)) or p.real <= 1.0 + _LIFT_TOL:
         return None
-    if abs(s.imag) <= tol:
+    if abs(s.imag) <= _LIFT_TOL:
         x = s.real
-        if x < -1.0 - tol:
+        if x < -1.0 - _LIFT_TOL:
             return "L3"
         # With p(s) real above 1, a real s near the pole lies above 1/2
         # exactly when 2s - 1 > 0, so that side needs no margin.
-        if 0.5 < x < 1.0 - tol:
+        if 0.5 < x < 1.0 - _LIFT_TOL:
             return "L4"
         raise DessinryError(
             "ambiguous",
@@ -445,7 +437,7 @@ def belyi_cubic_cover():
     return polynomial_cover((-6.75, 6.75, 0.0, 0.0), (0.0, 1.0))
 
 
-def hurwitz_dessin(a, lift, tol=1e-10):
+def hurwitz_dessin(a, lift):
     """Canonical monodromy tuple of the lift of p over a with the given label."""
     a = complex(a)
     if not cmath.isfinite(a):
@@ -455,7 +447,7 @@ def hurwitz_dessin(a, lift, tol=1e-10):
     # A fiber point that cannot be classified is reported only when no other
     # point carries the label, whatever order the roots come in.
     unclassified = None
-    for s in hurwitz_fiber(a, tol):
+    for s in hurwitz_fiber(a):
         try:
             if classify_lift(s) == lift:
                 break
@@ -463,5 +455,5 @@ def hurwitz_dessin(a, lift, tol=1e-10):
             unclassified = exc
     else:
         raise unclassified or DessinryError("no-such-lift", "no fiber point of p over %r carries label %r" % (a, lift))
-    t = numerical_monodromy(hurwitz_cover(s), BASE_POINT, tol)
+    t = numerical_monodromy(hurwitz_cover(s))
     return canonical_form(t)

@@ -47,17 +47,20 @@ class BipartiteOrigami:
 
     def __init__(self, R, L, U, D):
         maps = []
-        m = len(R)
+        for label, seq in zip("RLUD", (R, L, U, D)):
+            try:
+                maps.append(tuple(seq))
+            except TypeError:
+                raise DessinryError("invalid-origami", "%s is not a sequence of grey indices: %r" % (label, seq)) from None
+        m = len(maps[0])
         if m < 1:
             raise DessinryError("invalid-origami", "need at least one square")
-        for label, seq in (("R", R), ("L", L), ("U", U), ("D", D)):
-            seq = tuple(seq)
+        for label, seq in zip("RLUD", maps):
             if len(seq) != m:
                 raise DessinryError("invalid-origami", "%s has length %d, expected %d" % (label, len(seq), m))
             for x in seq:
                 if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < m:
                     raise DessinryError("invalid-origami", "%s contains %r, not a grey index below %d" % (label, x, m))
-            maps.append(seq)
         self.R, self.L, self.U, self.D = maps
 
     @classmethod

@@ -286,10 +286,26 @@ CONTRACT_INPUTS = [
     (["origami", "to-dessin", "--format", "dot"], CHESSBOARD_JSON, {}),
     (["origami", "from-dessin", "--format", "dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
     (["origami", "delta", "--op", "hor", "--format", "dot"], CHESSBOARD_JSON, {}),
+    # --dot writes an orbit graph, which only origami orbit has.
+    (["origami", "to-dessin", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
+    (["origami", "from-dessin", "--dot", "out.dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
+    (["origami", "delta", "--op", "hor", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
+]
+# JSON of the wrong shape; the same argv recurs, so each is named by its stdin.
+SHAPE_INPUTS = [
+    (["orbit", "--seed", "-"], '{"n": 3, "d": 1, "perms": [1, 2, 3]}', {}),
+    (["orbit", "--seed", "-"], '{"n": 3, "d": 1, "perms": [[0], [0], null]}', {}),
+    (["origami", "from-dessin"], '{"n": 4, "d": 1, "perms": [[0], [0], [0], 7]}', {}),
+    (["origami", "to-dessin"], '{"m": 1, "R": 5, "L": [0], "U": [0], "D": [0]}', {}),
+    (["origami", "to-dessin"], '{"m": 1, "R": [0], "L": [0], "U": [0], "D": null}', {}),
 ]
 
 
-@pytest.mark.parametrize("argv,stdin,env", CONTRACT_INPUTS, ids=[" ".join(c[0]) for c in CONTRACT_INPUTS])
+@pytest.mark.parametrize(
+    "argv,stdin,env",
+    CONTRACT_INPUTS + SHAPE_INPUTS,
+    ids=[" ".join(c[0]) for c in CONTRACT_INPUTS] + [" ".join(c[0]) + " < " + c[1] for c in SHAPE_INPUTS],
+)
 def test_bad_input_gets_a_diagnostic(capsys, monkeypatch, tmp_path, argv, stdin, env):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
@@ -300,6 +316,20 @@ def test_bad_input_gets_a_diagnostic(capsys, monkeypatch, tmp_path, argv, stdin,
     assert out == ""
     assert "Traceback" not in err
     assert re.match(r"^[a-z][a-z-]*: \S", err.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hurwitz", "--a", "2", "--lift", "L1", "--tol", "1e-9"],
+        ["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]", "--tol", "1e-9"],
+    ],
+    ids=["hurwitz", "monodromy"],
+)
+def test_covers_commands_take_no_tolerance(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol 1e-9" in err
 
 
 def test_poly_accepts_re_im_pairs(capsys):
@@ -486,14 +516,12 @@ FLAGS = {
         "--a": NUMBERS,
         "--lift": ("L1", "L3", "L5"),
         "--emit": ("dessin", "origami", "dot"),
-        "--tol": NUMBERS,
         "--format": ("table", "json"),
     },
     "monodromy": {
         "--poly": JSON_LISTS,
         "--branch-points": JSON_LISTS,
         "--base": PAIRS,
-        "--tol": NUMBERS,
         "--format": ("table", "json"),
     },
     "lambda-star": {"--tau": PAIRS, "--tol": NUMBERS, "--json": None},
@@ -501,7 +529,17 @@ FLAGS = {
     "table1": {"--rows": ("1", "1,2", "11", "x", "", "-1"), "--check": None, "--tol": NUMBERS, "--json": None},
     "qseries": {"--order": NUMBERS, "--json": None},
 }
-STDIN = ("", "{", "[]", "null", '{"m": 1}', CHESSBOARD_JSON, '{"n": 3, "d": 1, "perms": [[0], [0], [0]]}')
+STDIN = (
+    "",
+    "{",
+    "[]",
+    "null",
+    '{"m": 1}',
+    CHESSBOARD_JSON,
+    '{"n": 3, "d": 1, "perms": [[0], [0], [0]]}',
+    '{"n": 3, "d": 1, "perms": [[0], [0], null]}',
+    '{"m": 1, "R": 5, "L": [0], "U": [0], "D": [0]}',
+)
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """Root finding, path tracking, and the quartic family over the line."""
 
 import cmath
+import inspect
 import math
 import random
 
+import mpmath
 import pytest
 
 from dessinry import core, covers, perms
@@ -27,10 +29,10 @@ from dessinry.errors import DessinryError
 class HurwitzPoint:
     """A point s of the s-line with its image a = p(s) and its lift label."""
 
-    def __init__(self, s, tol=1e-8):
+    def __init__(self, s):
         self.s = complex(s)
         self.a = hurwitz_projection(self.s)
-        self.lift_label = classify_lift(self.s, tol)
+        self.lift_label = classify_lift(self.s)
 
 
 SQ3 = math.sqrt(3.0)
@@ -101,11 +103,12 @@ class TestPolyRoots:
         assert abs(roots[1] - math.sqrt(2)) < 1e-12
 
     def test_residual_bound_holds(self):
+        # Every returned root passes the acceptance rule, |p(r)| <= 4 u mu
+        # with Horner's running error estimate mu at r.
         coeffs = (2.0, -3.0, 0.5, 1.0, -7.0)
-        for r in poly_roots(coeffs, tol=1e-10):
-            val = sum(c * r ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs))
-            scale = max(abs(c) for c in coeffs) * max(1.0, abs(r)) ** 4
-            assert abs(val) <= 1e-10 * scale
+        for r in poly_roots(coeffs):
+            value, mu = covers._horner(coeffs, r)
+            assert abs(value) <= 4 * UNIT_ROUNDOFF * mu
 
     def test_degenerate_leading_coefficient(self):
         with pytest.raises(DessinryError) as exc:
@@ -116,10 +119,13 @@ class TestPolyRoots:
         with pytest.raises(DessinryError):
             poly_roots(())
 
-    def test_unreachable_tolerance(self):
-        with pytest.raises(DessinryError) as exc:
-            poly_roots((1, 0, -2), tol=1e-30)
-        assert exc.value.code == "path-tracking-failure"
+    def test_point_off_a_root_is_refused(self):
+        coeffs = (1, 0, -2)
+        root = math.sqrt(2)
+        assert covers._on_fiber(coeffs, root)
+        value, mu = covers._horner(coeffs, root + 1e-6)
+        assert abs(value - (2e-6 * root + 1e-12)) <= 1e-15
+        assert not covers._on_fiber(coeffs, root + 1e-6)
 
     def test_constant_poly_has_no_roots(self):
         assert poly_roots((3.0,)) == []
@@ -135,6 +141,48 @@ class TestPolyRoots:
         with pytest.raises(DessinryError) as exc:
             poly_roots([1, 1e13] + [0] * 40 + [1])
         assert exc.value.code == "path-tracking-failure"
+
+
+def exact_residual(coeffs, z):
+    """|p(z)| and Horner's mu = sum |z|^(d-k) |q_k|, both at 50 digits."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        value, mu = mpmath.mpc(0), mpmath.mpf(0)
+        for c in coeffs:
+            value = value * z + mpmath.mpc(c)
+            mu = mu * abs(z) + abs(value)
+        return abs(value), mu
+
+
+class TestAcceptedRootsAgainstExactResiduals:
+    """The residual of each returned root, evaluated at 50 digits, lies
+    within the bound poly_roots accepts it by, 4 u mu."""
+
+    @pytest.mark.parametrize("d", [3, 17, 42])
+    def test_chebyshev_fibers(self, d):
+        for y in (2j, 1.5 + 1j, -0.3 + 3j, 0.3j, 0.9):
+            coeffs = chebyshev_coeffs(d)
+            coeffs[-1] -= y
+            for r in poly_roots(coeffs):
+                value, mu = exact_residual(coeffs, r)
+                assert value <= 4 * UNIT_ROUNDOFF * mu, (d, y, r)
+
+    def test_random_cover_fibers(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            cover = random_planar_cover(rng, rng.randint(3, 20))
+            for y in (0j, 2j, 0.5 * cover.branch_points[0]):
+                coeffs = cover.fiber(y)
+                for r in poly_roots(coeffs):
+                    value, mu = exact_residual(coeffs, r)
+                    assert value <= 4 * UNIT_ROUNDOFF * mu, (cover.coeffs, y, r)
+
+
+def test_no_function_takes_a_tolerance():
+    # Roots are accepted by the rounding bound of their own evaluation.
+    for name, f in vars(covers).items():
+        if inspect.isfunction(f) and f.__module__ == covers.__name__:
+            assert "tol" not in inspect.signature(f).parameters, name
 
 
 class TestCoverSpec:
@@ -194,18 +242,17 @@ class TestMonodromy:
                 assert core.canonical_form(numerical_monodromy(cov)) == ref
 
 
-def three_leg_monodromy(cover, base=BASE_POINT, tol=1e-10):
+def three_leg_monodromy(cover, base=BASE_POINT):
     """numerical_monodromy with the way back tracked: each lasso runs out
     along its tail, around its loop and back along the tail, and is read
     off against the fiber over the base.  The oracle for reading a lasso
     off where its loop closes."""
-    tracker = covers._Tracker(cover, tol)
-    fiber0 = sorted(poly_roots(cover.fiber(base), tol), key=lambda z: (z.real, z.imag))
+    fiber0 = sorted(poly_roots(cover.fiber(base)), key=lambda z: (z.real, z.imag))
 
     def run_loop(pieces):
         roots = fiber0
         for piece in pieces:
-            roots = tracker.track(roots, piece)
+            roots = covers._track(cover, roots, piece)
         return covers._match_to_fiber(roots, fiber0)
 
     finite = []
@@ -278,18 +325,17 @@ class TestLassoReadOffWhereTheLoopCloses:
 class TestTracker:
     def test_advance_does_not_depend_on_the_order_of_correction(self):
         cover = polynomial_cover(chebyshev_coeffs(20), (-1, 1))
-        tracker = covers._Tracker(cover, 1e-10)
         roots = poly_roots(cover.fiber(2j))
         gap = covers._min_gap(roots)
         rng = random.Random(3)
         for y in (2j + 0.01, 2j + 0.1, 2j + 0.5, 1.5j, 0.5j):
-            want = tracker._advance(roots, gap, y, range(len(roots)))
+            want = covers._advance(cover, roots, gap, y, range(len(roots)))
             for _ in range(5):
                 order = rng.sample(range(len(roots)), len(roots))
-                assert tracker._advance(roots, gap, y, order) == want
+                assert covers._advance(cover, roots, gap, y, order) == want
         # Small steps are accepted and a long one is refused.
-        assert tracker._advance(roots, gap, 2j + 0.01, range(len(roots))) is not None
-        assert tracker._advance(roots, gap, 0.5j, range(len(roots))) is None
+        assert covers._advance(cover, roots, gap, 2j + 0.01, range(len(roots))) is not None
+        assert covers._advance(cover, roots, gap, 0.5j, range(len(roots))) is None
 
     def test_match_to_fiber_refuses_a_nan_end(self):
         fiber = [1 + 0j, -1 + 0j, 2j]
