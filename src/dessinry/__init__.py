@@ -67,7 +67,6 @@ _EXPORTS = {
     ),
     "covers": (
         "CoverSpec",
-        "polynomial_cover",
         "poly_roots",
         "numerical_monodromy",
         "hurwitz_fs",

@@ -345,7 +345,7 @@ def _cmd_monodromy(args):
 
     coeffs = _parse_complex_list(args.poly, "--poly")
     branch = _parse_complex_list(args.branch_points, "--branch-points")
-    cover = covers.polynomial_cover(coeffs, branch)
+    cover = covers.CoverSpec(coeffs, branch)
     base = covers.BASE_POINT if args.base is None else _parse_complex_pair(args.base)
     _emit_tuple(args, core.canonical_form(covers.numerical_monodromy(cover, base)))
 

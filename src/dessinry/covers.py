@@ -87,17 +87,27 @@ def _min_gap(points):
     )
 
 
-def _newton_polish(coeffs, dcoeffs, x, steps):
+def _newton(coeffs, dcoeffs, x, steps):
+    """x after at most steps Newton steps, or None if it fails _on_fiber.
+
+    Newton stops by its own convergence (Sommese and Wampler, The Numerical
+    Solution of Systems of Polynomials, 2005, ch. 2): when a step fails to
+    shrink the last one, and is then not taken, or when quadratic convergence
+    predicts a next step |s_k|^3 / |s_(k-1)|^2 below u (1 + |x|)."""
+    last = math.inf
     for _ in range(steps):
-        f = _polyval(coeffs, x)
         fp = _polyval(dcoeffs, x)
-        if abs(fp) == 0.0:
-            return x
-        step = f / fp
-        x = x - step
-        if abs(step) < 1e-16 * (1.0 + abs(x)):
+        step = _polyval(coeffs, x) / fp if fp else math.inf
+        size = abs(step)
+        # Phrased so that a NaN or infinite step is not taken.
+        if not size < last:
             break
-    return x
+        x -= step
+        # The first step has no predecessor to predict from.
+        if last < math.inf and (size / last) ** 2 * size < _UNIT_ROUNDOFF * (1.0 + abs(x)):
+            break
+        last = size
+    return x if _on_fiber(coeffs, x) else None
 
 
 def _aberth(coeffs, dcoeffs):
@@ -154,10 +164,11 @@ def _aberth(coeffs, dcoeffs):
 def poly_roots(coeffs):
     """All complex roots, coefficients highest degree first.
 
-    Aberth-Ehrlich approximations are Newton-polished, and each is accepted
-    only when |p(r)| <= 4 u mu, with mu Horner's running error estimate at
-    r; else path-tracking-failure.  A leading coefficient at relative size
-    below 1e-14 is rejected as degenerate rather than silently deflated.
+    Aberth-Ehrlich approximations are polished by _newton, at most 46 steps
+    stopped by Newton's own convergence, and accepted only when |p(r)| <=
+    4 u mu, with mu Horner's running error estimate at r; else
+    path-tracking-failure.  A leading coefficient at relative size below
+    1e-14 is rejected as degenerate rather than silently deflated.
     """
     coeffs = [complex(c) for c in coeffs]
     if not coeffs:
@@ -173,12 +184,11 @@ def poly_roots(coeffs):
     if len(coeffs) == 1:
         return []
     dcoeffs = _polyder(coeffs)
-    polished = []
-    for r in _aberth(coeffs, dcoeffs):
-        r = _newton_polish(coeffs, dcoeffs, r, steps=46)
-        if not _on_fiber(coeffs, r):
-            raise DessinryError("path-tracking-failure", "root %r refuses to polish to its rounding bound" % (r,))
-        polished.append(r)
+    approx = _aberth(coeffs, dcoeffs)
+    polished = [_newton(coeffs, dcoeffs, r, 46) for r in approx]
+    if None in polished:
+        r = approx[polished.index(None)]
+        raise DessinryError("path-tracking-failure", "root %r refuses to polish to its rounding bound" % (r,))
     return polished
 
 
@@ -223,32 +233,23 @@ class CoverSpec:
         return self.coeffs[:-1] + (self.coeffs[-1] - y,)
 
 
-def polynomial_cover(poly_coeffs, branch_points):
-    """Cover x -> P(x) with the given finite branch values; F_y = P - y."""
-    return CoverSpec(poly_coeffs, branch_points)
-
-
 def _advance(cover, roots, gap, y, order):
-    """Newton-correct all roots onto the fiber of the cover over y.
+    """Correct all roots onto the fiber of the cover over y, each by at
+    most 10 steps of _newton, stopped by Newton's own convergence.
 
-    gap is the smallest distance between two of the roots.  Returns the
-    corrected roots, in the order of roots, with their smallest gap; or None
-    on failure.  The roots are corrected in the given order, a permutation
-    of their indices: the result does not depend on it, but a failing step
-    is refused sooner when the roots that moved most come first.
+    A root must pass _on_fiber and move by at most 0.45 gap, the smallest
+    distance between two of the roots.  Returns the corrected roots, in the
+    order of roots, with their smallest gap; or None on failure.  The roots
+    are corrected in the given order, a permutation of their indices: the
+    result does not depend on it, but a failing step is refused sooner when
+    the roots that moved most come first.
     """
     coeffs, dcoeffs = cover.fiber(y), cover.dcoeffs
-    threshold = 0.45 * gap
     moved = list(roots)
     for i in order:
-        r = roots[i]
-        nr = _newton_polish(coeffs, dcoeffs, r, steps=10)
-        # Each test is phrased so that a NaN fails it.
-        if not _on_fiber(coeffs, nr):
+        moved[i] = _newton(coeffs, dcoeffs, roots[i], 10)
+        if moved[i] is None or not abs(moved[i] - roots[i]) <= 0.45 * gap:
             return None
-        if not abs(nr - r) <= threshold:
-            return None
-        moved[i] = nr
     gap = _min_gap(moved)
     if not gap >= 1e-13 * (1.0 + max(abs(r) for r in moved)):
         return None
@@ -308,6 +309,18 @@ def _match_to_fiber(ends, fiber):
     return tuple(out)
 
 
+def _base_fiber(cover, base):
+    """The fiber over base, refused unless simple, in an order that rounding
+    cannot change: by real part, which conjugate roots share, on a grid far
+    above rounding and below the gap of a simple fiber; then by imaginary."""
+    roots = poly_roots(cover.fiber(base))
+    size = 1.0 + max(abs(r) for r in roots)
+    fiber0 = sorted(roots, key=lambda z: (round(z.real / (1e-9 * size)), z.imag))
+    if cover.degree > 1 and _min_gap(fiber0) < 1e-8 * size:
+        raise DessinryError("path-tracking-failure", "fiber over base is not simple")
+    return fiber0
+
+
 def numerical_monodromy(cover, base=BASE_POINT):
     """Monodromy tuple of the cover, colors (inf, branch points in order).
 
@@ -330,9 +343,7 @@ def numerical_monodromy(cover, base=BASE_POINT):
     for b in cover.branch_points:
         if abs(base - b) < 1e-9:
             raise DessinryError("path-tracking-failure", "base point sits on branch point %r" % (b,))
-    fiber0 = sorted(poly_roots(cover.fiber(base)), key=lambda z: (z.real, z.imag))
-    if cover.degree > 1 and _min_gap(fiber0) < 1e-8 * (1.0 + max(abs(r) for r in fiber0)):
-        raise DessinryError("path-tracking-failure", "fiber over base is not simple")
+    fiber0 = _base_fiber(cover, base)
 
     def run_lasso(tail, loop):
         # Transport along the tail and its reverse are inverse bijections,
@@ -429,12 +440,12 @@ def classify_lift(s):
 
 def hurwitz_cover(s):
     """The quartic cover f_s with finite branch values (0, 1, p(s))."""
-    return polynomial_cover(hurwitz_fs(s), (0.0, 1.0, hurwitz_projection(s)))
+    return CoverSpec(hurwitz_fs(s), (0.0, 1.0, hurwitz_projection(s)))
 
 
 def belyi_cubic_cover():
     """The degree-3 cover t -> 27/4 (t^2 - t^3), branched over 0, 1, inf."""
-    return polynomial_cover((-6.75, 6.75, 0.0, 0.0), (0.0, 1.0))
+    return CoverSpec((-6.75, 6.75, 0.0, 0.0), (0.0, 1.0))
 
 
 def hurwitz_dessin(a, lift):

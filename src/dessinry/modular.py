@@ -61,11 +61,11 @@ def _rounding(value):
 
 
 class UpperHalfPoint:
-    """A point tau with Im tau > 0, plus its branch-fixed q-powers.
+    """A point tau with Im tau > 0, plus q2 = exp(pi i tau).
 
-    The q-powers are computed at the ambient working precision each time
-    they are read, so the same point can serve computations at different
-    tolerances.  tau itself keeps the precision it was constructed with;
+    q2 is computed at the ambient working precision each time it is read,
+    so the same point can serve computations at different tolerances.
+    tau itself keeps the precision it was constructed with;
     construct it inside a high-precision context when that matters.
     """
 
@@ -80,20 +80,8 @@ class UpperHalfPoint:
         self.tau = mpmath.mpc(tau)
 
     @property
-    def q(self):
-        return mpmath.exp(2 * mpmath.pi * _I * self.tau)
-
-    @property
     def q2(self):
         return mpmath.exp(mpmath.pi * _I * self.tau)
-
-    @property
-    def q24(self):
-        return mpmath.exp(mpmath.pi * _I * self.tau / 12)
-
-    @property
-    def q48(self):
-        return mpmath.exp(mpmath.pi * _I * self.tau / 24)
 
     def __repr__(self):
         return "UpperHalfPoint(%s)" % self.tau

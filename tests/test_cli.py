@@ -424,7 +424,7 @@ compose_tables chain_tables sigma_table sigma_inv_table pure_twist_table
 preset_pure_generators preset_gamma2 braid_orbit BipartiteOrigami
 validate_origami origami_to_dessin dessin_to_origami isomorphic_origami
 canonical_origami delta_hor delta_hor_inv delta_ver delta_ver_inv
-origami_orbit chessboard_origami pillowcase_origami CoverSpec polynomial_cover
+origami_orbit chessboard_origami pillowcase_origami CoverSpec
 poly_roots numerical_monodromy hurwitz_fs hurwitz_projection hurwitz_fiber
 hurwitz_cover belyi_cubic_cover classify_lift hurwitz_dessin BASE_POINT
 UpperHalfPoint ModularValue QSeries eta delta_by_eta weber_f weber_f1 weber_f2

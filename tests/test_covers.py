@@ -21,7 +21,6 @@ from dessinry.covers import (
     hurwitz_projection,
     numerical_monodromy,
     poly_roots,
-    polynomial_cover,
 )
 from dessinry.errors import DessinryError
 
@@ -192,7 +191,7 @@ class TestCoverSpec:
 
     def test_rejects_coincident_branch_points(self):
         with pytest.raises(DessinryError):
-            polynomial_cover((1, 0, 0), (0.0, 1e-15))
+            CoverSpec((1, 0, 0), (0.0, 1e-15))
 
     def test_rejects_non_finite_or_constant_input(self):
         for coeffs, branch in (
@@ -203,11 +202,11 @@ class TestCoverSpec:
             ((1.0, 0.0, 0.0), (0.0, math.inf)),
         ):
             with pytest.raises(DessinryError) as exc:
-                polynomial_cover(coeffs, branch)
+                CoverSpec(coeffs, branch)
             assert exc.value.code == "invalid-parameter"
 
     def test_color_order(self):
-        cov = polynomial_cover((1, 0, 0), (0.0, 1.0))
+        cov = CoverSpec((1, 0, 0), (0.0, 1.0))
         assert cov.n == 3
         assert cov.color_order == ("inf", 0.0, 1.0)
 
@@ -227,7 +226,7 @@ class TestMonodromy:
     def test_missing_critical_value_is_named(self):
         # x^3 - 3x has critical values -2 and 2; the list 2, 5 leaves -2 out.
         with pytest.raises(DessinryError) as exc:
-            numerical_monodromy(polynomial_cover((1, 0, -3, 0), (2, 5)))
+            numerical_monodromy(CoverSpec((1, 0, -3, 0), (2, 5)))
         assert exc.value.code == "product-constraint-violation"
         assert "critical value is missing" in exc.value.message
 
@@ -241,13 +240,34 @@ class TestMonodromy:
                 m.setattr(covers, name, value)
                 assert core.canonical_form(numerical_monodromy(cov)) == ref
 
+    def test_fiber_labels_do_not_depend_on_rounding(self, monkeypatch):
+        # x^5 + 5x is real, so its fiber over 0 holds two conjugate pairs
+        # whose real parts agree up to rounding.  Its critical values 4c,
+        # c^4 = -1, are listed in planar order about 0.
+        cover = CoverSpec((1, 0, 0, 0, 5, 0), [4 * cmath.exp(1j * math.pi * k / 4) for k in (3, 5, 7, 1)])
+        want = numerical_monodromy(cover, 0j).perms
+        roots = poly_roots(cover.fiber(0j))
+        rng = random.Random(5)
+
+        def nudged(coeffs):
+            out = [
+                complex(r.real + rng.randint(-3, 3) * math.ulp(r.real), r.imag + rng.randint(-3, 3) * math.ulp(r.imag))
+                for r in roots
+            ]
+            rng.shuffle(out)
+            return out
+
+        monkeypatch.setattr(covers, "poly_roots", nudged)
+        for _ in range(8):
+            assert numerical_monodromy(cover, 0j).perms == want
+
 
 def three_leg_monodromy(cover, base=BASE_POINT):
     """numerical_monodromy with the way back tracked: each lasso runs out
     along its tail, around its loop and back along the tail, and is read
     off against the fiber over the base.  The oracle for reading a lasso
     off where its loop closes."""
-    fiber0 = sorted(poly_roots(cover.fiber(base)), key=lambda z: (z.real, z.imag))
+    fiber0 = covers._base_fiber(cover, base)
 
     def run_loop(pieces):
         roots = fiber0
@@ -298,14 +318,14 @@ def random_planar_cover(rng, d):
         if min(abs(v) for v in values) > 0.3 * max(abs(v) for v in values) and all(
             seg_distance(o, b) > 0.2 * gap for b in values for o in values if o is not b
         ):
-            return polynomial_cover(coeffs, values)
+            return CoverSpec(coeffs, values)
 
 
 class TestLassoReadOffWhereTheLoopCloses:
     @pytest.mark.parametrize("base", [2j, 1.5 + 1j, -0.3 + 3j])
     def test_chebyshev_matches_three_legs(self, base):
         for d in range(2, 43):
-            cover = polynomial_cover(chebyshev_coeffs(d), (-1, 1))
+            cover = CoverSpec(chebyshev_coeffs(d), (-1, 1))
             assert numerical_monodromy(cover, base).perms == three_leg_monodromy(cover, base), d
 
     def test_random_covers_match_three_legs(self):
@@ -324,7 +344,7 @@ class TestLassoReadOffWhereTheLoopCloses:
 
 class TestTracker:
     def test_advance_does_not_depend_on_the_order_of_correction(self):
-        cover = polynomial_cover(chebyshev_coeffs(20), (-1, 1))
+        cover = CoverSpec(chebyshev_coeffs(20), (-1, 1))
         roots = poly_roots(cover.fiber(2j))
         gap = covers._min_gap(roots)
         rng = random.Random(3)
@@ -336,6 +356,17 @@ class TestTracker:
         # Small steps are accepted and a long one is refused.
         assert covers._advance(cover, roots, gap, 2j + 0.01, range(len(roots))) is not None
         assert covers._advance(cover, roots, gap, 0.5j, range(len(roots))) is None
+
+    def test_correcting_an_accepted_fiber_takes_few_steps(self, monkeypatch):
+        # Roots already on the fiber need no more than a step or two before
+        # Newton's own convergence stops it, well short of the cap of 10.
+        cover = CoverSpec(chebyshev_coeffs(42), (-1, 1))
+        roots = poly_roots(cover.fiber(2j))
+        calls = []
+        polyval = covers._polyval
+        monkeypatch.setattr(covers, "_polyval", lambda coeffs, x: calls.append(x) or polyval(coeffs, x))
+        assert covers._advance(cover, roots, covers._min_gap(roots), 2j, range(len(roots))) is not None
+        assert len(calls) <= 8 * len(roots)
 
     def test_match_to_fiber_refuses_a_nan_end(self):
         fiber = [1 + 0j, -1 + 0j, 2j]
