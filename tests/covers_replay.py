@@ -37,18 +37,11 @@ BASES = (2j, 1.5 + 1j, -0.3 + 3j)
 LIFTS = ("L1", "L2", "L3", "L4")
 
 
-def chebyshev_coeffs(d):
-    """Exact integer coefficients of T_d, highest degree first."""
-    prev, cur = [1], [1, 0]
-    for _ in range(d - 1):
-        prev, cur = cur, [2 * c - p for c, p in zip(cur + [0], [0, 0] + prev)]
-    return cur
-
-
 def cases():
-    """(family, case id, thunk returning a MonodromyTuple or a canonical tuple)."""
+    """(family, case id, thunk returning a MonodromyTuple) for every case."""
     from dessinry import covers
     from gen import random_cover
+    from test_covers import chebyshev_coeffs
 
     for base in BASES:
         for d in range(2, 49):
@@ -73,7 +66,7 @@ def replay():
     from dessinry import core, covers
     from dessinry.errors import DessinryError
 
-    steps = [0, 0]
+    steps = [0, 0]  # accepted, rejected
     advance = covers._advance
 
     def counted(*args):
@@ -83,22 +76,24 @@ def replay():
 
     covers._advance = counted
     results, families = {}, {}
-    for family, case, run in cases():
-        fam = families.setdefault(family, {"cpu_s": 0.0, "accepted": 0, "rejected": 0, "failed": 0})
-        before = list(steps)
-        start = time.process_time()
-        try:
-            t = run()
-        except DessinryError as exc:
-            results[case] = {"error": exc.code}
-            fam["failed"] += 1
-        else:
-            raw = [list(p) for p in getattr(t, "perms", t)]
-            results[case] = {"raw": raw, "class": [list(p) for p in core.canonical_form(t).perms]}
-        fam["cpu_s"] += time.process_time() - start
-        fam["accepted"] += steps[0] - before[0]
-        fam["rejected"] += steps[1] - before[1]
-    covers._advance = advance
+    try:
+        for family, case, run in cases():
+            fam = families.setdefault(family, {"cpu_s": 0.0, "accepted": 0, "rejected": 0, "failed": 0})
+            before = list(steps)
+            start = time.process_time()
+            try:
+                t = run()
+            except DessinryError as exc:
+                results[case] = {"error": exc.code}
+                fam["failed"] += 1
+            else:
+                raw = [list(p) for p in t.perms]
+                results[case] = {"raw": raw, "class": [list(p) for p in core.canonical_form(t).perms]}
+            fam["cpu_s"] += time.process_time() - start
+            fam["accepted"] += steps[0] - before[0]
+            fam["rejected"] += steps[1] - before[1]
+    finally:
+        covers._advance = advance
     return {"cases": results, "families": families}
 
 
