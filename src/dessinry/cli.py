@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Subcommands: enumerate, orbit, origami, hurwitz, monodromy, lambda-star,
-ap, table1, qseries.  Exit codes: 0 success, 1 domain error (diagnostic
-``code: message`` on stderr), 2 usage error.  Identical argv gives
-byte-identical stdout.  Each subcommand prints text or JSON (--format json,
-or --json where that is the flag), and every JSON output carries
-``"schema": "dessinry/1"``; high-precision numbers are emitted as decimal
-strings of 17 significant digits.  DOT is printed only for graphs.  For
-lambda-star, ap and table1 only, the environment variable DESSINRY_TOL
-overrides the default tolerance; an explicit --tol flag wins over both.
+ap, table1, qseries.  Exit codes: 0 success, 1 domain error or closed
+stdout (diagnostic ``code: message`` on stderr), 2 usage error.
+Identical argv gives byte-identical stdout.  Each subcommand prints text
+or JSON (--format json, or --json where that is the flag), and every JSON
+output carries ``"schema": "dessinry/1"``; high-precision numbers are
+emitted as decimal strings of 17 significant digits.  DOT is printed only
+for graphs.  For lambda-star, ap and table1 only, the environment variable
+DESSINRY_TOL overrides the default tolerance; an explicit --tol flag wins
+over both.
 """
 
 import argparse
@@ -277,6 +278,8 @@ def _cmd_origami(args):
     if args.action != "orbit" and (args.format == "dot" or args.dot is not None):
         flag = "--format dot" if args.format == "dot" else "--dot"
         raise DessinryError("invalid-parameter", "%s is only for origami orbit, not %s" % (flag, args.action))
+    if args.action != "delta" and args.op is not None:
+        raise DessinryError("invalid-parameter", "--op is only for origami delta, not %s" % args.action)
     if args.action == "from-dessin":
         _emit_origami(args, origami.dessin_to_origami(core.from_json(_read_json_arg(args.infile))))
         return
@@ -502,9 +505,19 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()
+        return code
     except DessinryError as exc:
         print("%s: %s" % (exc.code, exc.message), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone; point stdout at devnull so that the
+        # flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("broken-pipe: stdout was closed before all output was written", file=sys.stderr)
         return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -21,8 +21,6 @@ degenerate and several downstream conventions (suffix conjugation in
 orientation_reverse, braid index ranges) would need special cases.
 """
 
-from collections import deque
-
 from .errors import DessinryError
 from .perms import (
     compose,
@@ -118,19 +116,21 @@ def _require_valid(t):
 
 
 def _canonical_key(perms):
-    """The least breadth-first relabeling of a valid raw tuple, and how many
-    base sheets reach it.
+    """The least breadth-first relabeling of a raw tuple, and how many base
+    sheets reach it; None when the tuple is not transitive.
 
-    perms is a tuple of permutation tuples already known to form a valid
-    tuple; nothing is checked here.  For each base sheet b the fiber is
+    perms is a tuple of permutation tuples of one degree; the product
+    constraint is not checked here.  For each base sheet b the fiber is
     relabeled in breadth-first discovery order, probing the generators
-    g_0..g_{n-1} and then their inverses in that fixed order (transitivity
-    makes each relabeling total).  The relabeled entries are built g_0
-    first, and a base is dropped at the first entry that exceeds the least
-    relabeling found so far.  Two bases reach the same relabeling exactly
-    when a centralizing permutation carries one to the other, and the
-    centralizer of a transitive group acts semiregularly, so the count is
-    the order of the simultaneous centralizer.
+    g_0..g_{n-1} and then their inverses in that fixed order.  The first
+    pass walks the orbit of its base; when it labels fewer than d sheets
+    the tuple is not transitive and None is returned, and otherwise every
+    relabeling is total.  The relabeled entries are built g_0 first, and a
+    base is dropped at the first entry that exceeds the least relabeling
+    found so far.  Two bases reach the same relabeling exactly when a
+    centralizing permutation carries one to the other, and the centralizer
+    of a transitive group acts semiregularly, so the count is the order of
+    the simultaneous centralizer.
 
     Only bases that can win are tried.  The relabeled g_0 begins (0, ...)
     exactly at a fixed point of g_0, and (1, 0, ...) exactly on a 2-cycle
@@ -160,6 +160,8 @@ def _canonical_key(perms):
             if nxt == d:
                 break
         if best is None:
+            if nxt < d:
+                return None
             best = tuple(tuple([lab[p[v]] for v in order]) for p in perms)
             count = 1
             continue
@@ -228,34 +230,14 @@ def genus(t):
     return _genus_profile(t.perms)[0]
 
 
-def _is_normal(perms):
-    """is_normal on a valid raw tuple; nothing is checked here."""
-    d = len(perms[0])
-    start = identity(d)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        for p in perms:
-            h = compose(g, p)
-            if h not in seen:
-                if len(seen) >= d:
-                    return False
-                seen.add(h)
-                queue.append(h)
-    assert len(seen) == d
-    return True
-
-
 def is_normal(t):
     """True when the cover is normal (Galois, regular).
 
-    Equivalent to the generated permutation group having order exactly d;
-    transitivity forces order >= d, so the breadth-first closure is cut off
-    as soon as it exceeds d elements.
+    The centralizer of a transitive group acts semiregularly, so its order
+    is at most d, with equality exactly when it is transitive, that is when
+    the group itself is regular (of order d).
     """
-    _require_valid(t)
-    return _is_normal(t.perms)
+    return centralizer_order(t) == t.d
 
 
 def orientation_reverse(t):

@@ -7,9 +7,9 @@ a tuple, since conjugating the whole tuple moves g_0 through its conjugacy
 class), lets g_1 run over one representative per orbit of the centralizer
 C(g_0) acting by conjugation (conjugating by C(g_0) keeps g_0 and moves g_1
 through its orbit), runs over all choices of g_2..g_{n-2}, and forces
-g_{n-1} through the product constraint.  Each candidate is canonicalized,
-and its labeled count d!/|centralizer| taken, by one call of the
-relabeling kernel of core.
+g_{n-1} through the product constraint.  One call of the relabeling
+kernel of core rejects an intransitive candidate, or canonicalizes it and
+gives its labeled count d!/|centralizer|.
 
 Two independent counting oracles accompany the enumeration: a direct count
 of valid labeled tuples, and Hall's recursion for the number of finite
@@ -21,13 +21,7 @@ index subgroups of a free group, linked by
 from itertools import permutations, product
 from math import factorial
 
-from .core import (
-    MonodromyTuple,
-    _canonical_key,
-    _genus_profile,
-    _is_normal,
-    _require_valid,
-)
+from .core import MonodromyTuple, _canonical_key, _genus_profile, _require_valid
 
 # Unused here; imported so that bench/tracing.py finds them in this module
 # to wrap, as in every module that imports them from core.
@@ -42,15 +36,20 @@ WORK_LIMIT = 2_000_000
 
 
 class DessinClass:
-    """One isomorphism class: canonical tuple plus its basic invariants."""
+    """One isomorphism class: canonical tuple plus its basic invariants.
+
+    centralizer_order is the order of the tuple's simultaneous centralizer,
+    as core.centralizer_order gives it; the cover is normal exactly when
+    that order is d.
+    """
 
     __slots__ = ("canonical", "genus", "profile", "normal")
 
-    def __init__(self, canonical_tuple):
+    def __init__(self, canonical_tuple, centralizer_order):
         _require_valid(canonical_tuple)
         self.canonical = canonical_tuple
         self.genus, self.profile = _genus_profile(canonical_tuple.perms)
-        self.normal = _is_normal(canonical_tuple.perms)
+        self.normal = centralizer_order == canonical_tuple.d
 
     def __eq__(self, other):
         return isinstance(other, DessinClass) and self.canonical == other.canonical
@@ -166,20 +165,36 @@ def _orbit_representatives(group, perms_all):
     return reps
 
 
+def _within_work_limit(n, d):
+    """Whether the p(d) * (d!)^(n-2) candidates of enumerate_classes stay
+    within WORK_LIMIT.  Lists no partitions and forms no factorial past the
+    limit: p(d) >= 1 and n >= 3, so d! alone refuses every d >= 10."""
+    fact = 1
+    for k in range(2, d + 1):
+        fact *= k
+        if fact > WORK_LIMIT:
+            return False
+    ways = [1] + [0] * d  # ways[k]: partitions of k into parts up to `part`
+    for part in range(1, d + 1):
+        for k in range(part, d + 1):
+            ways[k] += ways[k - part]
+    work = ways[d]
+    for _ in range(n - 2 if fact > 1 else 0):
+        work *= fact
+        if work > WORK_LIMIT:
+            return False
+    return True
+
+
 def enumerate_classes(n, d):
     """All isomorphism classes of shape (n, d), sorted by canonical encoding."""
     _check_shape(n, d)
-    partitions = _partitions_desc(d)
-    work = len(partitions) * factorial(d) ** (n - 2)
-    if work > WORK_LIMIT:
-        raise DessinryError(
-            "bound-exceeded",
-            "enumeration would visit %d tuples (limit %d)" % (work, WORK_LIMIT),
-        )
+    if not _within_work_limit(n, d):
+        raise DessinryError("bound-exceeded", "enumeration would visit more than %d tuples" % WORK_LIMIT)
 
     perms_all = list(permutations(range(d)))
     seen = {}
-    for part in partitions:
+    for part in _partitions_desc(d):
         g0 = _type_representative(d, part)
         for g1 in _orbit_representatives(_centralizer(g0), perms_all):
             head = compose(g0, g1)
@@ -187,19 +202,18 @@ def enumerate_classes(n, d):
                 running = head
                 for p in rest:
                     running = compose(running, p)
-                all_perms = (g0, g1) + rest + (inverse(running),)
-                if not acts_transitively(all_perms, d):
-                    continue
-                # One kernel pass gives the class and its centralizer order.
-                key, count = _canonical_key(all_perms)
-                seen.setdefault(key, count)
+                # One kernel pass rejects an intransitive candidate, or
+                # gives its class and centralizer order.
+                found = _canonical_key((g0, g1) + rest + (inverse(running),))
+                if found is not None:
+                    seen.setdefault(*found)
 
     classes = []
     marked = 0
     # Genus is maximal when every color acts as a single d-cycle.
     bound = (n * (d - 1)) // 2 - d + 1
     for key in sorted(seen):
-        cls = DessinClass(MonodromyTuple._trusted(key))
+        cls = DessinClass(MonodromyTuple._trusted(key), seen[key])
         assert cls.genus <= bound, "genus exceeds the single-cycle bound"
         classes.append(cls)
         marked += factorial(d) // seen[key]

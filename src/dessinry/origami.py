@@ -27,12 +27,10 @@ shear_gate_pair.json); the inverse rewrites undo the forward ones exactly,
 not merely up to isomorphism.
 """
 
-from collections import deque
-
 from .braid import orbit_closure
 from .core import MonodromyTuple, _canonical_key, canonical_form, validate
 from .errors import DessinryError
-from .perms import compose, identity, inverse, is_perm
+from .perms import acts_transitively, compose, identity, inverse, is_perm
 
 
 class BipartiteOrigami:
@@ -96,25 +94,12 @@ def validate_origami(o):
     for label, seq in (("R", o.R), ("L", o.L), ("U", o.U), ("D", o.D)):
         if not is_perm(seq, m):
             return "violated: %s is not a bijection onto the grey squares" % label
-    # Gluing graph on 2m squares: white w is node w, grey g is node m + g.
-    Rinv, Linv, Uinv, Dinv = inverse(o.R), inverse(o.L), inverse(o.U), inverse(o.D)
-    seen = [False] * (2 * m)
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        if v < m:
-            nbrs = (m + o.R[v], m + o.L[v], m + o.U[v], m + o.D[v])
-        else:
-            g = v - m
-            nbrs = (Rinv[g], Linv[g], Uinv[g], Dinv[g])
-        for w in nbrs:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    if count != 2 * m:
+    # Every grey square is glued to a white one, so the gluing graph is
+    # connected when its white squares are.  A step white -> grey -> white
+    # leaves by one gluing X and returns by another Y, and the corner
+    # permutations, the steps for (L, D), (D, R), (R, U), (U, L) in turn,
+    # generate every such step.
+    if not acts_transitively(_dessin_perms(o), m):
         return "violated: gluing graph is not connected"
     return "ok"
 
@@ -126,7 +111,7 @@ def _require_valid_origami(o):
 
 
 def _dessin_perms(o):
-    """Corner permutations g_0..g_3 of valid gluing data."""
+    """Corner permutations g_0..g_3 of bijective gluing data."""
     Rinv, Linv, Uinv, Dinv = inverse(o.R), inverse(o.L), inverse(o.U), inverse(o.D)
     return (compose(o.L, Dinv), compose(o.D, Rinv), compose(o.R, Uinv), compose(o.U, Linv))
 

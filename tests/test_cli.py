@@ -290,6 +290,10 @@ CONTRACT_INPUTS = [
     (["origami", "to-dessin", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
     (["origami", "from-dessin", "--dot", "out.dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
     (["origami", "delta", "--op", "hor", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
+    # --op names a shear, which only origami delta applies.
+    (["origami", "to-dessin", "--op", "hor"], CHESSBOARD_JSON, {}),
+    (["origami", "from-dessin", "--op", "hor"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
+    (["origami", "orbit", "--op", "ver"], CHESSBOARD_JSON, {}),
 ]
 # JSON of the wrong shape; the same argv recurs, so each is named by its stdin.
 SHAPE_INPUTS = [
@@ -464,6 +468,31 @@ def test_import_budget(tmp_path, argv, banned):
     loaded = set(run_fresh(script, tmp_path).split())
     assert "dessinry" in loaded
     assert not banned & loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--n", "3", "--d", "3"], ["hurwitz", "--a", "2", "--lift", "L1", "--emit", "dot"]],
+    ids=["enumerate", "hurwitz"],
+)
+def test_closed_stdout_gets_a_diagnostic(argv):
+    # The reader of the pipe is gone before the command writes anything.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dessinry.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert re.match(r"^[a-z][a-z-]*: \S", proc.stderr.splitlines()[-1])
 
 
 def test_shear_choices_name_every_shear():

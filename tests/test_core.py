@@ -1,7 +1,7 @@
 """Monodromy tuples: construction, validation, canonical forms, invariants."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -173,6 +173,33 @@ class TestCanonicalKernel:
             n, d = rng.randint(3, 5), rng.randint(4, 8)
             raw = random_raw_tuple(rng, n, d, kind)
             assert core._canonical_key(raw) == unpruned_canonical_key(raw)
+
+    @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 3)])
+    def test_none_exactly_on_intransitive_tuples(self, n, d):
+        sym = list(permutations(range(d)))
+        intransitive = 0
+        for head in product(sym, repeat=n - 1):
+            raw = head + (perms.inverse(perms.compose_all(head, d)),)
+            found = core._canonical_key(raw)
+            if perms.acts_transitively(raw, d):
+                assert found == unpruned_canonical_key(raw)
+            else:
+                assert found is None
+                intransitive += 1
+        assert intransitive > 0 or d == 1
+
+    def test_none_on_random_intransitive_tuples(self):
+        # Two blocks that no entry mixes, each block permuted at random.
+        rng = random.Random(5)
+        for _ in range(300):
+            n, d = rng.randint(3, 5), rng.randint(2, 9)
+            cut = rng.randint(1, d - 1)
+            pi = rng.sample(range(d), d)
+            raw = []
+            for _ in range(n):
+                block = rng.sample(range(cut), cut) + [cut + x for x in rng.sample(range(d - cut), d - cut)]
+                raw.append(perms.relabel(tuple(block), pi))
+            assert core._canonical_key(tuple(raw)) is None
 
     @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (4, 4), (3, 6)])
     def test_pruned_bases_match_all_bases_on_relabeled_classes(self, n, d):

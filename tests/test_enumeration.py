@@ -27,6 +27,25 @@ def naive_classes(n, d):
     return sorted(seen, key=lambda c: c.perms)
 
 
+def generates_group_of_order_d(raw):
+    """Breadth-first closure of the group generated by a transitive raw
+    tuple, cut off once it passes d elements: whether the cover is normal,
+    decided without the centralizer count."""
+    d = len(raw[0])
+    seen = {perms.identity(d)}
+    frontier = list(seen)
+    while frontier:
+        g = frontier.pop()
+        for p in raw:
+            h = perms.compose(g, p)
+            if h not in seen:
+                if len(seen) == d:
+                    return False
+                seen.add(h)
+                frontier.append(h)
+    return True
+
+
 def conjugacy_orbit(p, group):
     """{c^-1 p c : c in group}, with products taken by perms.compose."""
     return {perms.compose(perms.compose(perms.inverse(c), p), c) for c in group}
@@ -129,10 +148,50 @@ class TestEnumerate:
             t = c.canonical
             assert (c.genus, c.profile, c.normal) == (core.genus(t), core.cycle_profile(t), core.is_normal(t))
         with pytest.raises(DessinryError) as exc:
-            enumeration.DessinClass(core.MonodromyTuple(((1, 0), (1, 0), (1, 0))))
+            enumeration.DessinClass(core.MonodromyTuple(((1, 0), (1, 0), (1, 0))), 2)
         assert exc.value.code == "invalid-tuple"
+
+    def test_normal_flags_match_group_closure(self):
+        cells = [(3, d) for d in range(1, 7)] + [(4, d) for d in range(1, 5)] + [(5, 3), (6, 3)]
+        classes = normal = 0
+        for n, d in cells:
+            for c in enumerate_classes(n, d).classes:
+                expected = generates_group_of_order_d(c.canonical.perms)
+                assert c.normal == core.is_normal(c.canonical) == expected
+                classes += 1
+                normal += expected
+        assert (classes, normal) == (3007, 253)
 
     def test_work_limit(self):
         with pytest.raises(DessinryError) as exc:
             enumerate_classes(3, 40)
         assert exc.value.code == "bound-exceeded"
+
+
+class StopSearch(Exception):
+    pass
+
+
+def stop(*args):
+    raise StopSearch
+
+
+class TestWorkLimit:
+    """Cells are refused by p(d) * (d!)^(n-2) > WORK_LIMIT, decided before
+    the partitions of d are listed or the search begins."""
+
+    @pytest.mark.parametrize("n,d", [(3, 100), (3, 10**6), (10**6, 3), (10**6, 10**6)])
+    def test_refuses_huge_cells_without_listing_partitions(self, monkeypatch, n, d):
+        monkeypatch.setattr(enumeration, "_partitions_desc", stop)
+        with pytest.raises(DessinryError) as exc:
+            enumerate_classes(n, d)
+        assert exc.value.code == "bound-exceeded"
+
+    def test_decision_matches_candidate_count(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "permutations", stop)
+        for n in range(3, 9):
+            for d in range(1, 13):
+                work = len(enumeration._partitions_desc(d)) * factorial(d) ** (n - 2)
+                with pytest.raises((DessinryError, StopSearch)) as exc:
+                    enumerate_classes(n, d)
+                assert exc.type is (StopSearch if work <= enumeration.WORK_LIMIT else DessinryError), (n, d)

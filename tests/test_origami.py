@@ -1,6 +1,8 @@
 """Bipartite square tilings, corner tracing, and the shear rewrites."""
 
 import random
+from collections import deque
+from itertools import permutations, product
 
 import pytest
 
@@ -77,6 +79,27 @@ def random_valid_origamis(seed, count, max_m=7):
     return out
 
 
+def gluing_graph_connected(o):
+    """Breadth-first search of the gluing graph on all 2m squares (white w
+    is node w, grey g is node m + g): the oracle for validate_origami's
+    reading of connectivity off the corner tuple."""
+    m = o.m
+    Rinv, Linv, Uinv, Dinv = inverse(o.R), inverse(o.L), inverse(o.U), inverse(o.D)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        if v < m:
+            nbrs = (m + o.R[v], m + o.L[v], m + o.U[v], m + o.D[v])
+        else:
+            nbrs = (Rinv[v - m], Linv[v - m], Uinv[v - m], Dinv[v - m])
+        for w in nbrs:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == 2 * m
+
+
 class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(DessinryError) as exc:
@@ -106,6 +129,29 @@ class TestConstruction:
     def test_valid_examples(self):
         for o in (chessboard_origami(), pillowcase_origami(), SIX_A, SIX_B):
             assert validate_origami(o) == "ok"
+
+    def test_connectivity_matches_gluing_graph_on_every_small_gluing(self):
+        cases = 0
+        for m in range(1, 4):
+            for maps in product(list(permutations(range(m))), repeat=4):
+                o = BipartiteOrigami(*maps)
+                expected = "ok" if gluing_graph_connected(o) else "violated: gluing graph is not connected"
+                assert validate_origami(o) == expected
+                cases += 1
+        assert cases == 1313
+
+    def test_connectivity_matches_gluing_graph_on_random_gluings(self):
+        rng = random.Random(12)
+        verdicts = set()
+        for _ in range(2000):
+            m = rng.randint(1, 7)
+            # Few distinct grey targets make disconnected gluings common.
+            pool = [tuple(rng.sample(range(m), m)) for _ in range(rng.randint(1, 3))]
+            o = BipartiteOrigami(*(rng.choice(pool) for _ in range(4)))
+            verdict = gluing_graph_connected(o)
+            verdicts.add(verdict)
+            assert (validate_origami(o) == "ok") == verdict
+        assert verdicts == {True, False}
 
 
 class TestCornerTracing:
