@@ -305,6 +305,9 @@ def _cmd_origami(args):
 def _cmd_hurwitz(args):
     from . import covers
 
+    if args.emit == "dot" and args.format is not None:
+        raise DessinryError("invalid-parameter", "--format is not for --emit dot, which prints DOT")
+    args.format = args.format or "json"
     t = covers.hurwitz_dessin(args.a, args.lift)
     if args.emit == "dot":
         print(_dessin_dot(t))
@@ -458,7 +461,8 @@ def build_parser():
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--lift", choices=("L1", "L2", "L3", "L4"), required=True)
     p.add_argument("--emit", choices=("dessin", "origami", "dot"), default="dessin")
-    p.add_argument("--format", choices=("table", "json"), default="json")
+    # None reads as json; it tells an explicit --format, which --emit dot refuses.
+    p.add_argument("--format", choices=("table", "json"), default=None)
     p.set_defaults(func=_cmd_hurwitz)
 
     p = sub.add_parser("monodromy", help="numerical monodromy of a polynomial cover")

@@ -27,13 +27,13 @@ import math
 
 from .core import MonodromyTuple, canonical_form, validate
 from .errors import DessinryError
-from .perms import identity, inverse
+from .perms import compose_all, inverse
 
 BASE_POINT = 2j
 
 # Unit roundoff of IEEE double precision.
 _UNIT_ROUNDOFF = 2.0 ** -53
-# _on_fiber accepts z when |p(z)| <= _ACCEPT_ROUNDING * mu.  A complex Horner
+# _newton accepts z when |p(z)| <= _ACCEPT_ROUNDING * mu.  A complex Horner
 # step q <- z q + c rounds by at most 2 sqrt(2) u |z q| + u |z q + c|, so at a
 # root the computed p(z) can be as large as (1 + 2 sqrt(2)) u mu < 4 u mu.
 _ACCEPT_ROUNDING = 4.0 * _UNIT_ROUNDOFF
@@ -51,10 +51,12 @@ _STEP_INIT = 0.1
 
 
 def _polyval(coeffs, x):
-    out = 0j
+    """p(x) and p'(x) in one pass of Horner's rule."""
+    f = df = 0j
     for c in coeffs:
-        out = out * x + c
-    return out
+        df = df * x + f
+        f = f * x + c
+    return f, df
 
 
 def _horner(coeffs, z):
@@ -68,17 +70,6 @@ def _horner(coeffs, z):
     return f, mu
 
 
-def _on_fiber(coeffs, z):
-    """Whether p(z) is zero up to its rounding; a NaN fails the test."""
-    f, mu = _horner(coeffs, z)
-    return abs(f) <= _ACCEPT_ROUNDING * mu
-
-
-def _polyder(coeffs):
-    n = len(coeffs) - 1
-    return tuple(c * (n - k) for k, c in enumerate(coeffs[:-1]))
-
-
 def _min_gap(points):
     """Smallest distance between two of the points; inf for fewer than two."""
     return min(
@@ -87,8 +78,9 @@ def _min_gap(points):
     )
 
 
-def _newton(coeffs, dcoeffs, x, steps):
-    """x after at most steps Newton steps, or None if it fails _on_fiber.
+def _newton(coeffs, x, steps):
+    """x after at most steps Newton steps, or None unless |p(x)| <= 4 u mu
+    with mu Horner's running error estimate at x.
 
     Newton stops by its own convergence (Sommese and Wampler, The Numerical
     Solution of Systems of Polynomials, 2005, ch. 2): when a step fails to
@@ -96,8 +88,8 @@ def _newton(coeffs, dcoeffs, x, steps):
     predicts a next step |s_k|^3 / |s_(k-1)|^2 below u (1 + |x|)."""
     last = math.inf
     for _ in range(steps):
-        fp = _polyval(dcoeffs, x)
-        step = _polyval(coeffs, x) / fp if fp else math.inf
+        f, fp = _polyval(coeffs, x)
+        step = f / fp if fp else math.inf
         size = abs(step)
         # Phrased so that a NaN or infinite step is not taken.
         if not size < last:
@@ -107,10 +99,12 @@ def _newton(coeffs, dcoeffs, x, steps):
         if last < math.inf and (size / last) ** 2 * size < _UNIT_ROUNDOFF * (1.0 + abs(x)):
             break
         last = size
-    return x if _on_fiber(coeffs, x) else None
+    f, mu = _horner(coeffs, x)
+    # Phrased so that a NaN fails the test.
+    return x if abs(f) <= _ACCEPT_ROUNDING * mu else None
 
 
-def _aberth(coeffs, dcoeffs):
+def _aberth(coeffs):
     """Approximations to all roots of a polynomial of degree >= 1 at once.
 
     Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973), sweeping the
@@ -150,7 +144,7 @@ def _aberth(coeffs, dcoeffs):
             if abs(f) <= 2.0 * _UNIT_ROUNDOFF * mu:
                 continue
             moving.append(i)
-            denom = _polyval(dcoeffs, z) - f * sum(1.0 / (z - w) for w in roots if w != z)
+            denom = _polyval(coeffs, z)[1] - f * sum(1.0 / (z - w) for w in roots if w != z)
             if denom != 0.0:
                 step = f / denom
                 if cmath.isfinite(step):
@@ -183,9 +177,8 @@ def poly_roots(coeffs):
         )
     if len(coeffs) == 1:
         return []
-    dcoeffs = _polyder(coeffs)
-    approx = _aberth(coeffs, dcoeffs)
-    polished = [_newton(coeffs, dcoeffs, r, 46) for r in approx]
+    approx = _aberth(coeffs)
+    polished = [_newton(coeffs, r, 46) for r in approx]
     if None in polished:
         r = approx[polished.index(None)]
         raise DessinryError("path-tracking-failure", "root %r refuses to polish to its rounding bound" % (r,))
@@ -199,7 +192,7 @@ class CoverSpec:
     finite branch values in color order 1..n-1; color 0 is infinity
     (color_order records the full assignment)."""
 
-    __slots__ = ("coeffs", "dcoeffs", "branch_points", "degree", "color_order")
+    __slots__ = ("coeffs", "branch_points", "degree", "color_order")
 
     def __init__(self, coeffs, branch_points):
         coeffs = tuple(complex(c) for c in coeffs)
@@ -218,8 +211,6 @@ class CoverSpec:
                         "branch points %d and %d coincide" % (i, j),
                     )
         self.coeffs = coeffs
-        # P' is also the derivative of every fiber polynomial P - y.
-        self.dcoeffs = _polyder(coeffs)
         self.branch_points = branch_points
         self.degree = len(coeffs) - 1
         self.color_order = ("inf",) + branch_points
@@ -237,17 +228,17 @@ def _advance(cover, roots, gap, y, order):
     """Correct all roots onto the fiber of the cover over y, each by at
     most 10 steps of _newton, stopped by Newton's own convergence.
 
-    A root must pass _on_fiber and move by at most 0.45 gap, the smallest
-    distance between two of the roots.  Returns the corrected roots, in the
-    order of roots, with their smallest gap; or None on failure.  The roots
-    are corrected in the given order, a permutation of their indices: the
-    result does not depend on it, but a failing step is refused sooner when
-    the roots that moved most come first.
+    A root must pass _newton's acceptance test and move by at most 0.45
+    gap, the smallest distance between two of the roots.  Returns the
+    corrected roots, in the order of roots, with their smallest gap; or None
+    on failure.  The roots are corrected in the given order, a permutation
+    of their indices: the result does not depend on it, but a failing step
+    is refused sooner when the roots that moved most come first.
     """
-    coeffs, dcoeffs = cover.fiber(y), cover.dcoeffs
+    coeffs = cover.fiber(y)
     moved = list(roots)
     for i in order:
-        moved[i] = _newton(coeffs, dcoeffs, roots[i], 10)
+        moved[i] = _newton(coeffs, roots[i], 10)
         if moved[i] is None or not abs(moved[i] - roots[i]) <= 0.45 * gap:
             return None
     gap = _min_gap(moved)
@@ -360,9 +351,7 @@ def numerical_monodromy(cover, base=BASE_POINT):
         theta0 = cmath.phase(base - b)
         finite_perms.append(run_lasso(_segment(base, entry), _circle(b, r, theta0)))
 
-    prod = identity(cover.degree)
-    for p in finite_perms:
-        prod = tuple(p[i] for i in prod)
+    prod = compose_all(finite_perms, cover.degree)
     g_inf = inverse(prod)
 
     rho = 2.0 * max(max(abs(b) for b in cover.branch_points), abs(base), 1.0)

@@ -101,12 +101,8 @@ def count_transitive_tuples(n, d):
     product constraint holds by construction; only transitivity is tested.
     """
     _check_shape(n, d)
-    work = factorial(d) ** (n - 1)
-    if work > WORK_LIMIT:
-        raise DessinryError(
-            "bound-exceeded",
-            "direct count would visit %d tuples (limit %d)" % (work, WORK_LIMIT),
-        )
+    if not _within_work_limit(n, d, factorial):
+        raise DessinryError("bound-exceeded", "direct count would visit more than %d tuples" % WORK_LIMIT)
     perms_all = list(permutations(range(d)))
     ident = identity(d)
     count = 0
@@ -165,20 +161,26 @@ def _orbit_representatives(group, perms_all):
     return reps
 
 
-def _within_work_limit(n, d):
-    """Whether the p(d) * (d!)^(n-2) candidates of enumerate_classes stay
-    within WORK_LIMIT.  Lists no partitions and forms no factorial past the
-    limit: p(d) >= 1 and n >= 3, so d! alone refuses every d >= 10."""
+def _partition_count(d):
+    """p(d), the number of partitions of d, without listing them."""
+    ways = [1] + [0] * d  # ways[k]: partitions of k into parts up to `part`
+    for part in range(1, d + 1):
+        for k in range(part, d + 1):
+            ways[k] += ways[k - part]
+    return ways[d]
+
+
+def _within_work_limit(n, d, heads):
+    """Whether a search visiting heads(d) choices of g_0 and d! of each of
+    g_1..g_{n-2} stays within WORK_LIMIT.  Forms no factorial past the
+    limit, and calls heads only once d! is within it: heads(d) >= 1 and
+    n >= 3, so d! alone refuses every d >= 10."""
     fact = 1
     for k in range(2, d + 1):
         fact *= k
         if fact > WORK_LIMIT:
             return False
-    ways = [1] + [0] * d  # ways[k]: partitions of k into parts up to `part`
-    for part in range(1, d + 1):
-        for k in range(part, d + 1):
-            ways[k] += ways[k - part]
-    work = ways[d]
+    work = heads(d)
     for _ in range(n - 2 if fact > 1 else 0):
         work *= fact
         if work > WORK_LIMIT:
@@ -189,7 +191,7 @@ def _within_work_limit(n, d):
 def enumerate_classes(n, d):
     """All isomorphism classes of shape (n, d), sorted by canonical encoding."""
     _check_shape(n, d)
-    if not _within_work_limit(n, d):
+    if not _within_work_limit(n, d, _partition_count):
         raise DessinryError("bound-exceeded", "enumeration would visit more than %d tuples" % WORK_LIMIT)
 
     perms_all = list(permutations(range(d)))

@@ -16,10 +16,13 @@ The 557 cases, in three families:
   included, for each of the lifts L1..L4.
 
 Each case records the raw tuple and canonical class, or the error code.
-Each family records its CPU time and the tracker steps it accepted and
-rejected (counted by wrapping covers._advance, which adds the same small
-cost to every run).  --compare lists the cases whose raw tuples differ and,
-apart, those whose classes or error codes differ.
+Each family records its CPU time, the tracker steps it accepted and
+rejected, and its Horner passes over a coefficient table: the calls of
+covers._polyval and of covers._horner.  They are counted by wrapping
+covers._advance, _polyval and _horner, which adds a small cost to each
+call, so CPU times compare best between runs with similar counts.
+--compare lists the cases whose raw tuples differ and, apart, those whose
+classes or error codes differ.
 """
 
 import argparse
@@ -66,20 +69,29 @@ def replay():
     from dessinry import core, covers
     from dessinry.errors import DessinryError
 
-    steps = [0, 0]  # accepted, rejected
-    advance = covers._advance
+    counts = {"accepted": 0, "rejected": 0, "polyval": 0, "horner": 0}
+    wrapped = {name: getattr(covers, name) for name in ("_advance", "_polyval", "_horner")}
+    advance, polyval, horner = wrapped.values()
 
-    def counted(*args):
+    def counted_advance(*args):
         out = advance(*args)
-        steps[out is None] += 1
+        counts["rejected" if out is None else "accepted"] += 1
         return out
 
-    covers._advance = counted
+    def counted_polyval(*args):
+        counts["polyval"] += 1
+        return polyval(*args)
+
+    def counted_horner(*args):
+        counts["horner"] += 1
+        return horner(*args)
+
+    covers._advance, covers._polyval, covers._horner = counted_advance, counted_polyval, counted_horner
     results, families = {}, {}
     try:
         for family, case, run in cases():
-            fam = families.setdefault(family, {"cpu_s": 0.0, "accepted": 0, "rejected": 0, "failed": 0})
-            before = list(steps)
+            fam = families.setdefault(family, dict.fromkeys(("cpu_s", "failed") + tuple(counts), 0))
+            before = dict(counts)
             start = time.process_time()
             try:
                 t = run()
@@ -90,10 +102,11 @@ def replay():
                 raw = [list(p) for p in t.perms]
                 results[case] = {"raw": raw, "class": [list(p) for p in core.canonical_form(t).perms]}
             fam["cpu_s"] += time.process_time() - start
-            fam["accepted"] += steps[0] - before[0]
-            fam["rejected"] += steps[1] - before[1]
+            for key, value in counts.items():
+                fam[key] += value - before[key]
     finally:
-        covers._advance = advance
+        for name, fn in wrapped.items():
+            setattr(covers, name, fn)
     return {"cases": results, "families": families}
 
 
@@ -116,8 +129,8 @@ def summary(run):
     rows = []
     for family, f in run["families"].items():
         rows.append(
-            "%-9s cpu %7.2f s  steps accepted %7d rejected %7d  failed %3d"
-            % (family, f["cpu_s"], f["accepted"], f["rejected"], f["failed"])
+            "%-9s cpu %7.2f s  steps accepted %7d rejected %7d  passes polyval %8d horner %8d  failed %3d"
+            % (family, f["cpu_s"], f["accepted"], f["rejected"], f.get("polyval", 0), f.get("horner", 0), f["failed"])
         )
     return rows
 

@@ -286,6 +286,9 @@ CONTRACT_INPUTS = [
     (["origami", "to-dessin", "--format", "dot"], CHESSBOARD_JSON, {}),
     (["origami", "from-dessin", "--format", "dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
     (["origami", "delta", "--op", "hor", "--format", "dot"], CHESSBOARD_JSON, {}),
+    # hurwitz --emit dot prints DOT whatever the format, so it takes none.
+    (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "dot", "--format", "json"], None, {}),
+    (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "dot", "--format", "table"], None, {}),
     # --dot writes an orbit graph, which only origami orbit has.
     (["origami", "to-dessin", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
     (["origami", "from-dessin", "--dot", "out.dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),

@@ -4,6 +4,7 @@ import cmath
 import inspect
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -119,12 +120,13 @@ class TestPolyRoots:
             poly_roots(())
 
     def test_point_off_a_root_is_refused(self):
+        # With no step to take, _newton only runs its acceptance test.
         coeffs = (1, 0, -2)
         root = math.sqrt(2)
-        assert covers._on_fiber(coeffs, root)
+        assert covers._newton(coeffs, root, 0) == root
         value, mu = covers._horner(coeffs, root + 1e-6)
         assert abs(value - (2e-6 * root + 1e-12)) <= 1e-15
-        assert not covers._on_fiber(coeffs, root + 1e-6)
+        assert covers._newton(coeffs, root + 1e-6, 0) is None
 
     def test_constant_poly_has_no_roots(self):
         assert poly_roots((3.0,)) == []
@@ -140,6 +142,53 @@ class TestPolyRoots:
         with pytest.raises(DessinryError) as exc:
             poly_roots([1, 1e13] + [0] * 40 + [1])
         assert exc.value.code == "path-tracking-failure"
+
+
+def exact_derivative(coeffs, z):
+    """p'(z) for integer coefficients at a point with dyadic parts, exactly:
+    a (real, imaginary) pair of Fractions."""
+    re, im = Fraction(z.real), Fraction(z.imag)
+    d = len(coeffs) - 1
+    out_re = out_im = Fraction(0)
+    for k, c in enumerate(coeffs[:-1]):
+        # Horner on the table (d - k) c_k, in Gaussian rationals.
+        out_re, out_im = out_re * re - out_im * im + (d - k) * c, out_re * im + out_im * re
+    return out_re, out_im
+
+
+class TestDerivativeAgainstExactArithmetic:
+    """_polyval's p' lies within 4 d u sum (d-k) |c_k| |x|^(d-k-1) of the
+    exact derivative: along each of the d - k - 1 products and d - k sums
+    that carry c_k, complex rounding adds at most (2 sqrt(2) + 1) u < 4 u.
+    Its p is _horner's to the last bit, the same arithmetic."""
+
+    @staticmethod
+    def check(coeffs, x):
+        d = len(coeffs) - 1
+        value, deriv = covers._polyval(coeffs, x)
+        assert value == covers._horner(coeffs, x)[0]
+        want_re, want_im = exact_derivative(coeffs, x)
+        err = math.hypot(float(Fraction(deriv.real) - want_re), float(Fraction(deriv.imag) - want_im))
+        bound = 4 * d * UNIT_ROUNDOFF * sum((d - k) * abs(c) * abs(x) ** (d - k - 1) for k, c in enumerate(coeffs[:-1]))
+        assert err <= bound, (coeffs, x, err, bound)
+
+    @staticmethod
+    def dyadic_points(rng, count):
+        return [complex(rng.randint(-96, 96), rng.randint(-96, 96)) / 64 for _ in range(count)] + [0.75, -1.0, 0.5j]
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_chebyshev(self, d):
+        coeffs = chebyshev_coeffs(d)
+        for x in self.dyadic_points(random.Random(d), 30):
+            self.check(coeffs, x)
+
+    def test_random_integer_polynomials(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            coeffs = [rng.randint(-1000, 1000) for _ in range(rng.randint(2, 21))]
+            coeffs[0] = coeffs[0] or 1
+            for x in self.dyadic_points(rng, 5):
+                self.check(coeffs, x)
 
 
 def exact_residual(coeffs, z):
@@ -312,7 +361,7 @@ def random_planar_cover(rng, d):
         for c in crit:
             deriv = [a - c * b for a, b in zip(deriv + [0j], [0j] + deriv)]
         coeffs = [d * a / (d - k) for k, a in enumerate(deriv)] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))]
-        values = [covers._polyval(coeffs, c) for c in crit]
+        values = [covers._polyval(coeffs, c)[0] for c in crit]
         values.sort(key=lambda v: (cmath.phase(v) - math.pi / 2) % (2 * math.pi))
         gap = covers._min_gap(values)
         if min(abs(v) for v in values) > 0.3 * max(abs(v) for v in values) and all(
@@ -359,14 +408,15 @@ class TestTracker:
 
     def test_correcting_an_accepted_fiber_takes_few_steps(self, monkeypatch):
         # Roots already on the fiber need no more than a step or two before
-        # Newton's own convergence stops it, well short of the cap of 10.
+        # Newton's own convergence stops it, well short of the cap of 10;
+        # each iteration makes one _polyval pass.
         cover = CoverSpec(chebyshev_coeffs(42), (-1, 1))
         roots = poly_roots(cover.fiber(2j))
         calls = []
         polyval = covers._polyval
         monkeypatch.setattr(covers, "_polyval", lambda coeffs, x: calls.append(x) or polyval(coeffs, x))
         assert covers._advance(cover, roots, covers._min_gap(roots), 2j, range(len(roots))) is not None
-        assert len(calls) <= 8 * len(roots)
+        assert len(calls) <= 4 * len(roots)
 
     def test_match_to_fiber_refuses_a_nan_end(self):
         fiber = [1 + 0j, -1 + 0j, 2j]

@@ -1,5 +1,6 @@
 """Counting and listing isomorphism classes of small monodromy tuples."""
 
+import time
 from itertools import permutations, product
 from math import factorial
 
@@ -178,7 +179,9 @@ def stop(*args):
 
 class TestWorkLimit:
     """Cells are refused by p(d) * (d!)^(n-2) > WORK_LIMIT, decided before
-    the partitions of d are listed or the search begins."""
+    the partitions of d are listed or the search begins; the direct count,
+    by (d!)^(n-1) > WORK_LIMIT, decided without forming a factorial past the
+    limit."""
 
     @pytest.mark.parametrize("n,d", [(3, 100), (3, 10**6), (10**6, 3), (10**6, 10**6)])
     def test_refuses_huge_cells_without_listing_partitions(self, monkeypatch, n, d):
@@ -195,3 +198,20 @@ class TestWorkLimit:
                 with pytest.raises((DessinryError, StopSearch)) as exc:
                     enumerate_classes(n, d)
                 assert exc.type is (StopSearch if work <= enumeration.WORK_LIMIT else DessinryError), (n, d)
+
+    @pytest.mark.parametrize("n,d", [(3, 899), (3, 10**4), (10**6, 3), (10**6, 10**6)])
+    def test_direct_count_refuses_huge_cells(self, n, d):
+        start = time.perf_counter()
+        with pytest.raises(DessinryError) as exc:
+            count_transitive_tuples(n, d)
+        assert exc.value.code == "bound-exceeded"
+        assert time.perf_counter() - start < 1.0
+
+    def test_direct_count_decision_matches_its_tuple_count(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "permutations", stop)
+        for n in range(3, 9):
+            for d in range(1, 13):
+                with pytest.raises((DessinryError, StopSearch)) as exc:
+                    count_transitive_tuples(n, d)
+                want = StopSearch if factorial(d) ** (n - 1) <= enumeration.WORK_LIMIT else DessinryError
+                assert exc.type is want, (n, d)
