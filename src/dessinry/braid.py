@@ -142,35 +142,27 @@ def chain_tables(tables, name=""):
     return EndomorphismTable(out.n, out.images, name=name)
 
 
+def _half_twist(n, i, sign, name):
+    """x_m -> x_m^sign x_o x_m^-sign and x_o -> x_m, other letters fixed; the
+    moving strand m is i for sign +1 and i+1 for sign -1, o is the other."""
+    if not 0 <= i < n - 1:
+        raise DessinryError("index-out-of-range", "sigma index %d needs 0 <= i < %d" % (i, n - 1))
+    m, o = (i, i + 1) if sign == 1 else (i + 1, i)
+    images = [((v, 1),) for v in range(n)]
+    images[m] = ((m, sign), (o, 1), (m, -sign))
+    images[o] = ((m, 1),)
+    return EndomorphismTable(n, images, name=name)
+
+
 def sigma_table(n, i, name=""):
     """Half-twist swapping strands i and i+1:
     x_i -> x_i x_{i+1} x_i^-1,  x_{i+1} -> x_i."""
-    if not 0 <= i < n - 1:
-        raise DessinryError("index-out-of-range", "sigma index %d needs 0 <= i < %d" % (i, n - 1))
-    images = []
-    for v in range(n):
-        if v == i:
-            images.append(((i, 1), (i + 1, 1), (i, -1)))
-        elif v == i + 1:
-            images.append(((i, 1),))
-        else:
-            images.append(((v, 1),))
-    return EndomorphismTable(n, images, name=name or "s%d" % i)
+    return _half_twist(n, i, 1, name or "s%d" % i)
 
 
 def sigma_inv_table(n, i, name=""):
     """Inverse half-twist: x_i -> x_{i+1},  x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}."""
-    if not 0 <= i < n - 1:
-        raise DessinryError("index-out-of-range", "sigma index %d needs 0 <= i < %d" % (i, n - 1))
-    images = []
-    for v in range(n):
-        if v == i:
-            images.append(((i + 1, 1),))
-        elif v == i + 1:
-            images.append(((i + 1, -1), (i, 1), (i + 1, 1)))
-        else:
-            images.append(((v, 1),))
-    return EndomorphismTable(n, images, name=name or "s%d'" % i)
+    return _half_twist(n, i, -1, name or "s%d'" % i)
 
 
 def _is_conjugate_of_generator(w, v):
@@ -190,8 +182,8 @@ def _is_conjugate_of_generator(w, v):
 def pure_twist_table(n, i, j, power=1):
     """Full twist about a curve enclosing branch points i and j (i < j).
 
-    Built as the half-twist chain s_{j-1} ... s_{i+1} s_i s_i s_{i+1}^-1
-    ... s_{j-1}^-1 (action order), or the inverse chain for power=-1.
+    Built as the half-twist chain s_{j-1} ... s_{i+1} s_i^p s_i^p
+    s_{i+1}^-1 ... s_{j-1}^-1 (action order), with p = power.
     The result is pure: every letter maps to a conjugate of itself, which
     is asserted symbolically here.
     """
@@ -201,9 +193,7 @@ def pure_twist_table(n, i, j, power=1):
         raise DessinryError("index-out-of-range", "power must be +1 or -1")
     prefix = [sigma_table(n, k) for k in range(j - 1, i, -1)]
     suffix = [sigma_inv_table(n, k) for k in range(i + 1, j)]
-    core = [sigma_table(n, i), sigma_table(n, i)]
-    if power == -1:
-        core = [sigma_inv_table(n, i), sigma_inv_table(n, i)]
+    core = [_half_twist(n, i, power, "")] * 2
     name = "A%d%d" % (i, j) if power == 1 else "A%d%d'" % (i, j)
     table = chain_tables(prefix + core + suffix, name=name)
     for v in range(n):

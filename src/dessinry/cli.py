@@ -61,19 +61,20 @@ def _emit(args, payload, lines):
             print(line)
 
 
+def _tuple_json(perms, genus, profile):
+    """The JSON keys that every printed tuple carries."""
+    return {
+        "perms": [list(p) for p in perms],
+        "cycles": [cycles_str(p) for p in perms],
+        "genus": genus,
+        "profile": [list(part) for part in profile],
+    }
+
+
 def _emit_tuple(args, t, **extra):
     def payload():
         core._require_valid(t)
-        g, profile = core._genus_profile(t.perms)
-        return {
-            **extra,
-            "n": t.n,
-            "d": t.d,
-            "perms": [list(p) for p in t.perms],
-            "cycles": [cycles_str(p) for p in t.perms],
-            "genus": g,
-            "profile": [list(part) for part in profile],
-        }
+        return {**extra, "n": t.n, "d": t.d, **_tuple_json(t.perms, *core._genus_profile(t.perms))}
 
     _emit(args, payload, lambda: [_tuple_label(t)])
 
@@ -215,14 +216,7 @@ def _cmd_enumerate(args):
             "class_count": len(result.classes),
             "marked_count": result.marked_count,
             "classes": [
-                {
-                    "perms": [list(p) for p in c.canonical.perms],
-                    "cycles": [cycles_str(p) for p in c.canonical.perms],
-                    "genus": c.genus,
-                    "profile": [list(part) for part in c.profile],
-                    "normal": c.normal,
-                }
-                for c in result.classes
+                {**_tuple_json(c.canonical.perms, c.genus, c.profile), "normal": c.normal} for c in result.classes
             ],
         },
         lines,
@@ -339,9 +333,13 @@ def _parse_complex_list(text, what):
         raise DessinryError("invalid-parameter", "%s must be a JSON list, got %r" % (what, items))
     out = []
     for v in items:
+        parts = v if isinstance(v, list) and len(v) == 2 else [v]
         try:
-            out.append(complex(v[0], v[1]) if isinstance(v, list) and len(v) == 2 else complex(v))
-        except (TypeError, ValueError, OverflowError):
+            # Only JSON numbers; true and false load as bools, which complex() takes.
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
+                raise TypeError
+            out.append(complex(*parts))
+        except (TypeError, OverflowError):
             raise DessinryError("invalid-parameter", "%s entry %r is not a number or [re, im]" % (what, v)) from None
     return tuple(out)
 
@@ -379,17 +377,14 @@ def _cmd_table1(args):
     from . import cm_values, modular
 
     tol = _tol(args, 1e-9)
-    wanted = None
-    if args.rows:
+    rows = cm_values.CM_ROWS
+    if args.rows is not None:
         try:
             wanted = [int(x) for x in args.rows.split(",")]
         except ValueError:
             raise DessinryError("invalid-parameter", "--rows wants a comma list of integers, got %r" % args.rows)
-        known = {n for n, _ in cm_values.CM_ROWS}
-        for n in wanted:
-            if n not in known:
-                raise DessinryError("invalid-parameter", "no stored row for n=%d" % n)
-    rows = [(n, e) for n, e in cm_values.CM_ROWS if wanted is None or n in wanted]
+        # CM_ROWS is sorted by n, so this keeps its order.
+        rows = sorted({n: cm_values.cm_value(n) for n in wanted}.items())
     out_rows = []
     with mpmath.mp.workdps(40):
         for n, expr in rows:

@@ -27,7 +27,7 @@ from .core import MonodromyTuple, _canonical_key, _genus_profile, _require_valid
 # to wrap, as in every module that imports them from core.
 from .core import canonical_form, centralizer_order  # noqa: F401
 from .errors import DessinryError
-from .perms import acts_transitively, compose, from_cycles, identity, inverse, relabel
+from .perms import acts_transitively, compose, compose_all, from_cycles, inverse, relabel
 
 # Hard ceiling on the number of candidate tuples a search may visit.  Keeps
 # n=3 d<=6 and n=4 d<=4 comfortably inside (the documented support) while
@@ -103,15 +103,9 @@ def count_transitive_tuples(n, d):
     _check_shape(n, d)
     if not _within_work_limit(n, d, factorial):
         raise DessinryError("bound-exceeded", "direct count would visit more than %d tuples" % WORK_LIMIT)
-    perms_all = list(permutations(range(d)))
-    ident = identity(d)
     count = 0
-    for head in product(perms_all, repeat=n - 1):
-        running = ident
-        for p in head:
-            running = compose(running, p)
-        tail = inverse(running)
-        if acts_transitively(head + (tail,), d):
+    for head in product(permutations(range(d)), repeat=n - 1):
+        if acts_transitively(head + (inverse(compose_all(head, d)),), d):
             count += 1
     return count
 
@@ -161,37 +155,28 @@ def _orbit_representatives(group, perms_all):
     return reps
 
 
-def _partition_count(d):
-    """p(d), the number of partitions of d, without listing them."""
-    ways = [1] + [0] * d  # ways[k]: partitions of k into parts up to `part`
-    for part in range(1, d + 1):
-        for k in range(part, d + 1):
-            ways[k] += ways[k - part]
-    return ways[d]
-
-
 def _within_work_limit(n, d, heads):
     """Whether a search visiting heads(d) choices of g_0 and d! of each of
     g_1..g_{n-2} stays within WORK_LIMIT.  Forms no factorial past the
-    limit, and calls heads only once d! is within it: heads(d) >= 1 and
-    n >= 3, so d! alone refuses every d >= 10."""
+    limit, and calls heads last, so only once (d!)^(n-2) is within it,
+    which needs d <= 9."""
     fact = 1
     for k in range(2, d + 1):
         fact *= k
         if fact > WORK_LIMIT:
             return False
-    work = heads(d)
+    work = 1
     for _ in range(n - 2 if fact > 1 else 0):
         work *= fact
         if work > WORK_LIMIT:
             return False
-    return True
+    return work * heads(d) <= WORK_LIMIT
 
 
 def enumerate_classes(n, d):
     """All isomorphism classes of shape (n, d), sorted by canonical encoding."""
     _check_shape(n, d)
-    if not _within_work_limit(n, d, _partition_count):
+    if not _within_work_limit(n, d, lambda k: len(_partitions_desc(k))):
         raise DessinryError("bound-exceeded", "enumeration would visit more than %d tuples" % WORK_LIMIT)
 
     perms_all = list(permutations(range(d)))

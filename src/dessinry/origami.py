@@ -28,7 +28,7 @@ not merely up to isomorphism.
 """
 
 from .braid import orbit_closure
-from .core import MonodromyTuple, _canonical_key, canonical_form, validate
+from .core import MonodromyTuple, _canonical_key, _require_valid, canonical_form, validate
 from .errors import DessinryError
 from .perms import acts_transitively, compose, identity, inverse, is_perm
 
@@ -133,9 +133,7 @@ def origami_to_dessin(o):
 
 def dessin_to_origami(t):
     """Origami carrying the given 4-colored tuple; grey labels fixed by D = id."""
-    diag = validate(t)
-    if diag != "ok":
-        raise DessinryError("invalid-tuple", diag)
+    _require_valid(t)
     if t.n != 4:
         raise DessinryError("invalid-tuple", "need exactly 4 colors, got n=%d" % t.n)
     o = _origami_of(t.perms)

@@ -119,6 +119,15 @@ class TestSigma:
         assert s0.images[0] == ((0, 1), (1, 1), (0, -1))
         assert s0.images[1] == ((0, 1),)
         assert s0.images[2] == ((2, 1),)
+        # The docstring formulas, for every n in 3..6 and every strand i.
+        for n in range(3, 7):
+            for i in range(n - 1):
+                fixed = {v: ((v, 1),) for v in range(n) if v not in (i, i + 1)}
+                want = {i: ((i, 1), (i + 1, 1), (i, -1)), i + 1: ((i, 1),), **fixed}
+                want_inv = {i: ((i + 1, 1),), i + 1: ((i + 1, -1), (i, 1), (i + 1, 1)), **fixed}
+                assert sigma_table(n, i).images == tuple(want[v] for v in range(n)), (n, i)
+                assert sigma_inv_table(n, i).images == tuple(want_inv[v] for v in range(n)), (n, i)
+                assert (sigma_table(n, i).name, sigma_inv_table(n, i).name) == ("s%d" % i, "s%d'" % i)
 
     def test_inverse_composes_to_identity(self):
         for i in range(3):

@@ -297,6 +297,10 @@ CONTRACT_INPUTS = [
     (["origami", "to-dessin", "--op", "hor"], CHESSBOARD_JSON, {}),
     (["origami", "from-dessin", "--op", "hor"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
     (["origami", "orbit", "--op", "ver"], CHESSBOARD_JSON, {}),
+    # complex() takes JSON true as 1; an entry must be a number.
+    (["monodromy", "--poly", "[true,0,0]", "--branch-points", "[0,1]"], None, {}),
+    # An empty --rows names no row; it does not mean every row.
+    (["table1", "--rows", ""], None, {}),
 ]
 # JSON of the wrong shape; the same argv recurs, so each is named by its stdin.
 SHAPE_INPUTS = [
@@ -346,6 +350,13 @@ def test_poly_accepts_re_im_pairs(capsys):
     assert (code, err) == (0, "")
     assert run_cli(capsys, plain) == (0, out, "")
     assert json.loads(out)["profile"] == [[3], [2, 1], [2, 1]]
+
+
+@pytest.mark.parametrize("poly", ["[true, 0, 0]", "[[1, false], 0, 0]", '["1", 0, 0]'])
+def test_poly_entries_are_json_numbers(capsys, poly):
+    code, out, err = run_cli(capsys, ["monodromy", "--poly", poly, "--branch-points", "[0, 1]"])
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid-parameter: --poly entry ")
 
 
 class TestUsageErrors:

@@ -178,12 +178,13 @@ def stop(*args):
 
 
 class TestWorkLimit:
-    """Cells are refused by p(d) * (d!)^(n-2) > WORK_LIMIT, decided before
-    the partitions of d are listed or the search begins; the direct count,
-    by (d!)^(n-1) > WORK_LIMIT, decided without forming a factorial past the
-    limit."""
+    """Cells are refused by (d!)^(n-2) * p(d) > WORK_LIMIT, decided before
+    the search begins: the factor (d!)^(n-2) comes first, and the
+    partitions of d are listed for p(d) only once it is within the limit,
+    which needs d <= 9.  The direct count is refused by (d!)^(n-1) >
+    WORK_LIMIT.  Neither forms a factorial past the limit."""
 
-    @pytest.mark.parametrize("n,d", [(3, 100), (3, 10**6), (10**6, 3), (10**6, 10**6)])
+    @pytest.mark.parametrize("n,d", [(3, 100), (3, 10**6), (10**6, 3), (10**6, 10**6), (4, 8), (5, 7)])
     def test_refuses_huge_cells_without_listing_partitions(self, monkeypatch, n, d):
         monkeypatch.setattr(enumeration, "_partitions_desc", stop)
         with pytest.raises(DessinryError) as exc:
