@@ -197,11 +197,7 @@ def enumerate_classes(n, d):
 
     classes = []
     marked = 0
-    # Genus is maximal when every color acts as a single d-cycle.
-    bound = (n * (d - 1)) // 2 - d + 1
     for key in sorted(seen):
-        cls = DessinClass(MonodromyTuple._trusted(key), seen[key])
-        assert cls.genus <= bound, "genus exceeds the single-cycle bound"
-        classes.append(cls)
+        classes.append(DessinClass(MonodromyTuple._trusted(key), seen[key]))
         marked += factorial(d) // seen[key]
     return EnumerationResult(n, d, tuple(classes), marked)

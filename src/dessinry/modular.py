@@ -14,12 +14,11 @@ through x, so each eta product's length N comes from it in closed form.
 A value takes at most two passes (_two_passes), each at the precision its
 relative target needs; every bound adds a rounding allowance (_rounding).
 
-lambda*(tau) = 1/(1 - lambda(tau)) is evaluated three independent ways
-(Weber quotient f^8/f1^8, the eta quotient with prefactor e^{-pi i/3},
-and the discriminant combination -(Delta((tau+1)/2) + 16 Delta(tau)) /
-(Delta(tau/2) + 16 Delta(tau))) and the mutual agreement is enforced; the
-accessory parameter of the square pillowcase tiling with parameter t is
-ap(t) = lambda*(it).
+lambda*(tau) = 1/(1 - lambda(tau)) is evaluated two independent ways,
+the Weber quotient f^8/f1^8 and the discriminant combination
+-(Delta((tau+1)/2) + 16 Delta(tau)) / (Delta(tau/2) + 16 Delta(tau)),
+and their agreement is enforced; the accessory parameter of the square
+pillowcase tiling with parameter t is ap(t) = lambda*(it).
 """
 
 import math
@@ -233,11 +232,11 @@ def weber_f2(p, tol=1e-12):
 
 
 def lambda_star(p, tol=1e-12):
-    """lambda*(tau) via three expressions with enforced mutual agreement.
+    """lambda*(tau) via two expressions with enforced agreement.
 
-    Returns the Weber-quotient value f(tau)^8 / f1(tau)^8; the eta-quotient
-    and discriminant expressions must agree with it within 10*tol, else
-    expression-mismatch is raised.
+    Returns the Weber-quotient value f(tau)^8 / f1(tau)^8; the discriminant
+    expression, which also uses eta(tau), must agree with it within 10*tol,
+    else expression-mismatch is raised.
     """
     tau = as_upper_half(p).tau
     t_shift, t_half = _affine(tau, 1, 0.5), _affine(tau, 0, 0.5)
@@ -250,13 +249,12 @@ def lambda_star(p, tol=1e-12):
         f1 = vh / vt
         expr1 = _ipow(f / f1, 8)
         bound1 = abs(expr1) * _rel_err((bs / abs(vs), 8), (bh / abs(vh), -8))
-        expr2 = mpmath.exp(-mpmath.pi * _I / 3) * _ipow(vs / vh, 8)
         d_shift, d_half, d_tau = ((2 * mpmath.pi) ** 12 * _ipow(v, 24) for v in (vs, vh, vt))
         expr3 = -(d_shift + 16 * d_tau) / (d_half + 16 * d_tau)
-        return expr1, bound1, expr2, expr3
+        return expr1, bound1, expr3
 
-    expr1, bound1, expr2, expr3 = _two_passes(compute, tol)
-    worst = max(abs(expr1 - expr2), abs(expr1 - expr3), abs(expr2 - expr3))
+    expr1, bound1, expr3 = _two_passes(compute, tol)
+    worst = abs(expr1 - expr3)
     if worst > 10 * tol:
         raise DessinryError(
             "expression-mismatch",
@@ -377,11 +375,11 @@ def qseries_eval(series, p):
     beyond order N is at most 2 (|q2| e^pi)^{N+1} / (1 - |q2| e^pi).
     """
     point = as_upper_half(p)
-    if mpmath.im(point.tau) <= 1:
-        raise DessinryError("tolerance-unreachable", "tail bound needs Im tau > 1, got %s" % point.tau)
     with mp.workdps(40):
-        y = abs(point.q2) * mpmath.exp(mpmath.pi)
-        assert y < 1
+        # y = |q2| e^pi; the exponent's sign is exact, so y >= 1 wherever Im tau <= 1.
+        y = mpmath.exp(mpmath.pi * (1 - mpmath.im(point.tau)))
+        if not y < 1:
+            raise DessinryError("tolerance-unreachable", "tail bound needs Im tau > 1, got %s" % point.tau)
         tail = 2 * y ** (series.order + 1) / (1 - y)
         dps = max(40, int(-mpmath.log10(tail)) + 15)
     with mp.workdps(dps):

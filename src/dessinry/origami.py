@@ -28,7 +28,7 @@ not merely up to isomorphism.
 """
 
 from .braid import orbit_closure
-from .core import MonodromyTuple, _canonical_key, _require_valid, canonical_form, validate
+from .core import MonodromyTuple, _canonical_key, _require_valid, canonical_form
 from .errors import DessinryError
 from .perms import acts_transitively, compose, identity, inverse, is_perm
 
@@ -126,9 +126,7 @@ def _origami_of(perms):
 def origami_to_dessin(o):
     """Monodromy tuple on the white squares, one permutation per corner color."""
     _require_valid_origami(o)
-    t = MonodromyTuple._trusted(_dessin_perms(o))
-    assert validate(t) == "ok"
-    return t
+    return MonodromyTuple._trusted(_dessin_perms(o))
 
 
 def dessin_to_origami(t):
@@ -136,9 +134,7 @@ def dessin_to_origami(t):
     _require_valid(t)
     if t.n != 4:
         raise DessinryError("invalid-tuple", "need exactly 4 colors, got n=%d" % t.n)
-    o = _origami_of(t.perms)
-    assert validate_origami(o) == "ok"
-    return o
+    return _origami_of(t.perms)
 
 
 def isomorphic_origami(a, b):

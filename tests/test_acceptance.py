@@ -181,7 +181,7 @@ def test_criterion_08_weber_relations_and_j_crosscheck():
             assert abs(f * f1 * f2 - root2) <= WEBER_RELATION_ABS
             assert abs(f ** 8 - f1 ** 8 - f2 ** 8) <= WEBER_RELATION_ABS
             # Raises expression-mismatch beyond 10x the tolerance, so
-            # success here is three-way agreement within 1e-11.
+            # success here is two-way agreement within 1e-11.
             lambda_star(tau, LAMBDA_AGREEMENT_TOL)
         for n in (1, 2, 3, 5):
             t = mpmath.sqrt(n)

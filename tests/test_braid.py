@@ -38,6 +38,20 @@ def identity_table(n, name="id"):
     return EndomorphismTable(n, [((v, 1),) for v in range(n)], name=name)
 
 
+def is_conjugate_of_generator(w, v):
+    """True if the reduced word w equals u x_v u^-1 for some word u."""
+    if len(w) % 2 == 0:
+        return False
+    mid = len(w) // 2
+    if w[mid] != (v, 1):
+        return False
+    for k in range(mid):
+        a, b = w[k], w[len(w) - 1 - k]
+        if a[0] != b[0] or a[1] != -b[1]:
+            return False
+    return True
+
+
 letters = st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=12).map(tuple)
 
@@ -158,6 +172,15 @@ class TestPureTwists:
         assert a01.images[1] == ((0, 1), (1, 1), (0, -1))
         assert a01.images[2] == ((2, 1),)
         assert a01.images[3] == ((3, 1),)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_pure_twist_tables_are_pure(self, n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                for power in (1, -1):
+                    table = pure_twist_table(n, i, j, power)
+                    for v in range(n):
+                        assert is_conjugate_of_generator(table.images[v], v), (i, j, power, v)
 
     def test_twist_times_inverse_twist(self):
         for i, j in [(0, 1), (0, 2), (1, 3)]:

@@ -243,6 +243,9 @@ class TestInvariants:
     def test_genus_is_nonnegative_int(self, t):
         g = core.genus(t)
         assert isinstance(g, int) and g >= 0
+        # genus() floors (2 - chi) / 2, which would hide an odd chi.
+        chi = 2 * t.d - sum(t.d - len(perms.cycles(p)) for p in t.perms)
+        assert chi % 2 == 0 and g == (2 - chi) // 2
 
 
 class TestOrientationReverse:

@@ -159,6 +159,8 @@ class TestEnumerate:
             for c in enumerate_classes(n, d).classes:
                 expected = generates_group_of_order_d(c.canonical.perms)
                 assert c.normal == core.is_normal(c.canonical) == expected
+                # Genus is maximal when every color acts as a single d-cycle.
+                assert c.genus <= n * (d - 1) / 2 - d + 1
                 classes += 1
                 normal += expected
         assert (classes, normal) == (3007, 253)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from dessinry import modular
 from dessinry.cm_values import CM_ROWS, cm_value, eval_radical
 from dessinry.errors import DessinryError
 from dessinry.modular import (
@@ -233,6 +234,22 @@ class TestLambdaStar:
             assert abs(got.value - want) <= got.trunc_bound <= tol
 
 
+    @pytest.mark.parametrize("arg", ["shift", "half", "tau"])
+    def test_a_fault_in_any_eta_is_a_mismatch(self, monkeypatch, arg):
+        # The Weber quotient never uses eta(tau); the discriminant side does.
+        tau = UpperHalfPoint(0.1 + 1.3j).tau
+        target = {"shift": (tau + 1) / 2, "half": tau / 2, "tau": tau}[arg]
+        real_eta = modular._eta
+
+        def faulty_eta(z, rel):
+            val, bound = real_eta(z, rel)
+            return (val * (1 + 1e-6), bound) if abs(z - target) < 1e-9 else (val, bound)
+
+        monkeypatch.setattr(modular, "_eta", faulty_eta)
+        with pytest.raises(DessinryError) as exc:
+            lambda_star(0.1 + 1.3j, 1e-12)
+        assert exc.value.code == "expression-mismatch"
+
     def test_ap_far_up_the_cusp(self):
         # ap(t) - 1 is about 16 e^{-pi t}: nothing at t = 10^100.
         got = ap(1e100)
@@ -314,9 +331,15 @@ class TestQSeries:
 
     def test_eval_needs_imaginary_part_above_one(self):
         series = lambda_star_qseries(10)
-        with pytest.raises(DessinryError) as exc:
-            qseries_eval(series, 0.9j)
-        assert exc.value.code == "tolerance-unreachable"
+        # Im tau = 1 + 1e-45 passes an exact Im tau > 1 test, but |q2| e^pi
+        # rounds to 1 at 40 digits; at Im tau = 1 with this real part,
+        # |q2| * e^pi rounds just below 1.
+        with mp.workdps(80):
+            barely_above = UpperHalfPoint(mpmath.mpc(0, 1 + mpmath.mpf("1e-45")))
+        for p in (0.9j, barely_above, 4.398811831609649 + 1j):
+            with pytest.raises(DessinryError) as exc:
+                qseries_eval(series, p)
+            assert exc.value.code == "tolerance-unreachable"
 
     def test_qseries_type(self):
         s = QSeries((1, 2, 3))
