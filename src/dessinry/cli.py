@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import types
 
 # braid, covers, origami and the mpmath users modular and cm_values are
 # imported by the handlers that need them, so that every other subcommand
@@ -53,12 +54,32 @@ def _tol(args, fallback):
 
 def _emit(args, payload, lines):
     """Print payload() as JSON with the schema tag under --format json (or
-    --json), else the text lines(); only the one printed is built."""
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **payload()}, indent=2, sort_keys=True))
-    else:
+    --json), else the text lines(); only the one printed is built.
+
+    The JSON is what json.dumps(..., indent=2, sort_keys=True) prints, but
+    written one top-level value at a time, and a top-level value that is a
+    generator one item at a time, so that a long list is never held whole.
+    payload() runs before the first byte is written, so its errors leave
+    stdout empty."""
+    if args.format != "json":
         for line in lines():
             print(line)
+        return
+    doc = {"schema": SCHEMA, **payload()}
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    write = sys.stdout.write
+    for k, key in enumerate(sorted(doc)):
+        write(("{\n  " if k == 0 else ",\n  ") + encode(key) + ": ")
+        value = doc[key]
+        if not isinstance(value, types.GeneratorType):
+            write(encode(value).replace("\n", "\n  "))
+            continue
+        opened = False
+        for item in value:
+            write((",\n    " if opened else "[\n    ") + encode(item).replace("\n", "\n    "))
+            opened = True
+        write("\n  ]" if opened else "[]")
+    write("\n}\n")
 
 
 def _tuple_json(perms, genus, profile):
@@ -215,9 +236,9 @@ def _cmd_enumerate(args):
             "d": result.d,
             "class_count": len(result.classes),
             "marked_count": result.marked_count,
-            "classes": [
+            "classes": (
                 {**_tuple_json(c.canonical.perms, c.genus, c.profile), "normal": c.normal} for c in result.classes
-            ],
+            ),
         },
         lines,
     )

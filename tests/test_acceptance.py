@@ -55,7 +55,7 @@ FIBER_CLOSED_FORM_ABS = 1e-9
 FIBER_RESIDUAL_ABS = 1e-10
 FIBER_PRINTED_DIGITS_ABS = 1e-10
 WEBER_RELATION_ABS = 1e-12
-LAMBDA_AGREEMENT_TOL = 1e-12  # internal three-way agreement enforced at 10x this
+LAMBDA_AGREEMENT_TOL = 1e-12  # Weber quotient and discriminant combination agree to 10x this
 J_CROSS_REL = 1e-8
 TABLE_MATCH_ABS = 1e-9
 TABLE_REALNESS_ABS = 1e-11

@@ -8,11 +8,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dessinry
+from dessinry import cli, enumerate_classes
 from dessinry.cli import main
 
 CHESSBOARD_JSON = json.dumps({"m": 2, "R": [0, 1], "L": [0, 1], "U": [1, 0], "D": [1, 0]})
@@ -286,6 +288,8 @@ CONTRACT_INPUTS = [
     (["origami", "to-dessin", "--format", "dot"], CHESSBOARD_JSON, {}),
     (["origami", "from-dessin", "--format", "dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
     (["origami", "delta", "--op", "hor", "--format", "dot"], CHESSBOARD_JSON, {}),
+    # An invalid tuple under --format json: no part of a document is written.
+    (["origami", "from-dessin", "--format", "json"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [0, 1]]}', {}),
     # hurwitz --emit dot prints DOT whatever the format, so it takes none.
     (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "dot", "--format", "json"], None, {}),
     (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "dot", "--format", "table"], None, {}),
@@ -408,6 +412,88 @@ def test_golden_stdout(capsys, monkeypatch, case):
     assert out == case["stdout"]
 
 
+# --- the JSON writer: json.dumps's bytes, without json.dumps's string --------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def emit_json(doc):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit(argparse.Namespace(format="json"), lambda: doc, None)
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(st.text(), JSON_VALUES, max_size=5))
+def test_json_writer_matches_json_dumps(doc):
+    expected = json.dumps({"schema": cli.SCHEMA, **doc}, indent=2, sort_keys=True) + "\n"
+    assert emit_json(doc) == expected
+    # A top-level generator is written item by item, to the same bytes.
+    assert emit_json({k: (x for x in v) if isinstance(v, list) else v for k, v in doc.items()}) == expected
+
+
+def test_enumerate_json_matches_json_dumps(capsys):
+    result = enumerate_classes(3, 5)
+    doc = {
+        "schema": cli.SCHEMA,
+        "n": 3,
+        "d": 5,
+        "class_count": len(result.classes),
+        "marked_count": result.marked_count,
+        "classes": [
+            {**cli._tuple_json(c.canonical.perms, c.genus, c.profile), "normal": c.normal} for c in result.classes
+        ],
+    }
+    code, out, err = run_cli(capsys, ["enumerate", "--n", "3", "--d", "5", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_json_does_not_hold_its_output(monkeypatch):
+    # Only the writing is measured: the classes are found beforehand.
+    result = enumerate_classes(4, 4)
+    monkeypatch.setattr(cli, "enumerate_classes", lambda n, d: result)
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(ENUMERATE_44_JSON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.size, "peak %d bytes for %d characters of output" % (peak, sink.size)
+
+
+def test_failing_json_payload_writes_nothing(capsys, monkeypatch):
+    # A tuple that reaches the JSON payload invalid: the payload raises before
+    # the first byte of the document is written.
+    from dessinry import core, covers
+
+    bad = core.MonodromyTuple._trusted(((1, 0), (1, 0), (1, 0), (0, 1)))
+    monkeypatch.setattr(covers, "hurwitz_dessin", lambda a, lift: bad)
+    code, out, err = run_cli(capsys, ["hurwitz", "--a", "2", "--lift", "L1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid-tuple: ")
+
+
 # --- start-up cost: each subcommand imports only what it uses ----------------------
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(dessinry.__file__)))
@@ -451,16 +537,14 @@ cm_from_weber integrality_check CM_ROWS cm_value eval_radical
 """.split()
 
 
+def fresh_env():
+    """The environment of a new interpreter that finds this dessinry first."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_fresh(script, cwd):
     """Run script in a new interpreter that finds this dessinry first; its stdout."""
-    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=fresh_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -484,22 +568,24 @@ def test_import_budget(tmp_path, argv, banned):
     assert not banned & loaded
 
 
+ENUMERATE_44_JSON = ["enumerate", "--n", "4", "--d", "4", "--format", "json"]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["enumerate", "--n", "3", "--d", "3"], ["hurwitz", "--a", "2", "--lift", "L1", "--emit", "dot"]],
-    ids=["enumerate", "hurwitz"],
+    [["enumerate", "--n", "3", "--d", "3"], ENUMERATE_44_JSON, ["hurwitz", "--a", "2", "--lift", "L1", "--emit", "dot"]],
+    ids=["enumerate", "enumerate-json", "hurwitz"],
 )
 def test_closed_stdout_gets_a_diagnostic(argv):
     # The reader of the pipe is gone before the command writes anything.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "dessinry.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=fresh_env(),
             text=True,
         )
     finally:
@@ -507,6 +593,28 @@ def test_closed_stdout_gets_a_diagnostic(argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert re.match(r"^[a-z][a-z-]*: \S", proc.stderr.splitlines()[-1])
+
+
+def test_stdout_closed_mid_stream_gets_a_diagnostic():
+    # The 412 kB of output outgrow the pipe, so writing goes on after the
+    # reader has taken one line and gone.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dessinry.cli", *ENUMERATE_44_JSON],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=fresh_env(),
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("broken-pipe: ")
 
 
 def test_shear_choices_name_every_shear():
