@@ -62,8 +62,6 @@ _EXPORTS = {
         "delta_ver",
         "delta_ver_inv",
         "origami_orbit",
-        "chessboard_origami",
-        "pillowcase_origami",
     ),
     "covers": (
         "CoverSpec",
@@ -83,7 +81,6 @@ _EXPORTS = {
         "ModularValue",
         "QSeries",
         "eta",
-        "delta_by_eta",
         "weber_f",
         "weber_f1",
         "weber_f2",
@@ -93,7 +90,6 @@ _EXPORTS = {
         "j_oracle",
         "lambda_star_qseries",
         "qseries_eval",
-        "cm_from_weber",
         "integrality_check",
     ),
     "cm_values": ("CM_ROWS", "cm_value", "eval_radical"),

@@ -123,12 +123,12 @@ def apply_endomorphism(e, t):
     return out
 
 
-def compose_tables(first, second, name=""):
+def compose_tables(first, second):
     """Table acting as `first`, then `second`."""
     if first.n != second.n:
         raise DessinryError("index-out-of-range", "cannot compose tables with n=%d and n=%d" % (first.n, second.n))
     images = [word_substitute(w, first.images) for w in second.images]
-    return EndomorphismTable(first.n, images, name=name)
+    return EndomorphismTable(first.n, images)
 
 
 def chain_tables(tables, name=""):
@@ -154,15 +154,15 @@ def _half_twist(n, i, sign, name):
     return EndomorphismTable(n, images, name=name)
 
 
-def sigma_table(n, i, name=""):
+def sigma_table(n, i):
     """Half-twist swapping strands i and i+1:
     x_i -> x_i x_{i+1} x_i^-1,  x_{i+1} -> x_i."""
-    return _half_twist(n, i, 1, name or "s%d" % i)
+    return _half_twist(n, i, 1, "s%d" % i)
 
 
-def sigma_inv_table(n, i, name=""):
+def sigma_inv_table(n, i):
     """Inverse half-twist: x_i -> x_{i+1},  x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}."""
-    return _half_twist(n, i, -1, name or "s%d'" % i)
+    return _half_twist(n, i, -1, "s%d'" % i)
 
 
 def pure_twist_table(n, i, j, power=1):

@@ -9,7 +9,7 @@ as nested ``sqrt`` nodes.
 
 Every value is real and lies in the open interval (1, infinity), strictly
 decreasing as n grows; the rows cancel catastrophically (for n=58 two
-four-digit terms cancel down to 1 + 3e-7), which is exactly what makes
+four-digit terms cancel down to 1 + 6.5e-10), which is exactly what makes
 them good oracles for the transcendental evaluation path.
 """
 

@@ -269,13 +269,8 @@ def centralizer_order(t):
     return _canonical_key(t.perms)[1]
 
 
-def to_json(t):
-    """Plain-dict encoding {n, d, perms} with perms[v][i] the image of i."""
-    return {"n": t.n, "d": t.d, "perms": [list(p) for p in t.perms]}
-
-
 def from_json(obj):
-    """Inverse of to_json; raises invalid-tuple on malformed input."""
+    """The tuple of the CLI's JSON {n, d, perms, ...}; raises invalid-tuple on malformed input."""
     try:
         n = obj["n"]
         d = obj["d"]

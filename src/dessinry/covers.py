@@ -406,6 +406,8 @@ def classify_lift(s):
     looks real above 1 cannot be classified and raises 'ambiguous'.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DessinryError("invalid-parameter", "s must be finite, got %r" % (s,))
     try:
         p = hurwitz_projection(s)
     except DessinryError:

@@ -6,9 +6,9 @@ invalid-tuple, bound-exceeded, index-out-of-range, invalid-result,
 invalid-origami, degenerate-leading-coefficient, pole-at-half,
 ambiguous, no-such-lift, path-tracking-failure,
 product-constraint-violation, pole-at-0-or-1, tolerance-unreachable,
-expression-mismatch, negative-discriminant, ambiguous-assignment,
-broken-pipe (the CLI's, when the reader of stdout has gone) and
-invalid-parameter (malformed arguments outside any deeper category).
+expression-mismatch, broken-pipe (the CLI's, when the reader of stdout
+has gone) and invalid-parameter (malformed arguments outside any deeper
+category).
 """
 
 

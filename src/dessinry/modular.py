@@ -168,6 +168,8 @@ def _pass(compute, rel):
     """compute(rel) -> (value, bound, ...) with bound <= rel * |value|, run at
     the precision rel needs; the bound gains the rounding allowance."""
     rel = mpmath.mpf(rel)
+    if not 0 < rel < mpmath.inf:
+        raise DessinryError("invalid-parameter", "tolerance must be a positive finite number, got %s" % rel)
     with mp.workdps(_dps_for(rel)):
         value, bound, *rest = compute(rel)
         return (value, bound + _rounding(value), *rest)
@@ -187,19 +189,6 @@ def eta(p, tol=1e-12):
     """Dedekind eta as the truncated product q^{1/24} prod (1 - q^n)."""
     tau = as_upper_half(p).tau
     return ModularValue(*_two_passes(lambda rel: _eta(tau, rel), tol))
-
-
-def delta_by_eta(p, tol=1e-12):
-    """Discriminant (2 pi i)^12 eta(tau)^24 = (2 pi)^12 eta(tau)^24, in one
-    pass, with a bound of at most tol * |value|."""
-    tau = as_upper_half(p).tau
-
-    def compute(rel):
-        ev, eb = _eta(tau, rel / 48)
-        val = (2 * mpmath.pi) ** 12 * _ipow(ev, 24)
-        return val, abs(val) * _rel_err((eb / abs(ev), 24))
-
-    return ModularValue(*_pass(compute, tol))
 
 
 def _weber(p, tol, pref, tau_num):
@@ -396,48 +385,6 @@ def qseries_eval(series, p):
     return ModularValue(val, tail)
 
 
-def cm_from_weber(f8, tol=1e-10, tau=None):
-    """Split f^8 into (f1^8, f2^8) and recover ap = f^8 / f1^8.
-
-    The two candidates are the roots of x^2 - f8 x + 16/f8.  With tau
-    given, the assignment is settled by direct evaluation of f1 there;
-    without it the larger root is taken, which is correct on the
-    imaginary-axis CM grid where f1^8 >= f2^8.  Nearly equal roots are
-    fine either way (the split at tau = i); a direct evaluation that
-    matches neither root raises ambiguous-assignment.
-    """
-    f8v = mpmath.mpmathify(f8)
-    if abs(mpmath.im(f8v)) > 1e-9 * (1 + abs(f8v)):
-        raise DessinryError("invalid-parameter", "f8 must be real, got %r" % (f8,))
-    f8r = mpmath.re(f8v)
-    if f8r <= 0:
-        raise DessinryError("invalid-parameter", "f8 must be positive, got %s" % f8r)
-    with mp.workdps(_dps_for(tol) + 8):
-        scale = max(mpmath.mpf(1), f8r ** 2)
-        disc = f8r ** 2 - 64 / f8r
-        if disc < -tol * scale:
-            raise DessinryError(
-                "negative-discriminant",
-                "x^2 - %s x + %s has no real roots" % (f8r, 16 / f8r),
-            )
-        root = mpmath.sqrt(max(disc, mpmath.mpf(0)))
-        u = (f8r + root) / 2
-        v = (f8r - root) / 2
-        if tau is not None:
-            direct = weber_f1(tau, tol).value ** 8
-            direct = mpmath.re(direct)
-            du, dv = abs(direct - u), abs(direct - v)
-            if min(du, dv) > 10 * tol * scale and abs(u - v) > 10 * tol * scale:
-                raise DessinryError(
-                    "ambiguous-assignment",
-                    "direct f1^8=%s matches neither root %s nor %s" % (direct, u, v),
-                )
-            if dv < du:
-                u, v = v, u
-        apv = f8r / u
-    return u, v, apv
-
-
 def integrality_check(n, tol=1e-6):
     """Witness that 16 ap(sqrt(n)) satisfies the monic j-relation:
 
@@ -447,6 +394,8 @@ def integrality_check(n, tol=1e-6):
     """
     if not isinstance(n, int) or n < 1:
         raise DessinryError("invalid-parameter", "n must be a positive integer, got %r" % (n,))
+    if not 0 < tol < math.inf:
+        raise DessinryError("invalid-parameter", "tolerance must be a positive finite number, got %r" % (tol,))
     dps = max(35, int(2 * math.pi * math.sqrt(n) / math.log(10)) + 25)
     with mp.workdps(dps):
         t = mpmath.sqrt(n)

@@ -237,16 +237,3 @@ def origami_from_json(obj):
     if o.m != m:
         raise DessinryError("invalid-origami", "declared m=%r but maps have length %d" % (m, o.m))
     return o
-
-
-def chessboard_origami():
-    """Two whites and two greys in a checker pattern, opposite sides glued.
-
-    The unique connected double cover of the one-square origami branched at
-    all four corners; every corner permutation is the transposition."""
-    return BipartiteOrigami((0, 1), (0, 1), (1, 0), (1, 0))
-
-
-def pillowcase_origami():
-    """One white and one grey square, the degree-one base object."""
-    return BipartiteOrigami((0,), (0,), (0,), (0,))

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -305,6 +306,8 @@ CONTRACT_INPUTS = [
     (["monodromy", "--poly", "[true,0,0]", "--branch-points", "[0,1]"], None, {}),
     # An empty --rows names no row; it does not mean every row.
     (["table1", "--rows", ""], None, {}),
+    # The inner target tol * 1e-3 underflows to 0.
+    (["table1", "--rows", "1", "--check", "--tol", "1e-323"], None, {}),
 ]
 # JSON of the wrong shape; the same argv recurs, so each is named by its stdin.
 SHAPE_INPUTS = [
@@ -410,6 +413,46 @@ def test_golden_stdout(capsys, monkeypatch, case):
     code, out, err = run_cli(capsys, case["argv"])
     assert (code, err) == (0, "")
     assert out == case["stdout"]
+
+
+def readme_examples():
+    """(argv, stdin, pattern of stdout) of every `$ dessinry` example in
+    README.md; a `...` line of the shown output stands for any lines."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), "r", encoding="utf-8") as fh:
+        blocks = re.findall(r"^```\n(.*?)^```", fh.read(), re.M | re.S)
+    examples = []
+    for chunk in (c for b in blocks for c in re.split(r"\n\s*\n", b)):
+        if not chunk.startswith("$ "):
+            continue
+        lines = chunk.splitlines()
+        command = lines.pop(0)[2:]
+        while command.endswith("\\"):
+            command = command[:-1] + " " + lines.pop(0)
+        words = shlex.split(command)
+        stdin = None
+        if "|" in words:
+            # echo 'DOC' | dessinry ...
+            assert words[0] == "echo" and words[2] == "|", command
+            stdin, words = words[1] + "\n", words[3:]
+        assert words[0] == "dessinry", command
+        pattern = "".join(r"(?:.*\n)*" if line == "..." else re.escape(line + "\n") for line in lines)
+        examples.append((words[1:], stdin, pattern))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_examples_are_found():
+    assert len(README_EXAMPLES) == 8
+
+
+@pytest.mark.parametrize("argv,stdin,pattern", README_EXAMPLES, ids=[" ".join(e[0]) for e in README_EXAMPLES])
+def test_readme_example_prints_what_readme_shows(capsys, monkeypatch, argv, stdin, pattern):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert re.fullmatch(pattern, out), out
 
 
 # --- the JSON writer: json.dumps's bytes, without json.dumps's string --------------
@@ -528,12 +571,12 @@ compose_tables chain_tables sigma_table sigma_inv_table pure_twist_table
 preset_pure_generators preset_gamma2 braid_orbit BipartiteOrigami
 validate_origami origami_to_dessin dessin_to_origami isomorphic_origami
 canonical_origami delta_hor delta_hor_inv delta_ver delta_ver_inv
-origami_orbit chessboard_origami pillowcase_origami CoverSpec
+origami_orbit CoverSpec
 poly_roots numerical_monodromy hurwitz_fs hurwitz_projection hurwitz_fiber
 hurwitz_cover belyi_cubic_cover classify_lift hurwitz_dessin BASE_POINT
-UpperHalfPoint ModularValue QSeries eta delta_by_eta weber_f weber_f1 weber_f2
+UpperHalfPoint ModularValue QSeries eta weber_f weber_f1 weber_f2
 lambda_star ap j_from_lambda_star j_oracle lambda_star_qseries qseries_eval
-cm_from_weber integrality_check CM_ROWS cm_value eval_radical
+integrality_check CM_ROWS cm_value eval_radical
 """.split()
 
 

@@ -1,12 +1,14 @@
 """Monodromy tuples: construction, validation, canonical forms, invariants."""
 
+import json
 import random
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dessinry import core, perms
+from dessinry import core, covers, perms
+from dessinry.cli import main
 from dessinry.core import MonodromyTuple
 from dessinry.enumeration import enumerate_classes
 from dessinry.errors import DessinryError
@@ -270,10 +272,10 @@ class TestOrientationReverse:
 
 
 class TestJson:
-    def test_roundtrip(self):
-        obj = core.to_json(TREFOIL)
-        assert obj == {"n": 3, "d": 3, "perms": [[1, 2, 0], [1, 2, 0], [1, 2, 0]]}
-        assert core.from_json(obj) == TREFOIL
+    def test_roundtrip(self, capsys):
+        # The reader takes what the CLI's one tuple writer prints.
+        assert main(["hurwitz", "--a", "2", "--lift", "L3", "--format", "json"]) == 0
+        assert core.from_json(json.loads(capsys.readouterr().out)) == covers.hurwitz_dessin(2, "L3")
 
     def test_rejects_inconsistent_d(self):
         with pytest.raises(DessinryError) as exc:

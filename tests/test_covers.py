@@ -478,6 +478,12 @@ class TestQuarticFamily:
             classify_lift(-1.0 - 5e-9)
         assert exc.value.code == "ambiguous"
 
+    @pytest.mark.parametrize("s", [complex(math.nan, math.nan), math.inf, complex(1, math.inf), -math.inf])
+    def test_classify_rejects_non_finite(self, s):
+        with pytest.raises(DessinryError) as exc:
+            classify_lift(s)
+        assert exc.value.code == "invalid-parameter"
+
     def test_point_wrapper(self):
         pts = [HurwitzPoint(s) for s in hurwitz_fiber(3.0)]
         assert {p.lift_label for p in pts} == {"L1", "L2", "L3", "L4"}

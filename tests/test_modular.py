@@ -15,8 +15,6 @@ from dessinry.modular import (
     QSeries,
     UpperHalfPoint,
     ap,
-    cm_from_weber,
-    delta_by_eta,
     eta,
     integrality_check,
     j_from_lambda_star,
@@ -87,6 +85,19 @@ def qseries_by_power_series(N):
     sq = _poly_mul(base, base, N)
     quad = _poly_mul(sq, sq, N)
     return _poly_mul(quad, quad, N)
+
+
+def delta_by_eta(tau, tol):
+    """Discriminant (2 pi)^12 eta(tau)^24 from the library's eta product, in
+    one pass, with a bound of at most tol * |value|."""
+    tau = UpperHalfPoint(tau).tau
+
+    def compute(rel):
+        ev, eb = modular._eta(tau, rel / 48)
+        val = (2 * mpmath.pi) ** 12 * modular._ipow(ev, 24)
+        return val, abs(val) * modular._rel_err((eb / abs(ev), 24))
+
+    return ModularValue(*modular._pass(compute, tol))
 
 
 class TestUpperHalfPoint:
@@ -347,38 +358,6 @@ class TestQSeries:
         assert isinstance(repr(s), str)
 
 
-class TestCmFromWeber:
-    def test_split_at_four(self):
-        u, v, apv = cm_from_weber(4)
-        with mp.workdps(30):
-            assert abs(u - 2) < 1e-9 and abs(v - 2) < 1e-9 and abs(apv - 2) < 1e-9
-
-    def test_roundtrip_with_tau(self):
-        tau = 2j
-        with mp.workdps(40):
-            f8 = mpmath.re(weber_f(tau, 1e-25).value ** 8)
-            u, v, apv = cm_from_weber(f8, tol=1e-12, tau=tau)
-            assert abs(u - weber_f1(tau, 1e-25).value ** 8) < 1e-10
-            assert abs(v - weber_f2(tau, 1e-25).value ** 8) < 1e-10
-            assert abs(apv - ap(2.0, 1e-20).value) < 1e-10
-
-    def test_rejects_nonreal_and_nonpositive(self):
-        with pytest.raises(DessinryError):
-            cm_from_weber(4 + 1j)
-        with pytest.raises(DessinryError):
-            cm_from_weber(-4)
-
-    def test_negative_discriminant(self):
-        with pytest.raises(DessinryError) as exc:
-            cm_from_weber(1.0)
-        assert exc.value.code == "negative-discriminant"
-
-    def test_ambiguous_assignment(self):
-        with pytest.raises(DessinryError) as exc:
-            cm_from_weber(20.0, tol=1e-10, tau=1j)
-        assert exc.value.code == "ambiguous-assignment"
-
-
 class TestCmTable:
     def test_row_count_and_keys(self):
         assert len(CM_ROWS) == 20
@@ -414,6 +393,27 @@ class TestIntegrality:
             integrality_check(0)
         with pytest.raises(DessinryError):
             integrality_check(2.5)
+
+
+# Every function that takes a tolerance, with a valid first argument.
+TOLERANCE_TAKERS = [
+    (eta, 1j),
+    (weber_f, 1j),
+    (weber_f1, 1j),
+    (weber_f2, 1j),
+    (lambda_star, 1j),
+    (ap, 2),
+    (j_oracle, 1j),
+    (integrality_check, 1),
+]
+
+
+@pytest.mark.parametrize("tol", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("fn,arg", TOLERANCE_TAKERS, ids=[fn.__name__ for fn, _ in TOLERANCE_TAKERS])
+def test_tolerance_must_be_positive_and_finite(fn, arg, tol):
+    with pytest.raises(DessinryError) as exc:
+        fn(arg, tol)
+    assert exc.value.code == "invalid-parameter"
 
 
 def test_modular_value_repr():

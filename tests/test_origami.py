@@ -13,7 +13,6 @@ from dessinry.errors import DessinryError
 from dessinry.origami import (
     BipartiteOrigami,
     canonical_origami,
-    chessboard_origami,
     delta_hor,
     delta_hor_inv,
     delta_ver,
@@ -24,7 +23,6 @@ from dessinry.origami import (
     origami_orbit,
     origami_to_dessin,
     origami_to_json,
-    pillowcase_origami,
     validate_origami,
 )
 from dessinry.perms import inverse
@@ -33,6 +31,19 @@ from dessinry.perms import inverse
 SIX_A = BipartiteOrigami((1, 2, 0), (0, 1, 2), (1, 0, 2), (1, 0, 2))
 SIX_B = BipartiteOrigami((1, 2, 0), (0, 1, 2), (1, 0, 2), (0, 2, 1))
 DELTAS = {"hor": delta_hor, "ver": delta_ver, "hor-inv": delta_hor_inv, "ver-inv": delta_ver_inv}
+
+
+def chessboard_origami():
+    """Two whites and two greys in a checker pattern, opposite sides glued.
+
+    The unique connected double cover of the one-square origami branched at
+    all four corners; every corner permutation is the transposition."""
+    return BipartiteOrigami((0, 1), (0, 1), (1, 0), (1, 0))
+
+
+def pillowcase_origami():
+    """One white and one grey square, the degree-one base object."""
+    return BipartiteOrigami((0,), (0,), (0,), (0,))
 
 
 # The three shears the package derives from the horizontal one, written out
