@@ -14,7 +14,7 @@ order: compose_tables(a, b) acts as a first, then b.
 
 from .core import MonodromyTuple, _canonical_key, canonical_form, validate
 from .errors import DessinryError
-from .perms import compose, identity, inverse
+from .perms import identity
 
 
 def word(*letters):
@@ -91,11 +91,15 @@ class EndomorphismTable:
 
 def _evaluate(w, perms, inverses, d):
     """Substitute perms[v] for x_v (inverses[v] for x_v^-1) and compose left
-    to right; the letters are known to be in range."""
-    out = identity(d)
-    for idx, sign in w:
-        out = compose(out, perms[idx] if sign == 1 else inverses[idx])
-    return out
+    to right, from the first letter; the letters are known to be in range."""
+    if not w:
+        return identity(d)
+    (idx, sign), *rest = w
+    out = perms[idx] if sign == 1 else inverses[idx]
+    for idx, sign in rest:
+        p = perms[idx] if sign == 1 else inverses[idx]
+        out = [p[i] for i in out]  # perms.compose(out, p), a tuple only at the end
+    return tuple(out)
 
 
 def evaluate_word(w, t):
@@ -103,17 +107,19 @@ def evaluate_word(w, t):
     for idx, _sign in w:
         if not 0 <= idx < t.n:
             raise DessinryError("index-out-of-range", "word letter x%d, tuple has n=%d" % (idx, t.n))
-    return _evaluate(w, t.perms, [inverse(p) for p in t.perms], t.d)
+    return _evaluate(w, t.perms, t._inverse_perms(), t.d)
 
 
 def apply_endomorphism(e, t):
+    """The image of t under e.  The inverses of t's entries are kept on t, so
+    an orbit builds them once per element, not once per generator."""
     if e.n != t.n:
         raise DessinryError("index-out-of-range", "table has n=%d, tuple has n=%d" % (e.n, t.n))
     # The table's letters are in range, and products of permutations are
     # permutations: only the semantic invariants can fail, and validate
     # checks them once.
-    inverses = [inverse(p) for p in t.perms]
-    out = MonodromyTuple._trusted(tuple(_evaluate(w, t.perms, inverses, t.d) for w in e.images))
+    perms, inverses, d = t.perms, t._inverse_perms(), t.d
+    out = MonodromyTuple._trusted(tuple([_evaluate(w, perms, inverses, d) for w in e.images]))
     diag = validate(out)
     if diag != "ok":
         raise DessinryError(

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import types
+from json.encoder import encode_basestring_ascii
 
 # braid, covers, origami and the mpmath users modular and cm_values are
 # imported by the handlers that need them, so that every other subcommand
@@ -52,6 +53,44 @@ def _tol(args, fallback):
     return tol
 
 
+def _json(value, indent="\n"):
+    """What json.dumps(value, indent=2, sort_keys=True) prints, built with
+    str.join; indent is the newline and indentation of the line that holds
+    the value.  Keys must be strings, as every key the CLI prints is."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # Exact type: a bool is an int, but prints as true or false.
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def _emit(args, payload, lines):
     """Print payload() as JSON with the schema tag under --format json (or
     --json), else the text lines(); only the one printed is built.
@@ -66,17 +105,16 @@ def _emit(args, payload, lines):
             print(line)
         return
     doc = {"schema": SCHEMA, **payload()}
-    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
     write = sys.stdout.write
     for k, key in enumerate(sorted(doc)):
-        write(("{\n  " if k == 0 else ",\n  ") + encode(key) + ": ")
+        write(("{\n  " if k == 0 else ",\n  ") + encode_basestring_ascii(key) + ": ")
         value = doc[key]
         if not isinstance(value, types.GeneratorType):
-            write(encode(value).replace("\n", "\n  "))
+            write(_json(value, "\n  "))
             continue
         opened = False
         for item in value:
-            write((",\n    " if opened else "[\n    ") + encode(item).replace("\n", "\n    "))
+            write((",\n    " if opened else "[\n    ") + _json(item, "\n    "))
             opened = True
         write("\n  ]" if opened else "[]")
     write("\n}\n")
@@ -412,7 +450,7 @@ def _cmd_table1(args):
             stored = cm_values.eval_radical(expr)
             entry = {"n": n, "stored": _fmt(stored)}
             if args.check:
-                computed = modular.ap(mpmath.sqrt(n), tol * 1e-3).value
+                computed = modular.ap(mpmath.sqrt(n), mpmath.mpf(tol) / 1000).value
                 err = abs(computed - stored)
                 entry["computed"] = _fmt(mpmath.re(computed))
                 entry["error"] = _fmt(err)

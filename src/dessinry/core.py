@@ -41,7 +41,7 @@ class MonodromyTuple:
     tuples can still be constructed, inspected and diagnosed.
     """
 
-    __slots__ = ("perms",)
+    __slots__ = ("perms", "_inverses")
 
     def __init__(self, perms):
         try:
@@ -69,6 +69,14 @@ class MonodromyTuple:
         t = object.__new__(cls)
         object.__setattr__(t, "perms", perms)
         return t
+
+    def _inverse_perms(self):
+        """The inverses of the entries, built on the first call and kept."""
+        try:
+            return self._inverses
+        except AttributeError:
+            object.__setattr__(self, "_inverses", tuple(inverse(p) for p in self.perms))
+            return self._inverses
 
     @property
     def n(self):

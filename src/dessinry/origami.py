@@ -88,20 +88,26 @@ class BipartiteOrigami:
         return "BipartiteOrigami(R=%r, L=%r, U=%r, D=%r)" % (self.R, self.L, self.U, self.D)
 
 
+def _bijection_diag(o):
+    """'ok', or a diagnostic naming the first of R, L, U, D that is not a
+    bijection onto the grey squares."""
+    for label, seq in (("R", o.R), ("L", o.L), ("U", o.U), ("D", o.D)):
+        if not is_perm(seq, o.m):
+            return "violated: %s is not a bijection onto the grey squares" % label
+    return "ok"
+
+
 def validate_origami(o):
     """'ok', or a diagnostic naming the violated gluing condition."""
-    m = o.m
-    for label, seq in (("R", o.R), ("L", o.L), ("U", o.U), ("D", o.D)):
-        if not is_perm(seq, m):
-            return "violated: %s is not a bijection onto the grey squares" % label
+    diag = _bijection_diag(o)
     # Every grey square is glued to a white one, so the gluing graph is
     # connected when its white squares are.  A step white -> grey -> white
     # leaves by one gluing X and returns by another Y, and the corner
     # permutations, the steps for (L, D), (D, R), (R, U), (U, L) in turn,
     # generate every such step.
-    if not acts_transitively(_dessin_perms(o), m):
+    if diag == "ok" and not acts_transitively(_dessin_perms(o), o.m):
         return "violated: gluing graph is not connected"
-    return "ok"
+    return diag
 
 
 def _require_valid_origami(o):
@@ -146,12 +152,15 @@ def isomorphic_origami(a, b):
 def canonical_origami(o):
     """Canonical representative of the relabeling class; idempotent.
 
-    o is validated once; a valid origami gives a valid tuple (the corner
-    products telescope to the identity and the gluing graph is connected),
-    so the tuple goes to the canonical kernel unchecked.
+    The corner permutations of bijective gluing data multiply to the
+    identity, so they go to the canonical kernel unchecked, and the kernel's
+    None is the connectivity test: either failure raises the diagnostic of
+    validate_origami.
     """
-    _require_valid_origami(o)
-    return _origami_of(_canonical_key(_dessin_perms(o))[0])
+    key = _canonical_key(_dessin_perms(o)) if _bijection_diag(o) == "ok" else None
+    if key is None:
+        raise DessinryError("invalid-origami", validate_origami(o))
+    return _origami_of(key[0])
 
 
 # The shear rewrites on valid gluing data, unchecked: the orbit closure

@@ -93,6 +93,9 @@ class TestEvaluate:
         got = evaluate_word(((0, -1),), TREFOIL)
         assert got == perms.inverse(TREFOIL.perms[0])
 
+    def test_empty_word_is_identity(self):
+        assert evaluate_word((), TREFOIL) == perms.identity(3)
+
     def test_letter_out_of_alphabet(self):
         with pytest.raises(DessinryError) as exc:
             evaluate_word(((5, 1),), TREFOIL)
@@ -268,6 +271,15 @@ class TestOrbit:
         res = braid_orbit([TRANSPOSITIONS], gens)
         assert len(res.elements) == 4
         assert len(calls) == len(res.elements) * len(gens)
+
+    def test_orbit_names_a_table_that_breaks_transitivity(self):
+        # Every letter to the empty word: the product is still the
+        # identity, but the image acts trivially on three sheets.
+        kill = EndomorphismTable(4, [(), (), (), ()], name="kill")
+        with pytest.raises(DessinryError) as exc:
+            braid_orbit([TREFOIL_N4], preset_gamma2() + [kill])
+        assert exc.value.code == "invalid-result"
+        assert exc.value.message.startswith("endomorphism 'kill' does not preserve tuple space: violated: not transitive")
 
     def test_closure_rejects_non_injective_operation(self):
         with pytest.raises(DessinryError) as exc:

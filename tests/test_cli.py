@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -230,6 +231,13 @@ class TestModularCommands:
         assert len(lines) == 3
         assert all(line.endswith("PASS") for line in lines)
 
+    def test_table1_check_takes_a_subnormal_tol(self, capsys):
+        # The inner target tol / 1000 is taken in mpmath, where it does not
+        # underflow to 0 as the float tol * 1e-3 did.
+        code, out, err = run_cli(capsys, ["table1", "--rows", "1", "--check", "--tol", "1e-323"])
+        assert (code, err) == (0, "")
+        assert out.endswith("  PASS\n")
+
     def test_table1_unknown_row(self, capsys):
         code, _, err = run_cli(capsys, ["table1", "--rows", "11"])
         assert code == 1 and "invalid-parameter" in err
@@ -306,8 +314,6 @@ CONTRACT_INPUTS = [
     (["monodromy", "--poly", "[true,0,0]", "--branch-points", "[0,1]"], None, {}),
     # An empty --rows names no row; it does not mean every row.
     (["table1", "--rows", ""], None, {}),
-    # The inner target tol * 1e-3 underflows to 0.
-    (["table1", "--rows", "1", "--check", "--tol", "1e-323"], None, {}),
 ]
 # JSON of the wrong shape; the same argv recurs, so each is named by its stdin.
 SHAPE_INPUTS = [
@@ -458,7 +464,18 @@ def test_readme_example_prints_what_readme_shows(capsys, monkeypatch, argv, stdi
 # --- the JSON writer: json.dumps's bytes, without json.dumps's string --------------
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.text()
+    # The writer's fast path is a list of exact ints; bools are ints that
+    # print as true and false, so a list that mixes them must not take it.
+    | st.lists(st.integers())
+    | st.lists(st.text())
+    | st.lists(st.integers() | st.booleans())
+    | st.lists(st.lists(st.integers(), max_size=6), max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20,
 )

@@ -200,6 +200,25 @@ class TestRoundtrip:
         with pytest.raises(DessinryError):
             dessin_to_origami(t)
 
+    def test_canonical_origami_raises_the_validate_diagnostic(self):
+        # Every gluing of up to two squares, bijective or not, and every
+        # bijective gluing of three.
+        maps = [g for m in (1, 2) for g in product(range(m), repeat=m)]
+        cases = [BipartiteOrigami(*g) for g in product(maps, repeat=4) if len({len(x) for x in g}) == 1]
+        cases += [BipartiteOrigami(*g) for g in product(list(permutations(range(3))), repeat=4)]
+        diags = set()
+        for o in cases:
+            diag = validate_origami(o)
+            diags.add(diag)
+            if diag == "ok":
+                assert canonical_origami(o) == canonical_origami(dessin_to_origami(origami_to_dessin(o)))
+                continue
+            with pytest.raises(DessinryError) as exc:
+                canonical_origami(o)
+            assert (exc.value.code, exc.value.message) == ("invalid-origami", diag)
+        # "ok", a failed bijection of each of R, L, U, D, and a disconnected gluing.
+        assert len(diags) == 6
+
     def test_canonical_origami_idempotent(self):
         for o in (SIX_A, SIX_B, chessboard_origami()):
             c = canonical_origami(o)
