@@ -28,7 +28,6 @@ _EXPORTS = {
         "centralizer_order",
     ),
     "enumeration": (
-        "DessinClass",
         "EnumerationResult",
         "enumerate_classes",
         "count_transitive_tuples",

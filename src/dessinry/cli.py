@@ -120,22 +120,14 @@ def _emit(args, payload, lines):
     write("\n}\n")
 
 
-def _tuple_json(perms, genus, profile):
+def _tuple_json(perms):
     """The JSON keys that every printed tuple carries."""
-    return {
-        "perms": [list(p) for p in perms],
-        "cycles": [cycles_str(p) for p in perms],
-        "genus": genus,
-        "profile": [list(part) for part in profile],
-    }
+    strs, genus, profile = core._cycle_data(perms)
+    return {"perms": perms, "cycles": strs, "genus": genus, "profile": profile}
 
 
 def _emit_tuple(args, t, **extra):
-    def payload():
-        core._require_valid(t)
-        return {**extra, "n": t.n, "d": t.d, **_tuple_json(t.perms, *core._genus_profile(t.perms))}
-
-    _emit(args, payload, lambda: [_tuple_label(t)])
+    _emit(args, lambda: {**extra, "n": t.n, "d": t.d, **_tuple_json(t.perms)}, lambda: [_tuple_label(t)])
 
 
 def _emit_origami(args, o, **extra):
@@ -189,14 +181,23 @@ def _origami_label(o):
     return "R=%s L=%s U=%s D=%s" % (cycles_str(o.R), cycles_str(o.L), cycles_str(o.U), cycles_str(o.D))
 
 
+def _load_json(read, what):
+    """json.loads(read()); text that does not decode, or does not parse, or
+    nests too deeply for the parser, is an invalid-parameter naming what."""
+    try:
+        return json.loads(read())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DessinryError("invalid-parameter", "bad JSON %s: %s" % (what, exc)) from None
+    except RecursionError:
+        raise DessinryError("invalid-parameter", "bad JSON %s: nested too deeply" % what) from None
+
+
 def _read_json_arg(path):
     try:
         if path is None or path == "-":
-            return json.load(sys.stdin)
+            return _load_json(sys.stdin.read, "input")
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DessinryError("invalid-parameter", "bad JSON input: %s" % exc) from None
+            return _load_json(fh.read, "input")
     except OSError as exc:
         raise DessinryError("invalid-parameter", "cannot read %s: %s" % (path, exc.strerror)) from None
 
@@ -257,15 +258,11 @@ def _cmd_enumerate(args):
 
     def lines():
         yield "n=%d d=%d: %d classes, %d marked" % (result.n, result.d, len(result.classes), result.marked_count)
-        for k, c in enumerate(result.classes):
-            profile = " ".join("+".join(str(x) for x in part) for part in c.profile)
-            yield "class %d: %s  genus %d  profile %s  normal %s" % (
-                k,
-                _tuple_label(c.canonical),
-                c.genus,
-                profile,
-                "yes" if c.normal else "no",
-            )
+        for k, (t, order) in enumerate(zip(result.classes, result.centralizer_orders)):
+            strs, genus, profile = core._cycle_data(t.perms)
+            shape = " ".join("+".join(map(str, part)) for part in profile)
+            normal = "yes" if order == result.d else "no"
+            yield "class %d: %s  genus %d  profile %s  normal %s" % (k, " | ".join(strs), genus, shape, normal)
 
     _emit(
         args,
@@ -275,7 +272,8 @@ def _cmd_enumerate(args):
             "class_count": len(result.classes),
             "marked_count": result.marked_count,
             "classes": (
-                {**_tuple_json(c.canonical.perms, c.genus, c.profile), "normal": c.normal} for c in result.classes
+                {**_tuple_json(t.perms), "normal": order == result.d}
+                for t, order in zip(result.classes, result.centralizer_orders)
             ),
         },
         lines,
@@ -306,7 +304,7 @@ def _cmd_orbit(args):
     else:
         if args.n is None or args.d is None:
             raise DessinryError("invalid-parameter", "orbit needs --seed FILE or both --n and --d")
-        seeds = [c.canonical for c in enumerate_classes(args.n, args.d).classes]
+        seeds = enumerate_classes(args.n, args.d).classes
         n = args.n
     from . import braid
 
@@ -384,10 +382,7 @@ def _parse_complex_pair(text):
 
 def _parse_complex_list(text, what):
     """A JSON list whose entries are numbers or [re, im] pairs."""
-    try:
-        items = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DessinryError("invalid-parameter", "bad JSON argument: %s" % exc) from None
+    items = _load_json(lambda: text, what)
     if not isinstance(items, list):
         raise DessinryError("invalid-parameter", "%s must be a JSON list, got %r" % (what, items))
     out = []

@@ -25,7 +25,8 @@ from .errors import DessinryError
 from .perms import (
     compose,
     compose_all,
-    cycle_type,
+    cycles,
+    cycles_text,
     identity,
     inverse,
     is_perm,
@@ -203,13 +204,14 @@ def isomorphic(a, b):
     return canonical_form(a).perms == canonical_form(b).perms
 
 
-def _genus_profile(perms):
-    """Genus and ramification profile of a valid raw tuple, from one pass
-    over the cycles of its entries; nothing is checked about the tuple."""
+def _cycle_data(perms):
+    """Cycle strings, genus and ramification profile of a raw tuple, from
+    one cycles() pass per entry; nothing is checked about the tuple."""
     d = len(perms[0])
-    profile = tuple(cycle_type(p) for p in perms)
+    decomposed = [cycles(p) for p in perms]
+    profile = tuple(tuple(sorted(map(len, cycs), reverse=True)) for cycs in decomposed)
     chi = 2 * d - sum(d - len(part) for part in profile)
-    return (2 - chi) // 2, profile
+    return [cycles_text(cycs) for cycs in decomposed], (2 - chi) // 2, profile
 
 
 def cycle_profile(t):
@@ -219,7 +221,7 @@ def cycle_profile(t):
     point of a degree-4 cover.
     """
     _require_valid(t)
-    return _genus_profile(t.perms)[1]
+    return _cycle_data(t.perms)[2]
 
 
 def genus(t):
@@ -228,7 +230,7 @@ def genus(t):
     chi = 2d - sum over colors of (d - #cycles); genus = (2 - chi) / 2.
     """
     _require_valid(t)
-    return _genus_profile(t.perms)[0]
+    return _cycle_data(t.perms)[1]
 
 
 def is_normal(t):

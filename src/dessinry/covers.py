@@ -393,6 +393,10 @@ def hurwitz_projection(s):
 def hurwitz_fiber(a):
     """The four solutions of p(s) = a, as roots of s^4 - 2s^3 + 2as - a."""
     a = complex(a)
+    if not cmath.isfinite(2 * a):
+        raise DessinryError(
+            "invalid-parameter", "the fiber polynomial s^4 - 2s^3 + 2as - a is not finite at a=%r" % (a,)
+        )
     return poly_roots((1, -2, 0, 2 * a, -a))
 
 

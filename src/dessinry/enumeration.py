@@ -21,7 +21,7 @@ index subgroups of a free group, linked by
 from itertools import permutations, product
 from math import factorial
 
-from .core import MonodromyTuple, _canonical_key, _genus_profile, _require_valid
+from .core import MonodromyTuple, _canonical_key
 
 # Unused here; imported so that bench/tracing.py finds them in this module
 # to wrap, as in every module that imports them from core.
@@ -35,39 +35,17 @@ from .perms import acts_transitively, compose, compose_all, from_cycles, inverse
 WORK_LIMIT = 2_000_000
 
 
-class DessinClass:
-    """One isomorphism class: canonical tuple plus its basic invariants.
-
-    centralizer_order is the order of the tuple's simultaneous centralizer,
-    as core.centralizer_order gives it; the cover is normal exactly when
-    that order is d.
-    """
-
-    __slots__ = ("canonical", "genus", "profile", "normal")
-
-    def __init__(self, canonical_tuple, centralizer_order):
-        _require_valid(canonical_tuple)
-        self.canonical = canonical_tuple
-        self.genus, self.profile = _genus_profile(canonical_tuple.perms)
-        self.normal = centralizer_order == canonical_tuple.d
-
-    def __eq__(self, other):
-        return isinstance(other, DessinClass) and self.canonical == other.canonical
-
-    def __hash__(self):
-        return hash(self.canonical)
-
-    def __repr__(self):
-        return "DessinClass(%r, genus=%d)" % (self.canonical.perms, self.genus)
-
-
 class EnumerationResult:
-    __slots__ = ("n", "d", "classes", "marked_count")
+    """Canonical tuples of the classes, sorted by encoding, the order of each
+    one's centralizer (normal exactly when it is d), and the labeled count."""
 
-    def __init__(self, n, d, classes, marked_count):
+    __slots__ = ("n", "d", "classes", "centralizer_orders", "marked_count")
+
+    def __init__(self, n, d, classes, centralizer_orders, marked_count):
         self.n = n
         self.d = d
         self.classes = classes
+        self.centralizer_orders = centralizer_orders
         self.marked_count = marked_count
 
 
@@ -195,9 +173,7 @@ def enumerate_classes(n, d):
                 if found is not None:
                     seen.setdefault(*found)
 
-    classes = []
-    marked = 0
-    for key in sorted(seen):
-        classes.append(DessinClass(MonodromyTuple._trusted(key), seen[key]))
-        marked += factorial(d) // seen[key]
-    return EnumerationResult(n, d, tuple(classes), marked)
+    keys = sorted(seen)
+    orders = tuple(seen[key] for key in keys)
+    marked = sum(factorial(d) // order for order in orders)
+    return EnumerationResult(n, d, tuple(map(MonodromyTuple._trusted, keys)), orders, marked)

@@ -147,12 +147,10 @@ def _eta(tau, rel):
     """
     x = mpmath.exp(-2 * mpmath.pi * mpmath.im(tau))
     if x >= 1:
-        raise DessinryError("tolerance-unreachable", "|q| rounds to 1 at tau=%s, eta cannot converge" % tau)
+        raise DessinryError("tolerance-unreachable", "|q| rounds to 1, eta cannot converge")
     N = max(8, int(mpmath.ceil(mpmath.log(mpmath.log1p(rel) * (1 - x) ** 2) / mpmath.log(x))))
     if N > _PRODUCT_BUDGET:
-        raise DessinryError(
-            "tolerance-unreachable", "eta product needs more than %d terms at tau=%s" % (_PRODUCT_BUDGET, tau)
-        )
+        raise DessinryError("tolerance-unreachable", "eta product needs more than %d terms" % _PRODUCT_BUDGET)
     with mp.workprec(mp.prec + _extra_bits(3 * N + 8 + (20 * abs(tau) + 4) * (1 + x / (1 - x) ** 3))):
         q = mpmath.exp(2 * mpmath.pi * _I * tau)
         prod = mpmath.mpf(1)
@@ -164,31 +162,38 @@ def _eta(tau, rel):
     return val, abs(val) * mpmath.expm1(x ** (N + 1) / (1 - x) ** 2)
 
 
-def _pass(compute, rel):
+def _pass(compute, rel, at):
     """compute(rel) -> (value, bound, ...) with bound <= rel * |value|, run at
-    the precision rel needs; the bound gains the rounding allowance."""
+    the precision rel needs; the bound gains the rounding allowance.  A
+    tolerance-unreachable from compute names at, the caller's argument, not
+    the point of the eta that failed."""
     rel = mpmath.mpf(rel)
     if not 0 < rel < mpmath.inf:
         raise DessinryError("invalid-parameter", "tolerance must be a positive finite number, got %s" % rel)
     with mp.workdps(_dps_for(rel)):
-        value, bound, *rest = compute(rel)
+        try:
+            value, bound, *rest = compute(rel)
+        except DessinryError as exc:
+            if exc.code != "tolerance-unreachable":
+                raise
+            raise DessinryError(exc.code, "%s at %s" % (exc.message, at)) from None
         return (value, bound + _rounding(value), *rest)
 
 
-def _two_passes(compute, tol):
+def _two_passes(compute, tol, at):
     """_pass at rel = tol, and once more at rel = tol / (2 |value|) when a
     value above 1 leaves the bound above tol."""
     tol = mpmath.mpf(tol)
-    out = _pass(compute, tol)
+    out = _pass(compute, tol, at)
     if out[1] > tol and abs(out[0]) > 1:
-        out = _pass(compute, tol / (2 * abs(out[0])))
+        out = _pass(compute, tol / (2 * abs(out[0])), at)
     return out
 
 
 def eta(p, tol=1e-12):
     """Dedekind eta as the truncated product q^{1/24} prod (1 - q^n)."""
     tau = as_upper_half(p).tau
-    return ModularValue(*_two_passes(lambda rel: _eta(tau, rel), tol))
+    return ModularValue(*_two_passes(lambda rel: _eta(tau, rel), tol, "tau=%s" % tau))
 
 
 def _weber(p, tol, pref, tau_num):
@@ -202,7 +207,7 @@ def _weber(p, tol, pref, tau_num):
         val = pref() * nv / dv
         return val, abs(val) * _rel_err((nb / abs(nv), 1), (db / abs(dv), -1))
 
-    return ModularValue(*_two_passes(compute, tol))
+    return ModularValue(*_two_passes(compute, tol, "tau=%s" % tau))
 
 
 def weber_f(p, tol=1e-12):
@@ -228,6 +233,11 @@ def lambda_star(p, tol=1e-12):
     else expression-mismatch is raised.
     """
     tau = as_upper_half(p).tau
+    return _lambda_star(tau, tol, "tau=%s" % tau)
+
+
+def _lambda_star(tau, tol, at):
+    """lambda_star at the mpc tau; at names the caller's argument in diagnostics."""
     t_shift, t_half = _affine(tau, 1, 0.5), _affine(tau, 0, 0.5)
 
     def compute(rel):
@@ -242,12 +252,11 @@ def lambda_star(p, tol=1e-12):
         expr3 = -(d_shift + 16 * d_tau) / (d_half + 16 * d_tau)
         return expr1, bound1, expr3
 
-    expr1, bound1, expr3 = _two_passes(compute, tol)
+    expr1, bound1, expr3 = _two_passes(compute, tol, at)
     worst = abs(expr1 - expr3)
     if worst > 10 * tol:
         raise DessinryError(
-            "expression-mismatch",
-            "lambda* expressions disagree by %s at tau=%s (allowed %s)" % (worst, tau, 10 * tol),
+            "expression-mismatch", "lambda* expressions disagree by %s at %s (allowed %s)" % (worst, at, 10 * tol)
         )
     return ModularValue(expr1, bound1)
 
@@ -259,8 +268,8 @@ def ap(t, tol=1e-12):
         raise DessinryError("invalid-parameter", "t must be a positive real number, got %r" % (t,))
     t_re = mpmath.re(tv)
     with mp.workprec(max(mp.prec, t_re.bc)):  # the point holds t exactly
-        point = UpperHalfPoint(mpmath.mpc(0, t_re))
-    return lambda_star(point, tol)
+        tau = UpperHalfPoint(mpmath.mpc(0, t_re)).tau
+    return _lambda_star(tau, tol, "t=%s" % (t,))
 
 
 def j_from_lambda_star(x):
@@ -304,7 +313,7 @@ def j_oracle(p, tol=1e-9):
         val = _ipow(e4, 3) / _ipow(ev, 24)
         return val, abs(val) * _rel_err((err4, 3), (eb / abs(ev), -24))
 
-    return ModularValue(*_pass(compute, tol))
+    return ModularValue(*_pass(compute, tol, "tau=%s" % tau))
 
 
 class QSeries:

@@ -70,11 +70,6 @@ def cycles(p):
     return out
 
 
-def cycle_type(p):
-    """Partition of d given by the cycle lengths, sorted descending."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
-
-
 def relabel(p, pi):
     """Conjugate p by the relabeling pi: the result sends pi[i] to pi[p[i]]."""
     out = [0] * len(p)
@@ -129,5 +124,9 @@ def cycle_str(cyc):
 
 def cycles_str(p):
     """Compact cycle notation, fixed points omitted; 'id' for the identity."""
-    parts = [cycle_str(c) for c in cycles(p) if len(c) > 1]
-    return "".join(parts) if parts else "id"
+    return cycles_text(cycles(p))
+
+
+def cycles_text(cycs):
+    """cycles_str of the permutation whose cycles() are cycs."""
+    return "".join([cycle_str(c) for c in cycs if len(c) > 1]) or "id"

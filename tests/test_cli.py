@@ -16,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dessinry
-from dessinry import cli, enumerate_classes
+from dessinry import cli, core, enumerate_classes, perms
 from dessinry.cli import main
+from dessinry.errors import DessinryError
 
 CHESSBOARD_JSON = json.dumps({"m": 2, "R": [0, 1], "L": [0, 1], "U": [1, 0], "D": [1, 0]})
 
@@ -273,6 +274,7 @@ class TestModularCommands:
 
 # Inputs that must end in a "code: message" diagnostic, never a traceback:
 # argv, stdin, environment.
+DEEP_JSON = "[" * 30000 + "]" * 30000
 CONTRACT_INPUTS = [
     (["ap", "--t", "2"], None, {"DESSINRY_TOL": "abc"}),
     (["ap", "--t", "2", "--tol", "0"], None, {}),
@@ -314,6 +316,13 @@ CONTRACT_INPUTS = [
     (["monodromy", "--poly", "[true,0,0]", "--branch-points", "[0,1]"], None, {}),
     # An empty --rows names no row; it does not mean every row.
     (["table1", "--rows", ""], None, {}),
+    # JSON that is not UTF-8, or that nests deeper than the parser goes, in a
+    # file (the test writes both) or in an argument.
+    (["orbit", "--seed", "undecodable.json"], None, {}),
+    (["origami", "to-dessin", "--in", "undecodable.json"], None, {}),
+    (["orbit", "--seed", "deep.json"], None, {}),
+    (["monodromy", "--poly", DEEP_JSON, "--branch-points", "[0, 1]"], None, {}),
+    (["monodromy", "--poly", "[1, 0, 0]", "--branch-points", DEEP_JSON], None, {}),
 ]
 # JSON of the wrong shape; the same argv recurs, so each is named by its stdin.
 SHAPE_INPUTS = [
@@ -325,13 +334,20 @@ SHAPE_INPUTS = [
 ]
 
 
+def argv_id(argv):
+    """The argv joined by spaces, each argument past 80 characters cut short."""
+    return " ".join(a if len(a) <= 80 else "%s...(%d chars)" % (a[:3], len(a)) for a in argv)
+
+
 @pytest.mark.parametrize(
     "argv,stdin,env",
     CONTRACT_INPUTS + SHAPE_INPUTS,
-    ids=[" ".join(c[0]) for c in CONTRACT_INPUTS] + [" ".join(c[0]) + " < " + c[1] for c in SHAPE_INPUTS],
+    ids=[argv_id(c[0]) for c in CONTRACT_INPUTS] + [argv_id(c[0]) + " < " + c[1] for c in SHAPE_INPUTS],
 )
 def test_bad_input_gets_a_diagnostic(capsys, monkeypatch, tmp_path, argv, stdin, env):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "undecodable.json").write_bytes(b"\xff")
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
@@ -370,6 +386,26 @@ def test_poly_entries_are_json_numbers(capsys, poly):
     code, out, err = run_cli(capsys, ["monodromy", "--poly", poly, "--branch-points", "[0, 1]"])
     assert (code, out) == (1, "")
     assert err.startswith("invalid-parameter: --poly entry ")
+
+
+@pytest.mark.parametrize(
+    "argv,diagnostic",
+    [
+        (["ap", "--t", "1e-5"], "tolerance-unreachable: eta product needs more than 400000 terms at t=1e-05"),
+        (
+            ["lambda-star", "--tau", "0.3,1e-5"],
+            "tolerance-unreachable: eta product needs more than 400000 terms at tau=(0.3 + 1.0e-5j)",
+        ),
+        (
+            ["hurwitz", "--a", "1e308", "--lift", "L1"],
+            "invalid-parameter: the fiber polynomial s^4 - 2s^3 + 2as - a is not finite at a=(1e+308+0j)",
+        ),
+    ],
+    ids=["ap", "lambda-star", "hurwitz"],
+)
+def test_diagnostic_names_the_value_given(capsys, argv, diagnostic):
+    # Not the derived point (tau + 1) / 2, nor the overflowed coefficient 2a.
+    assert run_cli(capsys, argv) == (1, "", diagnostic + "\n")
 
 
 class TestUsageErrors:
@@ -497,6 +533,8 @@ def test_json_writer_matches_json_dumps(doc):
 
 
 def test_enumerate_json_matches_json_dumps(capsys):
+    # Each class's keys come from perms and core's public invariants, not
+    # from the CLI's one-pass helper.
     result = enumerate_classes(3, 5)
     doc = {
         "schema": cli.SCHEMA,
@@ -505,12 +543,37 @@ def test_enumerate_json_matches_json_dumps(capsys):
         "class_count": len(result.classes),
         "marked_count": result.marked_count,
         "classes": [
-            {**cli._tuple_json(c.canonical.perms, c.genus, c.profile), "normal": c.normal} for c in result.classes
+            {
+                "perms": [list(p) for p in t.perms],
+                "cycles": [perms.cycles_str(p) for p in t.perms],
+                "genus": core.genus(t),
+                "profile": [list(part) for part in core.cycle_profile(t)],
+                "normal": core.is_normal(t),
+            }
+            for t in result.classes
         ],
     }
     code, out, err = run_cli(capsys, ["enumerate", "--n", "3", "--d", "5", "--format", "json"])
     assert (code, err) == (0, "")
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_enumerate_decomposes_each_printed_permutation_once(capsys, monkeypatch, fmt):
+    # Cycle strings, genus and profile all come from one cycles() pass.
+    classes = len(enumerate_classes(3, 4).classes)
+    calls = []
+    real = perms.cycles
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(core, "cycles", counting)
+    monkeypatch.setattr(perms, "cycles", counting)
+    code, out, err = run_cli(capsys, ["enumerate", "--n", "3", "--d", "4", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert len(calls) == 3 * classes == 3 * 26
 
 
 class CountingSink:
@@ -543,12 +606,12 @@ def test_enumerate_json_does_not_hold_its_output(monkeypatch):
 
 
 def test_failing_json_payload_writes_nothing(capsys, monkeypatch):
-    # A tuple that reaches the JSON payload invalid: the payload raises before
-    # the first byte of the document is written.
-    from dessinry import core, covers
+    # A payload that raises does so before the first byte of the document is
+    # written.
+    def failing(raw):
+        raise DessinryError("invalid-tuple", "cannot print %r" % (raw,))
 
-    bad = core.MonodromyTuple._trusted(((1, 0), (1, 0), (1, 0), (0, 1)))
-    monkeypatch.setattr(covers, "hurwitz_dessin", lambda a, lift: bad)
+    monkeypatch.setattr(cli, "_tuple_json", failing)
     code, out, err = run_cli(capsys, ["hurwitz", "--a", "2", "--lift", "L1"])
     assert (code, out) == (1, "")
     assert err.startswith("invalid-tuple: ")
@@ -581,7 +644,7 @@ IMPORT_BUDGET = [
 
 EXPORTS = """
 DessinryError MonodromyTuple validate is_valid canonical_form isomorphic genus
-cycle_profile is_normal orientation_reverse centralizer_order DessinClass
+cycle_profile is_normal orientation_reverse centralizer_order
 EnumerationResult enumerate_classes count_transitive_tuples hall_count
 WORK_LIMIT EndomorphismTable OrbitResult word evaluate_word apply_endomorphism
 compose_tables chain_tables sigma_table sigma_inv_table pure_twist_table

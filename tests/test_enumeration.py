@@ -10,10 +10,14 @@ from dessinry import core, enumeration, perms
 from dessinry.enumeration import count_transitive_tuples, enumerate_classes, hall_count
 from dessinry.errors import DessinryError
 
+from test_perms import cycle_type
+
 # Frozen from this package's own Hall recursion, cross-checked below against
 # the independent brute-force scan at every cell both can reach.
 HALL_RANK2 = [1, 3, 13, 71, 461, 3447]
 HALL_RANK3 = [1, 7, 97, 2143, 68641]
+# The cells where the enumeration's marked count is checked against Hall.
+HALL_CELLS = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 4), (3, 6), (6, 3), (4, 5)]
 
 
 def naive_classes(n, d):
@@ -62,7 +66,7 @@ class TestSecondEntryRepresentatives:
         sym = list(permutations(range(d)))
         for part in enumeration._partitions_desc(d):
             g0 = enumeration._type_representative(d, part)
-            assert perms.cycle_type(g0) == part
+            assert cycle_type(g0) == part
             cent = [c for c in sym if perms.compose(g0, c) == perms.compose(c, g0)]
             reps = enumeration._orbit_representatives(enumeration._centralizer(g0), sym)
             orbits = [conjugacy_orbit(r, cent) for r in reps]
@@ -113,54 +117,57 @@ class TestEnumerate:
     def test_reps_agrees_with_naive(self):
         for n, d in [(3, 2), (3, 3), (4, 2)]:
             fast = enumerate_classes(n, d)
-            assert [c.canonical for c in fast.classes] == naive_classes(n, d)
+            assert list(fast.classes) == naive_classes(n, d)
 
     @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3)])
     def test_agrees_with_naive_class_for_class(self, n, d):
-        assert [c.canonical for c in enumerate_classes(n, d).classes] == naive_classes(n, d)
+        assert list(enumerate_classes(n, d).classes) == naive_classes(n, d)
 
-    @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3), (4, 4), (3, 6), (6, 3), (4, 5)])
+    @pytest.mark.parametrize("n,d", HALL_CELLS)
     def test_marked_count_equals_hall_times_factorial(self, n, d):
         assert enumerate_classes(n, d).marked_count == hall_count(n - 1, d) * factorial(d - 1)
 
+    @pytest.mark.parametrize("n,d", HALL_CELLS)
+    def test_classes_validate_and_orders_match_core(self, n, d):
+        # The enumeration checks no class after the kernel: the product holds
+        # by construction and the kernel refuses an intransitive candidate.
+        res = enumerate_classes(n, d)
+        assert len(res.centralizer_orders) == len(res.classes)
+        for t, order in zip(res.classes, res.centralizer_orders):
+            assert core.validate(t) == "ok"
+            assert core.centralizer_order(t) == order
+
     def test_classes_are_canonical_and_sorted(self):
         res = enumerate_classes(4, 2)
-        encodings = [c.canonical.perms for c in res.classes]
+        encodings = [c.perms for c in res.classes]
         assert encodings == sorted(encodings)
         for c in res.classes:
-            assert core.canonical_form(c.canonical) == c.canonical
+            assert core.canonical_form(c) == c
 
     def test_degree_one_single_class(self):
         res = enumerate_classes(3, 1)
         assert len(res.classes) == 1
         assert res.marked_count == 1
-        assert res.classes[0].genus == 0
+        assert core.genus(res.classes[0]) == 0
 
     def test_class_invariants_populated(self):
         res = enumerate_classes(3, 3)
-        genera = sorted(c.genus for c in res.classes)
+        genera = sorted(core.genus(c) for c in res.classes)
         assert genera[0] == 0 and genera[-1] == 1
-        assert any(c.normal for c in res.classes)
+        assert res.d in res.centralizer_orders
         for c in res.classes:
-            assert sum(sum(part) for part in c.profile) == 3 * res.d
-
-    def test_class_invariants_match_core_and_need_a_valid_tuple(self):
-        for c in enumerate_classes(4, 3).classes:
-            t = c.canonical
-            assert (c.genus, c.profile, c.normal) == (core.genus(t), core.cycle_profile(t), core.is_normal(t))
-        with pytest.raises(DessinryError) as exc:
-            enumeration.DessinClass(core.MonodromyTuple(((1, 0), (1, 0), (1, 0))), 2)
-        assert exc.value.code == "invalid-tuple"
+            assert sum(sum(part) for part in core.cycle_profile(c)) == 3 * res.d
 
     def test_normal_flags_match_group_closure(self):
         cells = [(3, d) for d in range(1, 7)] + [(4, d) for d in range(1, 5)] + [(5, 3), (6, 3)]
         classes = normal = 0
         for n, d in cells:
-            for c in enumerate_classes(n, d).classes:
-                expected = generates_group_of_order_d(c.canonical.perms)
-                assert c.normal == core.is_normal(c.canonical) == expected
+            res = enumerate_classes(n, d)
+            for c, order in zip(res.classes, res.centralizer_orders):
+                expected = generates_group_of_order_d(c.perms)
+                assert (order == d) == core.is_normal(c) == expected
                 # Genus is maximal when every color acts as a single d-cycle.
-                assert c.genus <= n * (d - 1) / 2 - d + 1
+                assert core.genus(c) <= n * (d - 1) / 2 - d + 1
                 classes += 1
                 normal += expected
         assert (classes, normal) == (3007, 253)

@@ -97,7 +97,7 @@ def delta_by_eta(tau, tol):
         val = (2 * mpmath.pi) ** 12 * modular._ipow(ev, 24)
         return val, abs(val) * modular._rel_err((eb / abs(ev), 24))
 
-    return ModularValue(*modular._pass(compute, tol))
+    return ModularValue(*modular._pass(compute, tol, "tau=%s" % tau))
 
 
 class TestUpperHalfPoint:
@@ -152,6 +152,26 @@ class TestEta:
         with pytest.raises(DessinryError) as exc:
             eta(1e-5j, tol=1e-12)
         assert exc.value.code == "tolerance-unreachable"
+
+    @pytest.mark.parametrize(
+        "fn,arg,named",
+        [
+            (eta, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
+            (weber_f, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
+            (weber_f1, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
+            (lambda_star, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
+            (j_oracle, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
+            (ap, 1e-5, "t=1e-05"),
+        ],
+        ids=["eta", "weber_f", "weber_f1", "lambda_star", "j_oracle", "ap"],
+    )
+    def test_unreachable_names_the_callers_argument(self, fn, arg, named):
+        # weber_f, lambda_star and ap fail at eta((tau+1)/2) or eta(tau/2);
+        # the diagnostic names what the caller passed, not that point.
+        with pytest.raises(DessinryError) as exc:
+            fn(arg)
+        assert exc.value.code == "tolerance-unreachable"
+        assert exc.value.message == "eta product needs more than 400000 terms at " + named
 
     def test_discriminant_from_eta(self):
         with mp.workdps(40):

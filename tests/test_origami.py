@@ -186,8 +186,7 @@ class TestCornerTracing:
 class TestRoundtrip:
     def test_tuple_roundtrip_is_exact(self):
         for res in (enumerate_classes(4, 2), enumerate_classes(4, 3)):
-            for cls in res.classes:
-                t = cls.canonical
+            for t in res.classes:
                 assert origami_to_dessin(dessin_to_origami(t)) == t
 
     def test_origami_roundtrip_preserves_class(self):
