@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from . import core
 from .enumeration import enumerate_classes
 from .errors import DessinryError
-from .perms import cycle_str, cycles_str
+from .perms import cycle_str, cycles_text
 from .perms import cycles as perm_cycles
 
 SCHEMA = "dessinry/1"
@@ -53,12 +53,32 @@ def _tol(args, fallback):
     return tol
 
 
+class _Encoded(str):
+    """JSON text that _json writes as it is."""
+
+
+class _Printed(dict):
+    """A command's memo of the permutations it prints, keyed by the tuple:
+    each maps to its cycle string, its cycle type and its JSON array text at
+    indent, the newline and indentation of the line that holds it, all from
+    one cycles() pass per distinct permutation."""
+
+    def __init__(self, indent):
+        super().__init__()
+        self.indent = indent
+
+    def __missing__(self, p):
+        cycs = perm_cycles(p)
+        entry = self[p] = (cycles_text(cycs), core._cycle_type(cycs), _Encoded(_json(p, self.indent)))
+        return entry
+
+
 def _json(value, indent="\n"):
     """What json.dumps(value, indent=2, sort_keys=True) prints, built with
     str.join; indent is the newline and indentation of the line that holds
     the value.  Keys must be strings, as every key the CLI prints is."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _Encoded else encode_basestring_ascii(value)
     if value is None:
         return "null"
     if value is True:
@@ -120,20 +140,26 @@ def _emit(args, payload, lines):
     write("\n}\n")
 
 
-def _tuple_json(perms):
-    """The JSON keys that every printed tuple carries."""
-    strs, genus, profile = core._cycle_data(perms)
-    return {"perms": perms, "cycles": strs, "genus": genus, "profile": profile}
+def _tuple_json(printed):
+    """The JSON keys that every printed tuple carries, from the _Printed
+    entries of its permutations."""
+    strs, profile, arrays = zip(*printed)
+    return {"perms": arrays, "cycles": strs, "genus": core._genus(profile), "profile": profile}
 
 
 def _emit_tuple(args, t, **extra):
-    _emit(args, lambda: {**extra, "n": t.n, "d": t.d, **_tuple_json(t.perms)}, lambda: [_tuple_label(t)])
+    memo = _Printed("\n    ")
+    printed = [memo[p] for p in t.perms]
+    _emit(args, lambda: {**extra, "n": t.n, "d": t.d, **_tuple_json(printed)}, lambda: [_tuple_label(printed)])
+
+
+def _origami_json(o, memo):
+    return {"m": o.m, "R": memo[o.R][2], "L": memo[o.L][2], "U": memo[o.U][2], "D": memo[o.D][2]}
 
 
 def _emit_origami(args, o, **extra):
-    from . import origami
-
-    _emit(args, lambda: {**extra, **origami.origami_to_json(o)}, lambda: [_origami_label(o)])
+    memo = _Printed("\n  ")
+    _emit(args, lambda: {**extra, **_origami_json(o, memo)}, lambda: [_origami_label(o, memo)])
 
 
 def _emit_orbit(args, result, labels, element_json, lines, **extra):
@@ -177,8 +203,8 @@ def _emit_value(args, head, shown, out, tol, **where):
     )
 
 
-def _origami_label(o):
-    return "R=%s L=%s U=%s D=%s" % (cycles_str(o.R), cycles_str(o.L), cycles_str(o.U), cycles_str(o.D))
+def _origami_label(o, memo):
+    return "R=%s L=%s U=%s D=%s" % (memo[o.R][0], memo[o.L][0], memo[o.U][0], memo[o.D][0])
 
 
 def _load_json(read, what):
@@ -249,19 +275,21 @@ def _orbit_dot(labels, log):
     return "\n".join(lines)
 
 
-def _tuple_label(t):
-    return " | ".join(cycles_str(p) for p in t.perms)
+def _tuple_label(printed):
+    return " | ".join([entry[0] for entry in printed])
 
 
 def _cmd_enumerate(args):
     result = enumerate_classes(args.n, args.d)
+    memo = _Printed("\n        ")
 
     def lines():
         yield "n=%d d=%d: %d classes, %d marked" % (result.n, result.d, len(result.classes), result.marked_count)
         for k, (t, order) in enumerate(zip(result.classes, result.centralizer_orders)):
-            strs, genus, profile = core._cycle_data(t.perms)
+            strs, profile, _ = zip(*[memo[p] for p in t.perms])
             shape = " ".join("+".join(map(str, part)) for part in profile)
             normal = "yes" if order == result.d else "no"
+            genus = core._genus(profile)
             yield "class %d: %s  genus %d  profile %s  normal %s" % (k, " | ".join(strs), genus, shape, normal)
 
     _emit(
@@ -272,7 +300,7 @@ def _cmd_enumerate(args):
             "class_count": len(result.classes),
             "marked_count": result.marked_count,
             "classes": (
-                {**_tuple_json(t.perms), "normal": order == result.d}
+                {**_tuple_json([memo[p] for p in t.perms]), "normal": order == result.d}
                 for t, order in zip(result.classes, result.centralizer_orders)
             ),
         },
@@ -311,7 +339,8 @@ def _cmd_orbit(args):
     gens = _gens_for(args.gens, n)
     result = braid.braid_orbit(seeds, gens)
     comps = _orbit_components(result)
-    labels = [_tuple_label(t) for t in result.elements]
+    memo = _Printed("\n      ")
+    labels = [_tuple_label([memo[p] for p in t.perms]) for t in result.elements]
 
     def lines():
         yield "%d elements, %d orbits under %s" % (len(result.elements), len(comps), args.gens)
@@ -320,7 +349,7 @@ def _cmd_orbit(args):
             for idx in comp:
                 yield "  element %d: %s" % (idx, labels[idx])
 
-    _emit_orbit(args, result, labels, lambda t: [list(p) for p in t.perms], lines, gens=args.gens, orbits=comps)
+    _emit_orbit(args, result, labels, lambda t: [memo[p][2] for p in t.perms], lines, gens=args.gens, orbits=comps)
 
 
 def _cmd_origami(args):
@@ -343,14 +372,15 @@ def _cmd_origami(args):
         _emit_origami(args, origami._delta(o, args.op))
     else:
         result = origami.origami_orbit(o)
-        labels = [_origami_label(x) for x in result.elements]
+        memo = _Printed("\n      ")
+        labels = [_origami_label(x, memo) for x in result.elements]
 
         def lines():
             yield "%d origamis in the shear orbit" % len(result.elements)
             for k, lab in enumerate(labels):
                 yield "  element %d: %s" % (k, lab)
 
-        _emit_orbit(args, result, labels, origami.origami_to_json, lines)
+        _emit_orbit(args, result, labels, lambda x: _origami_json(x, memo), lines)
 
 
 def _cmd_hurwitz(args):

@@ -26,7 +26,6 @@ from .perms import (
     compose,
     compose_all,
     cycles,
-    cycles_text,
     identity,
     inverse,
     is_perm,
@@ -204,14 +203,18 @@ def isomorphic(a, b):
     return canonical_form(a).perms == canonical_form(b).perms
 
 
-def _cycle_data(perms):
-    """Cycle strings, genus and ramification profile of a raw tuple, from
-    one cycles() pass per entry; nothing is checked about the tuple."""
-    d = len(perms[0])
-    decomposed = [cycles(p) for p in perms]
-    profile = tuple(tuple(sorted(map(len, cycs), reverse=True)) for cycs in decomposed)
+def _cycle_type(cycs):
+    """Cycle lengths, descending, of the permutation whose cycles() are cycs."""
+    return tuple(sorted(map(len, cycs), reverse=True))
+
+
+def _genus(profile):
+    """Genus of the cover with this ramification profile, from the Euler
+    characteristic: chi = 2d - sum over colors of (d - #cycles), genus =
+    (2 - chi) / 2."""
+    d = sum(profile[0])
     chi = 2 * d - sum(d - len(part) for part in profile)
-    return [cycles_text(cycs) for cycs in decomposed], (2 - chi) // 2, profile
+    return (2 - chi) // 2
 
 
 def cycle_profile(t):
@@ -221,16 +224,12 @@ def cycle_profile(t):
     point of a degree-4 cover.
     """
     _require_valid(t)
-    return _cycle_data(t.perms)[2]
+    return tuple(_cycle_type(cycles(p)) for p in t.perms)
 
 
 def genus(t):
-    """Genus of the covering surface, from the Euler characteristic.
-
-    chi = 2d - sum over colors of (d - #cycles); genus = (2 - chi) / 2.
-    """
-    _require_valid(t)
-    return _cycle_data(t.perms)[1]
+    """Genus of the covering surface, from its ramification profile."""
+    return _genus(cycle_profile(t))
 
 
 def is_normal(t):
@@ -281,12 +280,18 @@ def centralizer_order(t):
 
 def from_json(obj):
     """The tuple of the CLI's JSON {n, d, perms, ...}; raises invalid-tuple on malformed input."""
+    if not isinstance(obj, dict):
+        raise DessinryError("invalid-tuple", "expected a JSON object with n, d and perms, got %s" % type(obj).__name__)
     try:
         n = obj["n"]
         d = obj["d"]
         perms = obj["perms"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise DessinryError("invalid-tuple", "missing field %s" % exc) from None
+    for name, value in (("n", n), ("d", d)):
+        # Exact type: JSON true loads as a bool and 1.0 as a float, both equal to 1.
+        if type(value) is not int:
+            raise DessinryError("invalid-tuple", "%s must be an integer, got %r" % (name, value))
     if not isinstance(perms, (list, tuple)) or len(perms) != n:
         raise DessinryError("invalid-tuple", "perms length does not match n=%r" % (n,))
     t = MonodromyTuple(perms)

@@ -397,7 +397,15 @@ def hurwitz_fiber(a):
         raise DessinryError(
             "invalid-parameter", "the fiber polynomial s^4 - 2s^3 + 2as - a is not finite at a=%r" % (a,)
         )
-    return poly_roots((1, -2, 0, 2 * a, -a))
+    try:
+        return poly_roots((1, -2, 0, 2 * a, -a))
+    except DessinryError as exc:
+        if exc.code != "degenerate-leading-coefficient":
+            raise
+        # poly_roots names the coefficient 2a; the caller gave a.
+        raise DessinryError(
+            exc.code, "the fiber polynomial s^4 - 2s^3 + 2as - a has a negligible leading coefficient at a=%r" % (a,)
+        ) from None
 
 
 def classify_lift(s):

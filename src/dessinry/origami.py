@@ -232,16 +232,20 @@ def origami_orbit(o):
     return orbit_closure([canonical_origami(o)], ops, lambda x: (x.R, x.L, x.U, x.D))
 
 
-def origami_to_json(o):
-    return {"m": o.m, "R": list(o.R), "L": list(o.L), "U": list(o.U), "D": list(o.D)}
-
-
 def origami_from_json(obj):
+    """The origami of the CLI's JSON {m, R, L, U, D}; raises invalid-origami on malformed input."""
+    if not isinstance(obj, dict):
+        raise DessinryError(
+            "invalid-origami", "expected a JSON object with m, R, L, U and D, got %s" % type(obj).__name__
+        )
     try:
         m = obj["m"]
         maps = [obj[k] for k in ("R", "L", "U", "D")]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise DessinryError("invalid-origami", "missing field %s" % exc) from None
+    # Exact type: JSON true loads as a bool and 1.0 as a float, both equal to 1.
+    if type(m) is not int:
+        raise DessinryError("invalid-origami", "m must be an integer, got %r" % (m,))
     o = BipartiteOrigami(*maps)
     if o.m != m:
         raise DessinryError("invalid-origami", "declared m=%r but maps have length %d" % (m, o.m))

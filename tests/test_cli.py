@@ -331,6 +331,14 @@ SHAPE_INPUTS = [
     (["origami", "from-dessin"], '{"n": 4, "d": 1, "perms": [[0], [0], [0], 7]}', {}),
     (["origami", "to-dessin"], '{"m": 1, "R": 5, "L": [0], "U": [0], "D": [0]}', {}),
     (["origami", "to-dessin"], '{"m": 1, "R": [0], "L": [0], "U": [0], "D": null}', {}),
+    # Header fields are exact integers: JSON true and 1.0 both equal 1.
+    (["orbit", "--seed", "-"], '{"n": 3, "d": true, "perms": [[0], [0], [0]]}', {}),
+    (["orbit", "--seed", "-"], '{"n": 3.0, "d": 1, "perms": [[0], [0], [0]]}', {}),
+    (["origami", "orbit"], '{"m": true, "R": [0], "L": [0], "U": [0], "D": [0]}', {}),
+    (["origami", "orbit"], '{"m": 1.0, "R": [0], "L": [0], "U": [0], "D": [0]}', {}),
+    # Valid JSON that is not an object.
+    (["orbit", "--seed", "-"], "[1, 2]", {}),
+    (["origami", "to-dessin"], '"x"', {}),
 ]
 
 
@@ -400,11 +408,40 @@ def test_poly_entries_are_json_numbers(capsys, poly):
             ["hurwitz", "--a", "1e308", "--lift", "L1"],
             "invalid-parameter: the fiber polynomial s^4 - 2s^3 + 2as - a is not finite at a=(1e+308+0j)",
         ),
+        (
+            ["hurwitz", "--a", "1e14", "--lift", "L1"],
+            "degenerate-leading-coefficient: the fiber polynomial s^4 - 2s^3 + 2as - a"
+            " has a negligible leading coefficient at a=(100000000000000+0j)",
+        ),
     ],
-    ids=["ap", "lambda-star", "hurwitz"],
+    ids=["ap", "lambda-star", "hurwitz", "hurwitz-degenerate"],
 )
 def test_diagnostic_names_the_value_given(capsys, argv, diagnostic):
-    # Not the derived point (tau + 1) / 2, nor the overflowed coefficient 2a.
+    # Not the derived point (tau + 1) / 2, nor the coefficient 2a, overflowed
+    # or dwarfing the leading one.
+    assert run_cli(capsys, argv) == (1, "", diagnostic + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,diagnostic",
+    [
+        (["orbit", "--seed", "-"], "[1, 2]", "invalid-tuple: expected a JSON object with n, d and perms, got list"),
+        (["origami", "orbit"], '"x"', "invalid-origami: expected a JSON object with m, R, L, U and D, got str"),
+        (
+            ["orbit", "--seed", "-"],
+            '{"n": 3, "d": true, "perms": [[0], [0], [0]]}',
+            "invalid-tuple: d must be an integer, got True",
+        ),
+        (
+            ["origami", "orbit"],
+            '{"m": 1.0, "R": [0], "L": [0], "U": [0], "D": [0]}',
+            "invalid-origami: m must be an integer, got 1.0",
+        ),
+    ],
+    ids=["tuple-list", "origami-str", "tuple-bool-d", "origami-float-m"],
+)
+def test_json_input_diagnostic_names_the_problem(capsys, monkeypatch, argv, stdin, diagnostic):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     assert run_cli(capsys, argv) == (1, "", diagnostic + "\n")
 
 
@@ -558,22 +595,53 @@ def test_enumerate_json_matches_json_dumps(capsys):
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def printed_permutations(doc):
+    """Every permutation that an enumerate, orbit or origami orbit JSON
+    document prints, with repeats."""
+    if "classes" in doc:
+        return [tuple(p) for c in doc["classes"] for p in c["perms"]]
+    if "gens" in doc:
+        return [tuple(p) for e in doc["elements"] for p in e]
+    return [tuple(e[k]) for e in doc["elements"] for k in "RLUD"]
+
+
+def assert_decomposed_once(capsys, monkeypatch, argv, stdin=""):
+    """Each distinct permutation that argv prints, in JSON and in the given
+    format, goes through one cycles() pass; the CLI binds perms.cycles at
+    import, so the calls are counted where its memo makes them."""
+    calls = []
+    monkeypatch.setattr(cli, "perm_cycles", lambda p: calls.append(p) or perms.cycles(p))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, argv[:-1] + ["json"])
+    assert (code, err) == (0, "")
+    printed = printed_permutations(json.loads(out))
+    assert len(set(printed)) < len(printed)
+    assert sorted(calls) == sorted(set(printed))
+    calls.clear()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert sorted(calls) == sorted(set(printed))
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_enumerate_decomposes_each_printed_permutation_once(capsys, monkeypatch, fmt):
-    # Cycle strings, genus and profile all come from one cycles() pass.
-    classes = len(enumerate_classes(3, 4).classes)
-    calls = []
-    real = perms.cycles
+    # Cycle strings, profile and genus come from one cycles() pass per
+    # distinct permutation per command.
+    assert_decomposed_once(capsys, monkeypatch, ["enumerate", "--n", "3", "--d", "4", "--format", fmt])
 
-    def counting(p):
-        calls.append(p)
-        return real(p)
 
-    monkeypatch.setattr(core, "cycles", counting)
-    monkeypatch.setattr(perms, "cycles", counting)
-    code, out, err = run_cli(capsys, ["enumerate", "--n", "3", "--d", "4", "--format", fmt])
-    assert (code, err) == (0, "")
-    assert len(calls) == 3 * classes == 3 * 26
+SHEAR_ORBIT_JSON = json.dumps({"m": 3, "R": [1, 2, 0], "L": [0, 1, 2], "U": [1, 0, 2], "D": [1, 0, 2]})
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "dot"])
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [(["orbit", "--n", "4", "--d", "3"], ""), (["origami", "orbit"], SHEAR_ORBIT_JSON)],
+    ids=["orbit", "origami orbit"],
+)
+def test_orbit_decomposes_each_printed_permutation_once(capsys, monkeypatch, argv, stdin, fmt):
+    assert_decomposed_once(capsys, monkeypatch, argv + ["--format", fmt], stdin)
 
 
 class CountingSink:
