@@ -68,8 +68,9 @@ class EndomorphismTable:
             raise DessinryError("index-out-of-range", "need %d images, got %d" % (n, len(images)))
         for w in images:
             for idx, sign in w:
-                if not 0 <= idx < n:
-                    raise DessinryError("index-out-of-range", "letter x%d outside alphabet of size %d" % (idx, n))
+                # Exact types: a float or bool letter would pass the range test.
+                if type(idx) is not int or type(sign) is not int or sign not in (1, -1) or not 0 <= idx < n:
+                    raise DessinryError("index-out-of-range", "letter %r outside alphabet of size %d" % ((idx, sign), n))
         self.n = n
         self.images = images
         self.name = name
@@ -110,16 +111,18 @@ def evaluate_word(w, t):
     return _evaluate(w, t.perms, t._inverse_perms(), t.d)
 
 
+def _substituted(e, t):
+    """The image of t under a table of its n, unchecked; t keeps its inverses."""
+    perms, inverses, d = t.perms, t._inverse_perms(), t.d
+    return MonodromyTuple._trusted(tuple([_evaluate(w, perms, inverses, d) for w in e.images]))
+
+
 def apply_endomorphism(e, t):
-    """The image of t under e.  The inverses of t's entries are kept on t, so
-    an orbit builds them once per element, not once per generator."""
+    """The image of t under e, checked.  The table's letters are in range and
+    products of permutations are permutations, so only validate can fail."""
     if e.n != t.n:
         raise DessinryError("index-out-of-range", "table has n=%d, tuple has n=%d" % (e.n, t.n))
-    # The table's letters are in range, and products of permutations are
-    # permutations: only the semantic invariants can fail, and validate
-    # checks them once.
-    perms, inverses, d = t.perms, t._inverse_perms(), t.d
-    out = MonodromyTuple._trusted(tuple([_evaluate(w, perms, inverses, d) for w in e.images]))
+    out = _substituted(e, t)
     diag = validate(out)
     if diag != "ok":
         raise DessinryError(
@@ -296,16 +299,21 @@ def orbit_closure(seeds, ops, key):
     return OrbitResult(seeds, tuple(order[k] for k in ranked), log)
 
 
-def _canonical_image(g, t):
-    """Canonical form of the image of t under g; apply_endomorphism has
-    validated the image, so it goes to the kernel unchecked."""
-    return MonodromyTuple._trusted(_canonical_key(apply_endomorphism(g, t).perms)[0])
+def _canonical_image(g, t, checked):
+    """Canonical form of the image of t under g, checked or not; the kernel's
+    None, an intransitive image, raises apply_endomorphism's diagnostic."""
+    key = _canonical_key((apply_endomorphism if checked else _substituted)(g, t).perms)
+    if key is None:
+        apply_endomorphism(g, t)
+    return MonodromyTuple._trusted(key[0])
 
 
 def braid_orbit(seeds, gens):
     """Closure of the seeds' classes under the given tables (see orbit_closure).
 
-    A table that does not preserve tuple space raises invalid-result.
+    Images under a table that fixes the boundary word x_0 ... x_{n-1}, as every
+    sigma, pure and gamma2 table does, have product identity, so only the
+    kernel checks them.  A table that breaks tuple space raises invalid-result.
     """
     seeds = [canonical_form(t) for t in seeds]
     if not seeds:
@@ -314,8 +322,9 @@ def braid_orbit(seeds, gens):
     for t in seeds:
         if (t.n, t.d) != shape:
             raise DessinryError("invalid-tuple", "seeds mix shapes %r and %r" % (shape, (t.n, t.d)))
-    ops = [
-        (g.name or "g%d" % pos, lambda t, g=g: _canonical_image(g, t))
-        for pos, g in enumerate(gens)
-    ]
+    boundary = tuple((v, 1) for v in range(shape[0]))
+    ops = []
+    for pos, g in enumerate(gens):
+        checked = g.n != shape[0] or word_substitute(boundary, g.images) != boundary
+        ops.append((g.name or "g%d" % pos, lambda t, g=g, checked=checked: _canonical_image(g, t, checked)))
     return orbit_closure(seeds, ops, lambda t: t.perms)

@@ -227,8 +227,9 @@ def origami_orbit(o):
 
     Elements are canonical origamis sorted by their gluing data; the log
     lists (source index, op name, target index) for every element and op.
+    Shear images of valid origamis are valid, so they go to the kernel unchecked.
     """
-    ops = [(name, lambda x, shear=shear: canonical_origami(shear(x))) for name, shear in _SHEARS.items()]
+    ops = [(name, lambda x, f=f: _origami_of(_canonical_key(_dessin_perms(f(x)))[0])) for name, f in _SHEARS.items()]
     return orbit_closure([canonical_origami(o)], ops, lambda x: (x.R, x.L, x.U, x.D))
 
 

@@ -1,5 +1,7 @@
 """Word rewriting, half-twists, pure twists, and orbit closure."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,6 +107,14 @@ class TestEvaluate:
 class TestTables:
     def test_identity_table_acts_trivially(self):
         assert apply_endomorphism(identity_table(4), CHESSBOARD) == CHESSBOARD
+
+    @pytest.mark.parametrize("letter", [(0.0, 1), (1, 1.0), (True, 1), (1, True), (1, 2), (1, 0)])
+    def test_letter_that_is_not_an_int_pair_is_refused(self, letter):
+        # 0.0 and True pass the range test and once escaped apply_endomorphism
+        # as a TypeError; a sign other than +1 or -1 has no meaning.
+        with pytest.raises(DessinryError) as exc:
+            EndomorphismTable(3, [(letter,), ((1, 1),), ((2, 1),)])
+        assert exc.value.code == "index-out-of-range"
 
     def test_wrong_image_count(self):
         with pytest.raises(DessinryError):
@@ -214,6 +224,44 @@ class TestPureTwists:
         assert ver.images == pure_twist_table(4, 1, 2, power=-1).images
 
 
+class TestBoundaryWord:
+    """Every preset table maps x_0 x_1 ... x_{n-1} to itself, so the product
+    of each orbit image is the identity by substitution."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_preset_tables_fix_the_boundary_word(self, n):
+        boundary = tuple((v, 1) for v in range(n))
+        tables = [sigma_table(n, i) for i in range(n - 1)] + [sigma_inv_table(n, i) for i in range(n - 1)]
+        tables += preset_pure_generators(n) + (preset_gamma2() if n == 4 else [])
+        for table in tables:
+            assert word_substitute(boundary, table.images) == boundary, table
+
+
+def star_seed(d):
+    """((0 1), (0 2), ..., (0 d-1), (0 d-1), ..., (0 1)): n = 2d - 2 simple
+    branch points, genus 0, transitive."""
+    half = [perms.from_cycles(d, [(0, k)]) for k in range(1, d)]
+    return MonodromyTuple(half + half[::-1])
+
+
+class TestHurwitzOrbit:
+    """Hurwitz (Math. Ann. 39, 1891): the genus-0 covers of degree d with
+    2d - 2 simple branch points number d^(d-3) (2d-2)! labelled transitive
+    tuples, and by Clebsch they form one braid orbit.  So the orbit of the
+    star seed weighs each class by d!/|C| to exactly that count, which ties
+    braid_orbit, the kernel and centralizer_order to a closed form."""
+
+    @pytest.mark.parametrize("d,classes", [(3, 4), (4, 120)])
+    @pytest.mark.parametrize("preset", ["sigma", "pure"])
+    def test_star_orbit_is_every_simply_branched_class(self, d, classes, preset):
+        n = 2 * d - 2
+        gens = [sigma_table(n, i) for i in range(n - 1)] if preset == "sigma" else preset_pure_generators(n)
+        res = braid_orbit([star_seed(d)], gens)
+        assert len(res.elements) == classes
+        weight = sum(factorial(d) // core.centralizer_order(t) for t in res.elements)
+        assert weight == d ** (d - 3) * factorial(2 * d - 2)
+
+
 class TestOrbit:
     def test_seed_always_in_orbit(self):
         res = braid_orbit([CHESSBOARD], preset_gamma2())
@@ -259,14 +307,16 @@ class TestOrbit:
             assert image == res.elements[dst]
 
     def test_each_generator_applied_once_per_element(self, monkeypatch):
+        # The seed is made canonical through core, so the kernel calls that
+        # go through braid are the images, one per element and table.
         calls = []
-        original = braid.apply_endomorphism
+        original = braid._canonical_key
 
-        def counting(e, t):
-            calls.append(e.name)
-            return original(e, t)
+        def counting(perms):
+            calls.append(perms)
+            return original(perms)
 
-        monkeypatch.setattr(braid, "apply_endomorphism", counting)
+        monkeypatch.setattr(braid, "_canonical_key", counting)
         gens = preset_pure_generators(4)
         res = braid_orbit([TRANSPOSITIONS], gens)
         assert len(res.elements) == 4
@@ -280,6 +330,32 @@ class TestOrbit:
             braid_orbit([TREFOIL_N4], preset_gamma2() + [kill])
         assert exc.value.code == "invalid-result"
         assert exc.value.message.startswith("endomorphism 'kill' does not preserve tuple space: violated: not transitive")
+
+    def test_not_onto_table_that_fixes_the_boundary_word(self):
+        # x0 -> 1, x1 -> x0 x1, x2 -> x2 fixes x0 x1 x2 but is not onto, so
+        # its image can be intransitive: the kernel's None reports it.
+        g0, g2 = perms.from_cycles(3, [(0, 1, 2)]), perms.from_cycles(3, [(0, 1)])
+        seed = MonodromyTuple([g0, perms.inverse(perms.compose(g2, g0)), g2])
+        table = EndomorphismTable(3, [(), ((0, 1), (1, 1)), ((2, 1),)], name="x")
+        assert word_substitute(((0, 1), (1, 1), (2, 1)), table.images) == ((0, 1), (1, 1), (2, 1))
+        with pytest.raises(DessinryError) as exc:
+            braid_orbit([seed], [table])
+        assert exc.value.code == "invalid-result"
+        assert exc.value.message == (
+            "endomorphism 'x' does not preserve tuple space: "
+            "violated: not transitive, sheet 1 is not reachable from sheet 0"
+        )
+
+    def test_boundary_fixing_images_are_checked_only_by_the_kernel(self, monkeypatch):
+        # validate, compose_all and sheets_reached run once, on the seed.
+        calls = []
+        for name in ("compose_all", "sheets_reached"):
+            original = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *a, f=original, name=name: calls.append(name) or f(*a))
+        monkeypatch.setattr(braid, "validate", lambda t: pytest.fail("an image was validated"))
+        res = braid_orbit([TRANSPOSITIONS], preset_pure_generators(4) + [sigma_table(4, 0), sigma_inv_table(4, 2)])
+        assert len(res.elements) > 1
+        assert sorted(calls) == ["compose_all", "sheets_reached"]
 
     def test_closure_rejects_non_injective_operation(self):
         with pytest.raises(DessinryError) as exc:

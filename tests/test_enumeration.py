@@ -20,6 +20,30 @@ HALL_RANK3 = [1, 7, 97, 2143, 68641]
 HALL_CELLS = [(3, 4), (4, 3), (3, 5), (5, 3), (4, 4), (3, 6), (6, 3), (4, 5)]
 
 
+def jordan_totient(k, l):
+    """J_k(l) = l^k times the product of (1 - p^-k) over the primes p | l."""
+    out, rest, p = l**k, l, 2
+    while rest > 1:
+        if rest % p == 0:
+            out = out // p**k * (p**k - 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out
+
+
+def mednykh_class_count(r, d):
+    """Conjugacy classes of index-d subgroups of the free group of rank r,
+    that is classes of shape (r + 1, d) (A. D. Mednykh, Siberian Math. J.
+    23, 1982): (1/d) times the sum over l m = d of hall_count(r, m) times
+    J_{m(r-1)+1}(l)."""
+    total = sum(
+        hall_count(r, d // l) * jordan_totient((d // l) * (r - 1) + 1, l) for l in range(1, d + 1) if d % l == 0
+    )
+    assert total % d == 0
+    return total // d
+
+
 def naive_classes(n, d):
     """Canonical forms of every valid tuple, scanning all n-1 free slots
     (g_0 included), sorted by encoding: the oracle for the enumeration's
@@ -125,7 +149,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n,d", HALL_CELLS)
     def test_marked_count_equals_hall_times_factorial(self, n, d):
-        assert enumerate_classes(n, d).marked_count == hall_count(n - 1, d) * factorial(d - 1)
+        res = enumerate_classes(n, d)
+        assert res.marked_count == hall_count(n - 1, d) * factorial(d - 1)
+        # The Hall count weighs each class by d!/|C|; Mednykh's counts them.
+        assert len(res.classes) == mednykh_class_count(n - 1, d)
 
     @pytest.mark.parametrize("n,d", HALL_CELLS)
     def test_classes_validate_and_orders_match_core(self, n, d):

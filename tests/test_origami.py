@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from dessinry import core
+from dessinry import core, origami
 from dessinry.core import MonodromyTuple
 from dessinry.enumeration import enumerate_classes
 from dessinry.errors import DessinryError
@@ -242,7 +242,8 @@ class TestShears:
         assert delta_ver(o) == o
 
     def test_images_stay_valid_and_preserve_invariants(self):
-        for o in (SIX_A, SIX_B):
+        # Validity is what lets the orbit hand shear images to the kernel unchecked.
+        for o in [SIX_A, SIX_B] + random_valid_origamis(11, 300):
             t = origami_to_dessin(o)
             for op in DELTAS.values():
                 img = op(o)
@@ -289,6 +290,13 @@ class TestOrbit:
     def test_chessboard_orbit_is_a_point(self):
         res = origami_orbit(chessboard_origami())
         assert len(res.elements) == 1
+
+    def test_shear_images_skip_the_bijection_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(origami, "_bijection_diag", lambda o, f=origami._bijection_diag: calls.append(o) or f(o))
+        res = origami_orbit(SIX_B)
+        assert len(res.elements) == 4
+        assert calls == [SIX_B]
 
 
 class TestJson:
