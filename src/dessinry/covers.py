@@ -70,23 +70,34 @@ def _horner(coeffs, z):
     return f, mu
 
 
+def _nearest(points):
+    """Each point's distance to the nearest other one; inf when it is alone."""
+    near = [math.inf] * len(points)
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            gap = abs(p - points[j])
+            if gap < near[i]:
+                near[i] = gap
+            if gap < near[j]:
+                near[j] = gap
+    return near
+
+
 def _min_gap(points):
     """Smallest distance between two of the points; inf for fewer than two."""
-    return min(
-        (abs(a - b) for i, a in enumerate(points) for b in points[i + 1 :]),
-        default=math.inf,
-    )
+    return min(_nearest(points), default=math.inf)
 
 
 def _newton(coeffs, x, steps):
-    """x after at most steps Newton steps, or None unless |p(x)| <= 4 u mu
-    with mu Horner's running error estimate at x.
+    """(x, p'), with x after at most steps Newton steps and p' the
+    derivative of the last Horner pass (0 after none); or None unless
+    |p(x)| <= 4 u mu with mu Horner's running error estimate at x.
 
     Newton stops by its own convergence (Sommese and Wampler, The Numerical
     Solution of Systems of Polynomials, 2005, ch. 2): when a step fails to
     shrink the last one, and is then not taken, or when quadratic convergence
     predicts a next step |s_k|^3 / |s_(k-1)|^2 below u (1 + |x|)."""
-    last = math.inf
+    last, fp = math.inf, 0j
     for _ in range(steps):
         f, fp = _polyval(coeffs, x)
         step = f / fp if fp else math.inf
@@ -101,7 +112,7 @@ def _newton(coeffs, x, steps):
         last = size
     f, mu = _horner(coeffs, x)
     # Phrased so that a NaN fails the test.
-    return x if abs(f) <= _ACCEPT_ROUNDING * mu else None
+    return (x, fp) if abs(f) <= _ACCEPT_ROUNDING * mu else None
 
 
 def _aberth(coeffs):
@@ -182,7 +193,7 @@ def poly_roots(coeffs):
     if None in polished:
         r = approx[polished.index(None)]
         raise DessinryError("path-tracking-failure", "root %r refuses to polish to its rounding bound" % (r,))
-    return polished
+    return [x for x, _ in polished]
 
 
 class CoverSpec:
@@ -224,50 +235,63 @@ class CoverSpec:
         return self.coeffs[:-1] + (self.coeffs[-1] - y,)
 
 
-def _advance(cover, roots, gap, y, order):
-    """Correct all roots onto the fiber of the cover over y, each by at
-    most 10 steps of _newton, stopped by Newton's own convergence.
+def _advance(cover, roots, slopes, near, y, dy, order):
+    """Correct all roots onto the fiber of the cover over y, dy past the base
+    value they lie over, each by at most 10 steps of _newton from its
+    tangent predictor x + dy / P'(x), with P'(x) its entry of slopes (no
+    predictor where that is 0).
 
-    A root must pass _newton's acceptance test and move by at most 0.45
-    gap, the smallest distance between two of the roots.  Returns the
-    corrected roots, in the order of roots, with their smallest gap; or None
-    on failure.  The roots are corrected in the given order, a permutation
-    of their indices: the result does not depend on it, but a failing step
-    is refused sooner when the roots that moved most come first.
+    Root i must pass _newton's acceptance test and move by at most 0.45
+    near[i], its distance to the nearest other root; two roots' limits sum
+    to at most 0.9 times their distance, so no two can swap.  Returns the
+    corrected roots, their slopes and their nearest-neighbour distances, in
+    the order of roots; or None on failure.  The roots are corrected in the
+    given order, a permutation of their indices: the result does not depend
+    on it, but a failing step is refused sooner when the roots that moved
+    most come first.
     """
     coeffs = cover.fiber(y)
-    moved = list(roots)
+    moved, slopes = list(roots), list(slopes)
     for i in order:
-        moved[i] = _newton(coeffs, roots[i], 10)
-        if moved[i] is None or not abs(moved[i] - roots[i]) <= 0.45 * gap:
+        x, fp = roots[i], slopes[i]
+        got = _newton(coeffs, x + dy / fp if fp else x, 10)
+        if got is None or not abs(got[0] - x) <= 0.45 * near[i]:
             return None
-    gap = _min_gap(moved)
-    if not gap >= 1e-13 * (1.0 + max(abs(r) for r in moved)):
+        moved[i], slopes[i] = got
+    near = _nearest(moved)
+    if not min(near) >= 1e-13 * (1.0 + max(abs(r) for r in moved)):
         return None
-    return moved, gap
+    return moved, slopes, near
 
 
-def _track(cover, roots, path):
+def _track(cover, roots, path, where):
     """Adaptive continuation of a fiber of the cover along path: t in
-    [0, 1] -> base value; returns the transported roots."""
+    [0, 1] -> base value; returns the transported roots.  Each step is an
+    _advance from the slopes and neighbour distances of the last one (no
+    slopes before the first); where names the path if the step underflows.
+    """
     t = 0.0
     h = _STEP_INIT
     roots = list(roots)
-    gap = _min_gap(roots)
+    slopes = [0j] * len(roots)
+    near = _nearest(roots)
     order = range(len(roots))
+    y = path(0.0)
     while t < 1.0:
         step_to = min(1.0, t + h)
-        nxt = _advance(cover, roots, gap, path(step_to), order)
+        y_next = path(step_to)
+        nxt = _advance(cover, roots, slopes, near, y_next, y_next - y, order)
         if nxt is None:
             h *= 0.5
             if h < 1e-9:
-                raise DessinryError("path-tracking-failure", "step size underflow at path parameter %.6f" % t)
+                raise DessinryError(
+                    "path-tracking-failure", "step size underflow at path parameter %.6f on %s" % (t, where)
+                )
             continue
-        moved, gap = nxt
+        moved, slopes, near = nxt
         # Roots that moved most in this step lead the next one.
         order = sorted(order, key=lambda i: abs(moved[i] - roots[i]), reverse=True)
-        roots = moved
-        t = step_to
+        roots, t, y = moved, step_to, y_next
         h = min(h * 1.5, 2.5 * _STEP_INIT)
     return roots
 
@@ -324,9 +348,12 @@ def numerical_monodromy(cover, base=BASE_POINT):
     at infinity is inverse(product of the finite ones) and is independently
     cross-checked by tracking one large positive circle around everything,
     read off the same way; disagreement raises
-    product-constraint-violation.  The canonical class of the result does
-    not depend on base, _RADIUS_FACTOR in (0, 1/4] or _STEP_INIT in
-    (0, 0.2].
+    product-constraint-violation.  Each path is tracked by _track: every
+    step starts each root from its tangent predictor and holds it to 0.45
+    times its distance to its nearest neighbour.  A path whose step
+    underflows raises path-tracking-failure naming it.  The canonical class
+    of the result does not depend on base, _RADIUS_FACTOR in (0, 1/4] or
+    _STEP_INIT in (0, 0.2].
     """
     base = complex(base)
     if not cmath.isfinite(base):
@@ -334,14 +361,29 @@ def numerical_monodromy(cover, base=BASE_POINT):
     for b in cover.branch_points:
         if abs(base - b) < 1e-9:
             raise DessinryError("path-tracking-failure", "base point sits on branch point %r" % (b,))
-    fiber0 = _base_fiber(cover, base)
+    try:
+        fiber0 = _base_fiber(cover, base)
+    except DessinryError as exc:
+        if exc.code != "degenerate-leading-coefficient":
+            raise
+        # poly_roots names P - base's coefficients; the caller gave base.
+        raise DessinryError(exc.code, "%s in the fiber over base=%r" % (exc.message, base)) from None
+    # Every lasso lies within the large circle's radius rho of 0, so a
+    # finite rho keeps all of their points and radii finite.
+    rho = 2.0 * max(max(abs(b) for b in cover.branch_points), abs(base), 1.0)
+    if not math.isfinite(rho):
+        raise DessinryError(
+            "invalid-parameter",
+            "branch points %r with base %r are too large to draw lassos around: "
+            "the large circle's radius overflows" % (cover.branch_points, base),
+        )
 
-    def run_lasso(tail, loop):
+    def run_lasso(tail, loop, name):
         # Transport along the tail and its reverse are inverse bijections,
         # so the roots where the loop starts keep the labels of fiber0 and
         # the loop's permutation is read off there.
-        start = _track(cover, fiber0, tail)
-        return _match_to_fiber(_track(cover, start, loop), start)
+        start = _track(cover, fiber0, tail, "the tail of " + name)
+        return _match_to_fiber(_track(cover, start, loop, "the loop of " + name), start)
 
     finite_perms = []
     for b in cover.branch_points:
@@ -349,15 +391,15 @@ def numerical_monodromy(cover, base=BASE_POINT):
         direction = (base - b) / abs(base - b)
         entry = b + r * direction
         theta0 = cmath.phase(base - b)
-        finite_perms.append(run_lasso(_segment(base, entry), _circle(b, r, theta0)))
+        name = "the lasso around branch point %r" % (b,)
+        finite_perms.append(run_lasso(_segment(base, entry), _circle(b, r, theta0), name))
 
     prod = compose_all(finite_perms, cover.degree)
     g_inf = inverse(prod)
 
-    rho = 2.0 * max(max(abs(b) for b in cover.branch_points), abs(base), 1.0)
     direction = base / abs(base) if abs(base) > 1e-12 else 1j
     far = rho * direction
-    big = run_lasso(_segment(base, far), _circle(0.0, rho, cmath.phase(far)))
+    big = run_lasso(_segment(base, far), _circle(0.0, rho, cmath.phase(far)), "the large circle")
     if big != prod:
         raise DessinryError(
             "product-constraint-violation",

@@ -294,6 +294,9 @@ CONTRACT_INPUTS = [
     (["origami", "orbit", "--dot", "missing-dir/x.dot"], CHESSBOARD_JSON, {}),
     (["monodromy", "--poly", "[1, NaN]", "--branch-points", "[0, 1]"], None, {}),
     (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]", "--base", "nan,1"], None, {}),
+    # Finite, but too large to draw lassos around or to solve the fiber at.
+    (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[1e308, -1e308]"], None, {}),
+    (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]", "--base", "1e308,0"], None, {}),
     (["ap", "--t", "1e-300"], None, {}),
     # DOT is a graph format; only orbits have a graph.
     (["origami", "to-dessin", "--format", "dot"], CHESSBOARD_JSON, {}),
@@ -413,8 +416,18 @@ def test_poly_entries_are_json_numbers(capsys, poly):
             "degenerate-leading-coefficient: the fiber polynomial s^4 - 2s^3 + 2as - a"
             " has a negligible leading coefficient at a=(100000000000000+0j)",
         ),
+        (
+            ["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[1e308, -1e308]"],
+            "invalid-parameter: branch points ((1e+308+0j), (-1e+308+0j)) with base 2j are too large"
+            " to draw lassos around: the large circle's radius overflows",
+        ),
+        (
+            ["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]", "--base", "1e308,0"],
+            "degenerate-leading-coefficient: leading coefficient (1+0j) is negligible against 1e+308"
+            " in the fiber over base=(1e+308+0j)",
+        ),
     ],
-    ids=["ap", "lambda-star", "hurwitz", "hurwitz-degenerate"],
+    ids=["ap", "lambda-star", "hurwitz", "hurwitz-degenerate", "monodromy-branch-points", "monodromy-base"],
 )
 def test_diagnostic_names_the_value_given(capsys, argv, diagnostic):
     # Not the derived point (tau + 1) / 2, nor the coefficient 2a, overflowed

@@ -120,10 +120,11 @@ class TestPolyRoots:
             poly_roots(())
 
     def test_point_off_a_root_is_refused(self):
-        # With no step to take, _newton only runs its acceptance test.
+        # With no step to take, _newton only runs its acceptance test and
+        # has no derivative to return.
         coeffs = (1, 0, -2)
         root = math.sqrt(2)
-        assert covers._newton(coeffs, root, 0) == root
+        assert covers._newton(coeffs, root, 0) == (root, 0j)
         value, mu = covers._horner(coeffs, root + 1e-6)
         assert abs(value - (2e-6 * root + 1e-12)) <= 1e-15
         assert covers._newton(coeffs, root + 1e-6, 0) is None
@@ -321,7 +322,7 @@ def three_leg_monodromy(cover, base=BASE_POINT):
     def run_loop(pieces):
         roots = fiber0
         for piece in pieces:
-            roots = covers._track(cover, roots, piece)
+            roots = covers._track(cover, roots, piece, "a three-leg lasso")
         return covers._match_to_fiber(roots, fiber0)
 
     finite = []
@@ -395,16 +396,18 @@ class TestTracker:
     def test_advance_does_not_depend_on_the_order_of_correction(self):
         cover = CoverSpec(chebyshev_coeffs(20), (-1, 1))
         roots = poly_roots(cover.fiber(2j))
-        gap = covers._min_gap(roots)
+        slopes = [covers._polyval(cover.coeffs, x)[1] for x in roots]
+        near = covers._nearest(roots)
         rng = random.Random(3)
         for y in (2j + 0.01, 2j + 0.1, 2j + 0.5, 1.5j, 0.5j):
-            want = covers._advance(cover, roots, gap, y, range(len(roots)))
+            want = covers._advance(cover, roots, slopes, near, y, y - 2j, range(len(roots)))
             for _ in range(5):
                 order = rng.sample(range(len(roots)), len(roots))
-                assert covers._advance(cover, roots, gap, y, order) == want
-        # Small steps are accepted and a long one is refused.
-        assert covers._advance(cover, roots, gap, 2j + 0.01, range(len(roots))) is not None
-        assert covers._advance(cover, roots, gap, 0.5j, range(len(roots))) is None
+                assert covers._advance(cover, roots, slopes, near, y, y - 2j, order) == want
+        # Small steps are accepted and a long one, across the segment between
+        # the branch points, is refused.
+        assert covers._advance(cover, roots, slopes, near, 2j + 0.01, 0.01, range(len(roots))) is not None
+        assert covers._advance(cover, roots, slopes, near, -0.5j, -2.5j, range(len(roots))) is None
 
     def test_correcting_an_accepted_fiber_takes_few_steps(self, monkeypatch):
         # Roots already on the fiber need no more than a step or two before
@@ -415,8 +418,50 @@ class TestTracker:
         calls = []
         polyval = covers._polyval
         monkeypatch.setattr(covers, "_polyval", lambda coeffs, x: calls.append(x) or polyval(coeffs, x))
-        assert covers._advance(cover, roots, covers._min_gap(roots), 2j, range(len(roots))) is not None
+        no_slopes = [0j] * len(roots)
+        assert covers._advance(cover, roots, no_slopes, covers._nearest(roots), 2j, 0j, range(len(roots))) is not None
         assert len(calls) <= 4 * len(roots)
+
+    def test_each_root_is_held_to_its_own_neighbour(self):
+        # The fiber of (x - 1) (x - 1.01) (x - 11) over 0: a tight pair and a
+        # far root.  Each start is that fiber with one root moved off;
+        # correcting it moves that root back and leaves the others.
+        cover = CoverSpec((1, -13.01, 23.12, -11.11), (-1, 1))
+        fiber = sorted(poly_roots(cover.fiber(0j)), key=lambda z: z.real)
+        no_slopes = [0j] * 3
+
+        def advance(k, offset):
+            start = list(fiber)
+            start[k] += offset
+            out = covers._advance(cover, start, no_slopes, covers._nearest(start), 0j, 0j, range(3))
+            assert out is None or max(abs(a - b) for a, b in zip(out[0], fiber)) < 1e-12
+            return out
+
+        # The far root moves by 0.1: beyond 0.45 times the smallest gap,
+        # 0.01, but within 0.45 times its own neighbour's distance, 10.
+        _, _, near = advance(2, 0.1)
+        assert near == pytest.approx([0.01, 0.01, 9.99])
+        # A root of the pair moves by 0.012, beyond 0.45 times its own
+        # neighbour's distance, 0.022; by 0.008, within 0.45 times 0.018.
+        assert advance(0, -0.012) is None
+        assert advance(0, -0.008) is not None
+
+    def test_tracking_t42_takes_few_passes_and_steps(self, monkeypatch):
+        # Held to the global smallest gap and started from the previous root,
+        # the tracker made 36374 _polyval passes and refused 113 steps here.
+        cover = CoverSpec(chebyshev_coeffs(42), (-1, 1))
+        passes, refused = [], []
+        polyval, advance = covers._polyval, covers._advance
+        monkeypatch.setattr(covers, "_polyval", lambda coeffs, x: passes.append(x) or polyval(coeffs, x))
+
+        def counted(*args):
+            out = advance(*args)
+            refused.append(out is None)
+            return out
+
+        monkeypatch.setattr(covers, "_advance", counted)
+        numerical_monodromy(cover, 2j)
+        assert len(passes) <= 15000 and sum(refused) <= 30
 
     def test_match_to_fiber_refuses_a_nan_end(self):
         fiber = [1 + 0j, -1 + 0j, 2j]
@@ -526,6 +571,32 @@ class TestHurwitzDessin:
             with pytest.raises(DessinryError) as exc:
                 hurwitz_dessin(a, "L1")
             assert exc.value.code == "invalid-parameter"
+
+    def test_tracking_failure_names_its_path(self, monkeypatch):
+        # At a = 1e10 the lift L1 cannot be tracked out towards its third
+        # branch point, p(s) near 1e10.
+        s = next(s for s in hurwitz_fiber(1e10) if classify_lift(s) == "L1")
+        with pytest.raises(DessinryError) as exc:
+            hurwitz_dessin(1e10, "L1")
+        assert exc.value.code == "path-tracking-failure"
+        assert exc.value.message == (
+            "step size underflow at path parameter 0.000000 on the tail of the lasso around branch point %r"
+            % (hurwitz_projection(s),)
+        )
+        # The Belyi cubic, branched over 0 and 1 and tracked from 2j, with
+        # every step refused on a part of its loop about 1, or of its large
+        # circle, of radius 4.
+        advance = covers._advance
+        for refused, where in (
+            (lambda y: abs(y - 1) < 0.3 and y.imag < 0, "the loop of the lasso around branch point (1+0j)"),
+            (lambda y: abs(y) > 3 and y.imag > 0, "the tail of the large circle"),
+            (lambda y: abs(y) > 3 and y.imag < 0, "the loop of the large circle"),
+        ):
+            monkeypatch.setattr(covers, "_advance", lambda *args: None if refused(args[4]) else advance(*args))
+            with pytest.raises(DessinryError) as exc:
+                numerical_monodromy(belyi_cubic_cover())
+            assert exc.value.code == "path-tracking-failure"
+            assert exc.value.message.endswith(" on " + where)
 
     def test_rejects_unknown_label(self):
         with pytest.raises(DessinryError) as exc:
