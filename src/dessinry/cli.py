@@ -456,7 +456,7 @@ def _cmd_ap(args):
 
 
 def _cmd_table1(args):
-    import mpmath
+    from .modular import mpmath  # modular first: uncached, it compiles before mpmath fills the heap
 
     from . import cm_values, modular
 

@@ -50,7 +50,7 @@ class EnumerationResult:
 
 
 def _check_shape(n, d):
-    if not isinstance(n, int) or not isinstance(d, int) or n < 3 or d < 1:
+    if type(n) is not int or type(d) is not int or n < 3 or d < 1:
         raise DessinryError("bound-exceeded", "need integers n >= 3 and d >= 1, got n=%r d=%r" % (n, d))
 
 
@@ -61,7 +61,7 @@ def hall_count(r, d):
         N_1 = 1,
         N_d = d*(d!)^(r-1) - sum_{i=1}^{d-1} ((d-i)!)^(r-1) * N_i.
     """
-    if not isinstance(r, int) or not isinstance(d, int) or r < 1 or d < 1:
+    if type(r) is not int or type(d) is not int or r < 1 or d < 1:
         raise DessinryError("bound-exceeded", "need integers r >= 1 and d >= 1, got r=%r d=%r" % (r, d))
     counts = [0, 1]
     for k in range(2, d + 1):

@@ -110,9 +110,11 @@ class TestHallCount:
         assert [hall_count(1, d) for d in range(1, 8)] == [1] * 7
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(DessinryError) as exc:
-            hall_count(0, 3)
-        assert exc.value.code == "bound-exceeded"
+        # A bool is an int to isinstance; hall_count(True, 2) would be hall_count(1, 2).
+        for r, d in [(0, 3), (True, 2), (2, True), (2.0, 3), (2, False)]:
+            with pytest.raises(DessinryError) as exc:
+                hall_count(r, d)
+            assert exc.value.code == "bound-exceeded"
 
 
 class TestCountRelation:
@@ -123,6 +125,14 @@ class TestCountRelation:
     def test_work_limit(self):
         with pytest.raises(DessinryError) as exc:
             count_transitive_tuples(3, 60)
+        assert exc.value.code == "bound-exceeded"
+
+    @pytest.mark.parametrize("fn", [count_transitive_tuples, enumerate_classes])
+    @pytest.mark.parametrize("n,d", [(3, True), (True, 3), (3.0, 2), (2, 3), (3, 0)])
+    def test_rejects_bad_shape(self, fn, n, d):
+        # A bool is an int to isinstance; n = 3, d = True would be the cell (3, 1).
+        with pytest.raises(DessinryError) as exc:
+            fn(n, d)
         assert exc.value.code == "bound-exceeded"
 
 

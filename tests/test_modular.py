@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_add, mpf_sub, round_nearest
 
 from dessinry import modular
 from dessinry.cm_values import CM_ROWS, cm_value, eval_radical
@@ -54,6 +55,23 @@ def weber_product(tau, kind):
     return pref * prod
 
 
+def eta_product_by_mpc(q, N):
+    """prod_{n<=N} (1 - q^n) in mpmath's complex arithmetic at the ambient
+    precision: the loop whose every bit modular._eta_product reproduces."""
+    prod = mpmath.mpf(1)
+    qn = q
+    for _ in range(N):
+        prod *= 1 - qn
+        qn *= q
+    return prod
+
+
+def signed(x):
+    """A raw mpf as modular._add's (signed odd mantissa or 0, exponent)."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
 def _poly_mul(a, b, N):
     out = [0] * (N + 1)
     for i, ai in enumerate(a):
@@ -74,8 +92,8 @@ def _poly_inv(a, N):
 
 def qseries_by_power_series(N):
     """lambda* coefficients to order N as (numerator * 1/denominator)^8 of
-    truncated power series, independent of the shipped factor-by-factor
-    builder."""
+    truncated power series, independent of the shipped divisor-sum
+    recurrence."""
     num = [1] + [0] * N
     den = [1] + [0] * N
     for k in range(1, N + 1, 2):
@@ -147,6 +165,51 @@ class TestEta:
             lhs = eta(-1 / tau, 1e-30).value
             rhs = mpmath.sqrt(-I * tau) * eta(tau, 1e-30).value
             assert abs(lhs - rhs) < 1e-27
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(-1, 1), st.floats(0.005, 3), st.sampled_from([1e-12, 1e-30, 1e-200]))
+    @example(0.0, 0.7, 1e-30)  # q is real: every imaginary part is zero
+    @example(0.5, 0.0025, 1e-12)  # Im q is a rounding residue: the sticky shortcut runs
+    @example(0.0, 1e100, 1e-200)  # q = 2^(-9e100): gaps no shift can span
+    def test_product_is_the_mpc_loops_bit_for_bit(self, re_tau, im_tau, rel):
+        # _eta's own q, N and precision; each product's raw tuples must match.
+        seen, real = [], modular._eta_product
+
+        def both(q, N):
+            got = real(q, N)
+            assert got._mpc_ == eta_product_by_mpc(q, N)._mpc_
+            seen.append(N)
+            return got
+
+        with mp.workdps(modular._dps_for(mpmath.mpf(rel))), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modular, "_eta_product", both)
+            modular._eta(mpmath.mpc(re_tau, im_tau), rel)
+        assert seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(2 ** 1500), 2 ** 1500),
+        st.integers(-3000, 3000),
+        st.integers(-(2 ** 1500), 2 ** 1500),
+        st.integers(-3000, 3000),
+        st.sampled_from([2, 53, 113, 700]),
+    )
+    @example(2 ** 53 + 1, 0, 0, 0, 53)  # a tie, rounded down to even
+    @example(2 ** 53 + 3, 0, 0, 0, 53)  # a tie, rounded up to even
+    @example(1, 53, 1, 0, 53)  # a sum that ties
+    @example(0, 0, 5, -3, 2)  # zero operands
+    @example(5, -3, 0, 0, 2)
+    @example(0, 0, 0, 0, 53)
+    @example(3, 7, -3, 7, 53)  # exact cancellation
+    @example(1, 0, 1, -200, 53)  # an addend far below the other
+    @example((2 ** 52 << 147) + (1 << 146) - 1, 0, 2 ** 120 - 1, -101, 53)  # the shortcut, not exact rounding, decides
+    @example((2 ** 52 << 147) + (1 << 146) - 1, 0, 2 ** 120 - 1, -100, 53)  # a gap of 100 is summed exactly
+    @example(1, 0, 1, -(10 ** 100), 53)  # a gap no shift can span
+    def test_add_rounds_as_mpf_add_and_mpf_sub(self, m, e, n, f, prec):
+        s, t = from_man_exp(m, e), from_man_exp(n, f)
+        (sm, se), (tm, te) = signed(s), signed(t)
+        assert modular._add(sm, se, tm, te, prec) == signed(mpf_add(s, t, prec, round_nearest))
+        assert modular._add(sm, se, -tm, te, prec) == signed(mpf_sub(s, t, prec, round_nearest))
 
     def test_tiny_imaginary_part_exhausts_budget(self):
         with pytest.raises(DessinryError) as exc:
@@ -253,6 +316,8 @@ class TestLambdaStar:
     )
     @example(0.05, 1e-12)
     @example(0.06, 1e-12)
+    @example(0.01, 1e-12)
+    @example(0.005, 1e-12)
     @example(7.0, 1e-12)
     def test_error_bound_holds_against_theta_quotient(self, t, tol):
         # lambda*(it) = theta3(q)^4 / theta4(q)^4 with nome q = e^{-pi t}: no
@@ -347,6 +412,13 @@ class TestQSeries:
         for order in (0, 1, 50, 400):
             assert list(lambda_star_qseries(order).coefficients) == qseries_by_power_series(order)
 
+    @pytest.mark.parametrize("order", [True, False, -1, 2.0, "3"])
+    def test_rejects_bad_order(self, order):
+        # A bool is an int to isinstance; True would be order 1.
+        with pytest.raises(DessinryError) as exc:
+            lambda_star_qseries(order)
+        assert exc.value.code == "invalid-parameter"
+
     def test_coefficients_are_positive_ints(self):
         for c in lambda_star_qseries(30).coefficients:
             assert isinstance(c, int) and c > 0
@@ -409,10 +481,11 @@ class TestIntegrality:
             assert integrality_check(n) is True
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DessinryError):
-            integrality_check(0)
-        with pytest.raises(DessinryError):
-            integrality_check(2.5)
+        # A bool is an int to isinstance; True would check n = 1.
+        for n in (0, 2.5, True, False):
+            with pytest.raises(DessinryError) as exc:
+                integrality_check(n)
+            assert exc.value.code == "invalid-parameter"
 
 
 # Every function that takes a tolerance, with a valid first argument.
