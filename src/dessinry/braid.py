@@ -14,7 +14,7 @@ order: compose_tables(a, b) acts as a first, then b.
 
 from .core import MonodromyTuple, _canonical_key, canonical_form, validate
 from .errors import DessinryError
-from .perms import identity
+from .perms import identity, inverse
 
 
 def word(*letters):
@@ -58,9 +58,13 @@ def word_str(w):
 
 
 class EndomorphismTable:
-    """Images of x_0..x_{n-1} under one endomorphism, as reduced words."""
+    """Images of x_0..x_{n-1} under one endomorphism, as reduced words.
 
-    __slots__ = ("n", "images", "name")
+    splits holds each image w once more as (c^-1, core), with w = c core c^-1
+    and c as long as the reduced word allows; c is empty when w is not a
+    conjugate."""
+
+    __slots__ = ("n", "images", "name", "splits")
 
     def __init__(self, n, images, name=""):
         images = tuple(word_reduce(tuple(w)) for w in images)
@@ -74,6 +78,7 @@ class EndomorphismTable:
         self.n = n
         self.images = images
         self.name = name
+        self.splits = tuple(map(_split, images))
 
     def __eq__(self, other):
         return isinstance(other, EndomorphismTable) and self.n == other.n and self.images == other.images
@@ -88,6 +93,14 @@ class EndomorphismTable:
             label,
             "; ".join(word_str(w) for w in self.images),
         )
+
+
+def _split(w):
+    """(c^-1, core) with w = c core c^-1, c as long as the reduced word w allows."""
+    k = 0
+    while 2 * k + 2 < len(w) and w[k] == (w[-1 - k][0], -w[-1 - k][1]):
+        k += 1
+    return w[len(w) - k :], w[k : len(w) - k]
 
 
 def _evaluate(w, perms, inverses, d):
@@ -111,10 +124,32 @@ def evaluate_word(w, t):
     return _evaluate(w, t.perms, t._inverse_perms(), t.d)
 
 
+def _evaluate_split(split, perms, inverses, d):
+    """The value of a split word (c^-1, core) and its inverse: the core
+    relabeled by the value of c^-1, both in one loop.  A one-letter core
+    is an entry of the source, whose inverse is already known."""
+    tail, core = split
+    if len(core) == 1:
+        ((idx, sign),) = core
+        p, q = (perms[idx], inverses[idx]) if sign == 1 else (inverses[idx], perms[idx])
+    else:
+        p, q = _evaluate(core, perms, inverses, d), None
+    if not tail:
+        return p, q or inverse(p)
+    pi = _evaluate(tail, perms, inverses, d)
+    out, back = [0] * d, [0] * d
+    for a, x in zip(pi, p):
+        b = pi[x]
+        out[a] = b
+        back[b] = a
+    return tuple(out), tuple(back)
+
+
 def _substituted(e, t):
-    """The image of t under a table of its n, unchecked; t keeps its inverses."""
+    """The image of t under a table of its n, unchecked, with the inverses
+    of its entries; t keeps its inverses."""
     perms, inverses, d = t.perms, t._inverse_perms(), t.d
-    return MonodromyTuple._trusted(tuple([_evaluate(w, perms, inverses, d) for w in e.images]))
+    return MonodromyTuple._trusted(*zip(*[_evaluate_split(s, perms, inverses, d) for s in e.splits]))
 
 
 def apply_endomorphism(e, t):
@@ -302,7 +337,8 @@ def orbit_closure(seeds, ops, key):
 def _canonical_image(g, t, checked):
     """Canonical form of the image of t under g, checked or not; the kernel's
     None, an intransitive image, raises apply_endomorphism's diagnostic."""
-    key = _canonical_key((apply_endomorphism if checked else _substituted)(g, t).perms)
+    img = (apply_endomorphism if checked else _substituted)(g, t)
+    key = _canonical_key(img.perms, img._inverse_perms())
     if key is None:
         apply_endomorphism(g, t)
     return MonodromyTuple._trusted(key[0])

@@ -110,10 +110,13 @@ CM_ROWS = (
 
 
 def cm_value(n):
-    """The stored expression tree for ap(sqrt(n)), or invalid-parameter."""
-    for row_n, expr in CM_ROWS:
-        if row_n == n:
-            return expr
+    """The stored expression tree for ap(sqrt(n)), or invalid-parameter.
+
+    Only an exact int names a row: True and 1.0 equal 1 but are refused."""
+    if type(n) is int:
+        for row_n, expr in CM_ROWS:
+            if row_n == n:
+                return expr
     raise DessinryError("invalid-parameter", "no stored value for n=%r" % (n,))
 
 

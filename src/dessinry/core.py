@@ -62,12 +62,15 @@ class MonodromyTuple:
         object.__setattr__(self, "perms", perms)
 
     @classmethod
-    def _trusted(cls, perms):
+    def _trusted(cls, perms, inverses=None):
         """Wrap a tuple of permutation tuples of one degree, n >= 3, without
         the structural checks: for results built from permutations already
-        checked, such as relabelings, products and inverses of them."""
+        checked, such as relabelings, products and inverses of them.  The
+        inverses of the entries, when the caller has them, are kept."""
         t = object.__new__(cls)
         object.__setattr__(t, "perms", perms)
+        if inverses is not None:
+            object.__setattr__(t, "_inverses", inverses)
         return t
 
     def _inverse_perms(self):
@@ -123,22 +126,26 @@ def _require_valid(t):
         raise DessinryError("invalid-tuple", diag)
 
 
-def _canonical_key(perms):
+def _canonical_key(perms, inverses):
     """The least breadth-first relabeling of a raw tuple, and how many base
     sheets reach it; None when the tuple is not transitive.
 
     perms is a tuple of permutation tuples of one degree; the product
-    constraint is not checked here.  For each base sheet b the fiber is
-    relabeled in breadth-first discovery order, probing the generators
-    g_0..g_{n-1} and then their inverses in that fixed order.  The first
-    pass walks the orbit of its base; when it labels fewer than d sheets
-    the tuple is not transitive and None is returned, and otherwise every
-    relabeling is total.  The relabeled entries are built g_0 first, and a
-    base is dropped at the first entry that exceeds the least relabeling
-    found so far.  Two bases reach the same relabeling exactly when a
-    centralizing permutation carries one to the other, and the centralizer
-    of a transitive group acts semiregularly, so the count is the order of
-    the simultaneous centralizer.
+    constraint is not checked here.  Precondition, unchecked: inverses is
+    a tuple with inverses[i] the inverse of perms[i].  Callers hand over
+    inverses they already hold, so the kernel inverts nothing.
+
+    For each base sheet b the fiber is relabeled in breadth-first
+    discovery order, probing the generators g_0..g_{n-1} and then their
+    inverses in that fixed order.  The first pass walks the orbit of its
+    base; when it labels fewer than d sheets the tuple is not transitive
+    and None is returned, and otherwise every relabeling is total.  The
+    relabeled entries are built g_0 first, and a base is dropped at the
+    first entry that exceeds the least relabeling found so far.  Two
+    bases reach the same relabeling exactly when a centralizing
+    permutation carries one to the other, and the centralizer of a
+    transitive group acts semiregularly, so the count is the order of the
+    simultaneous centralizer.
 
     Only bases that can win are tried.  The relabeled g_0 begins (0, ...)
     exactly at a fixed point of g_0, and (1, 0, ...) exactly on a 2-cycle
@@ -149,7 +156,7 @@ def _canonical_key(perms):
     """
     d = len(perms[0])
     g0 = perms[0]
-    gens = perms + tuple(inverse(p) for p in perms)
+    gens = perms + inverses
     best = None
     count = 0
     bases = [b for b in range(d) if g0[b] == b] or [b for b in range(d) if g0[g0[b]] == b] or range(d)
@@ -194,7 +201,7 @@ def canonical_form(t):
     same canonical form exactly when they are simultaneously conjugate.
     """
     _require_valid(t)
-    return MonodromyTuple._trusted(_canonical_key(t.perms)[0])
+    return MonodromyTuple._trusted(_canonical_key(t.perms, t._inverse_perms())[0])
 
 
 def isomorphic(a, b):
@@ -275,7 +282,7 @@ def centralizer_order(t):
     sheets whose breadth-first relabeling is the least one.
     """
     _require_valid(t)
-    return _canonical_key(t.perms)[1]
+    return _canonical_key(t.perms, t._inverse_perms())[1]
 
 
 def from_json(obj):

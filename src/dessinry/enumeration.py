@@ -158,18 +158,26 @@ def enumerate_classes(n, d):
         raise DessinryError("bound-exceeded", "enumeration would visit more than %d tuples" % WORK_LIMIT)
 
     perms_all = list(permutations(range(d)))
+    # The inverses in the same order, so that the two products below run in
+    # step; with n = 3 they are empty, and d! may be 40320.
+    inverses_all = list(map(inverse, perms_all)) if n > 3 else []
     seen = {}
     for part in _partitions_desc(d):
         g0 = _type_representative(d, part)
+        g0_inverse = inverse(g0)
         for g1 in _orbit_representatives(_centralizer(g0), perms_all):
             head = compose(g0, g1)
-            for rest in product(perms_all, repeat=n - 3):
+            head_inverses = (g0_inverse, inverse(g1))
+            for rest, rest_inverses in zip(product(perms_all, repeat=n - 3), product(inverses_all, repeat=n - 3)):
                 running = head
                 for p in rest:
                     running = compose(running, p)
                 # One kernel pass rejects an intransitive candidate, or
-                # gives its class and centralizer order.
-                found = _canonical_key((g0, g1) + rest + (inverse(running),))
+                # gives its class and centralizer order.  The forced last
+                # entry is the inverse of running.
+                found = _canonical_key(
+                    (g0, g1) + rest + (inverse(running),), head_inverses + rest_inverses + (running,)
+                )
                 if found is not None:
                     seen.setdefault(*found)
 

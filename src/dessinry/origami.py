@@ -105,7 +105,7 @@ def validate_origami(o):
     # leaves by one gluing X and returns by another Y, and the corner
     # permutations, the steps for (L, D), (D, R), (R, U), (U, L) in turn,
     # generate every such step.
-    if diag == "ok" and not acts_transitively(_dessin_perms(o), o.m):
+    if diag == "ok" and not acts_transitively(_dessin_perms(o)[0], o.m):
         return "violated: gluing graph is not connected"
     return diag
 
@@ -117,9 +117,13 @@ def _require_valid_origami(o):
 
 
 def _dessin_perms(o):
-    """Corner permutations g_0..g_3 of bijective gluing data."""
+    """Corner permutations g_0..g_3 of bijective gluing data, and their
+    inverses, composed from the same four inverted gluings."""
     Rinv, Linv, Uinv, Dinv = inverse(o.R), inverse(o.L), inverse(o.U), inverse(o.D)
-    return (compose(o.L, Dinv), compose(o.D, Rinv), compose(o.R, Uinv), compose(o.U, Linv))
+    return (
+        (compose(o.L, Dinv), compose(o.D, Rinv), compose(o.R, Uinv), compose(o.U, Linv)),
+        (compose(o.D, Linv), compose(o.R, Dinv), compose(o.U, Rinv), compose(o.L, Uinv)),
+    )
 
 
 def _origami_of(perms):
@@ -132,7 +136,7 @@ def _origami_of(perms):
 def origami_to_dessin(o):
     """Monodromy tuple on the white squares, one permutation per corner color."""
     _require_valid_origami(o)
-    return MonodromyTuple._trusted(_dessin_perms(o))
+    return MonodromyTuple._trusted(*_dessin_perms(o))
 
 
 def dessin_to_origami(t):
@@ -157,7 +161,7 @@ def canonical_origami(o):
     None is the connectivity test: either failure raises the diagnostic of
     validate_origami.
     """
-    key = _canonical_key(_dessin_perms(o)) if _bijection_diag(o) == "ok" else None
+    key = _canonical_key(*_dessin_perms(o)) if _bijection_diag(o) == "ok" else None
     if key is None:
         raise DessinryError("invalid-origami", validate_origami(o))
     return _origami_of(key[0])
@@ -229,7 +233,7 @@ def origami_orbit(o):
     lists (source index, op name, target index) for every element and op.
     Shear images of valid origamis are valid, so they go to the kernel unchecked.
     """
-    ops = [(name, lambda x, f=f: _origami_of(_canonical_key(_dessin_perms(f(x)))[0])) for name, f in _SHEARS.items()]
+    ops = [(name, lambda x, f=f: _origami_of(_canonical_key(*_dessin_perms(f(x)))[0])) for name, f in _SHEARS.items()]
     return orbit_closure([canonical_origami(o)], ops, lambda x: (x.R, x.L, x.U, x.D))
 
 

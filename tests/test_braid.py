@@ -1,9 +1,10 @@
 """Word rewriting, half-twists, pure twists, and orbit closure."""
 
+import random
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dessinry import braid, core, perms
 from dessinry.braid import (
@@ -237,6 +238,50 @@ class TestBoundaryWord:
             assert word_substitute(boundary, table.images) == boundary, table
 
 
+def check_split_images(table, t):
+    """Each image of t under table, evaluated from its split (c^-1, core),
+    is _evaluate of the whole word, and the inverse that comes with it
+    inverts it; _substituted hands both on."""
+    entries, inverses, d = t.perms, t._inverse_perms(), t.d
+    image = braid._substituted(table, t)
+    for k, (w, (tail, core)) in enumerate(zip(table.images, table.splits)):
+        assert word_inverse(tail) + core + tail == w
+        # c is as long as the reduced word allows.
+        assert len(core) < 3 or core[0] != (core[-1][0], -core[-1][1])
+        entry, back = braid._evaluate_split((tail, core), entries, inverses, d)
+        assert entry == braid._evaluate(w, entries, inverses, d) == image.perms[k]
+        assert perms.compose(entry, back) == perms.identity(d)
+        assert back == image._inverse_perms()[k]
+
+
+conjugates = st.tuples(words, words).map(lambda cw: word_reduce(cw[0] + cw[1] + word_inverse(cw[0])))
+
+
+class TestSplitEvaluation:
+    """Tables split each image word once into c core c^-1; an image is the
+    core relabeled by c^-1, its inverse from the same pass."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_preset_tables(self, n):
+        rng = random.Random(n)
+        t = MonodromyTuple([tuple(rng.sample(range(6), 6)) for _ in range(n)])
+        tables = [sigma_table(n, i) for i in range(n - 1)] + [sigma_inv_table(n, i) for i in range(n - 1)]
+        tables += preset_pure_generators(n) + (preset_gamma2() if n == 4 else [])
+        for table in tables:
+            check_split_images(table, t)
+
+    @given(
+        st.lists(st.one_of(words, conjugates), min_size=4, max_size=4),
+        st.lists(st.permutations(range(5)).map(tuple), min_size=4, max_size=4),
+    )
+    @example([(), ((0, 1), (1, 1)), ((0, 1), (1, 1), (0, -1)), ((2, -1),)], [(1, 2, 3, 4, 0)] * 4)
+    @example([((0, 1), (1, 1), (2, 1), (0, -1)), ((3, -1), (1, 1), (2, -1), (3, 1)), (), ()], [(1, 0, 2, 4, 3)] * 4)
+    def test_drawn_tables(self, images, entries):
+        # Empty words, words that are not conjugates, and conjugates of
+        # words of any length.
+        check_split_images(EndomorphismTable(4, images), MonodromyTuple(entries))
+
+
 def star_seed(d):
     """((0 1), (0 2), ..., (0 d-1), (0 d-1), ..., (0 1)): n = 2d - 2 simple
     branch points, genus 0, transitive."""
@@ -312,9 +357,9 @@ class TestOrbit:
         calls = []
         original = braid._canonical_key
 
-        def counting(perms):
+        def counting(perms, inverses):
             calls.append(perms)
-            return original(perms)
+            return original(perms, inverses)
 
         monkeypatch.setattr(braid, "_canonical_key", counting)
         gens = preset_pure_generators(4)

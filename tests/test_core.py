@@ -182,7 +182,7 @@ class TestCanonicalKernel:
             # points is a 3-cycle).
             n, d = rng.randint(3, 5), rng.randint(4, 8)
             raw = random_raw_tuple(rng, n, d, kind)
-            assert core._canonical_key(raw) == unpruned_canonical_key(raw)
+            assert core._canonical_key(raw, tuple(map(perms.inverse, raw))) == unpruned_canonical_key(raw)
 
     @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (3, 3), (3, 4), (4, 3)])
     def test_none_exactly_on_intransitive_tuples(self, n, d):
@@ -190,7 +190,7 @@ class TestCanonicalKernel:
         intransitive = 0
         for head in product(sym, repeat=n - 1):
             raw = head + (perms.inverse(perms.compose_all(head, d)),)
-            found = core._canonical_key(raw)
+            found = core._canonical_key(raw, tuple(map(perms.inverse, raw)))
             if perms.acts_transitively(raw, d):
                 assert found == unpruned_canonical_key(raw)
             else:
@@ -209,7 +209,7 @@ class TestCanonicalKernel:
             for _ in range(n):
                 block = rng.sample(range(cut), cut) + [cut + x for x in rng.sample(range(d - cut), d - cut)]
                 raw.append(perms.relabel(tuple(block), pi))
-            assert core._canonical_key(tuple(raw)) is None
+            assert core._canonical_key(tuple(raw), tuple(map(perms.inverse, raw))) is None
 
     @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (4, 4), (3, 6)])
     def test_pruned_bases_match_all_bases_on_relabeled_classes(self, n, d):
@@ -218,7 +218,7 @@ class TestCanonicalKernel:
         for c in enumerate_classes(n, d).classes:
             pi = tuple(rng.sample(range(d), d))
             raw = tuple(perms.relabel(p, pi) for p in c.perms)
-            assert core._canonical_key(raw) == unpruned_canonical_key(raw)
+            assert core._canonical_key(raw, tuple(map(perms.inverse, raw))) == unpruned_canonical_key(raw)
 
 
 class TestInvariants:

@@ -1,8 +1,11 @@
 """Counting and listing isomorphism classes of small monodromy tuples."""
 
 import time
-from itertools import permutations, product
-from math import factorial
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -42,6 +45,76 @@ def mednykh_class_count(r, d):
     )
     assert total % d == 0
     return total // d
+
+
+@lru_cache(maxsize=None)
+def sn_character(rho, mu):
+    """The irreducible character of Sym(d) indexed by the partition rho, at
+    the cycle type mu, by the Murnaghan-Nakayama rule on beta-sets: taking
+    a rim hook of length r off rho moves one bead of the beta-set from b to
+    a free place b - r, with sign (-1)^(beads strictly between)."""
+    if not mu:
+        return 1
+    r, k = mu[0], len(rho)
+    beta = {part + k - 1 - i for i, part in enumerate(rho)}
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            moved = sorted(beta - {b} | {b - r}, reverse=True)
+            shape = tuple(x - (k - 1 - i) for i, x in enumerate(moved))
+            sign = (-1) ** sum(b - r < c < b for c in beta)
+            total += sign * sn_character(tuple(x for x in shape if x), mu[1:])
+    return total
+
+
+def class_size(lam):
+    """Number of permutations of cycle type lam: d! / prod k^(m_k) m_k!."""
+    z = prod(k**m * factorial(m) for k, m in Counter(lam).items())
+    return factorial(sum(lam)) // z
+
+
+@lru_cache(maxsize=None)
+def tuples_with_passport(passport):
+    """Tuples (g_0, ..., g_{n-1}) with product 1 and g_i of cycle type
+    passport[i], by Frobenius' formula:
+    (prod |C_i| / d!) * sum over rho of prod chi_rho(C_i) / chi_rho(1)^(n-2)."""
+    d, n = sum(passport[0]), len(passport)
+    if d == 0:
+        return 1
+    total = Fraction(0)
+    for rho in enumeration._partitions_desc(d):
+        dim = sn_character(rho, (1,) * d)
+        total += Fraction(prod(sn_character(rho, lam) for lam in passport), dim ** (n - 2))
+    total *= Fraction(prod(map(class_size, passport)), factorial(d))
+    assert total.denominator == 1
+    return int(total)
+
+
+def part_splits(lam, k):
+    """Each way to take parts of lam summing to k: (taken, left), both
+    partitions with parts descending."""
+    out = []
+    for taken in {tuple(sorted(c, reverse=True)) for r in range(len(lam) + 1) for c in combinations(lam, r)}:
+        if sum(taken) == k:
+            left = Counter(lam) - Counter(taken)
+            out.append((taken, tuple(sorted(left.elements(), reverse=True))))
+    return out
+
+
+@lru_cache(maxsize=None)
+def transitive_with_passport(passport):
+    """The transitive ones among tuples_with_passport, by inclusion-exclusion
+    on the orbit of sheet 0: an orbit of size k < d holds 0 and k - 1 of the
+    other d - 1 sheets, and every g_i splits into its cycles on the orbit
+    (a transitive tuple) and off it (any tuple)."""
+    d = sum(passport[0])
+    total = tuples_with_passport(passport)
+    for k in range(1, d):
+        for split in product(*(part_splits(lam, k) for lam in passport)):
+            inner = tuple(taken for taken, _ in split)
+            outer = tuple(left for _, left in split)
+            total -= comb(d - 1, k - 1) * transitive_with_passport(inner) * tuples_with_passport(outer)
+    return total
 
 
 def naive_classes(n, d):
@@ -163,6 +236,24 @@ class TestEnumerate:
         assert res.marked_count == hall_count(n - 1, d) * factorial(d - 1)
         # The Hall count weighs each class by d!/|C|; Mednykh's counts them.
         assert len(res.classes) == mednykh_class_count(n - 1, d)
+
+    @pytest.mark.parametrize("n,d", HALL_CELLS)
+    def test_marked_count_per_passport_is_frobenius(self, n, d):
+        # Finer than the Hall gate, which two classes of different passports
+        # with their centralizer orders swapped pass.  The orders are the
+        # kernel's counts as the enumeration returns them; the test below
+        # ties them to core.centralizer_order.
+        res = enumerate_classes(n, d)
+        marked = Counter()
+        for c, order in zip(res.classes, res.centralizer_orders):
+            marked[tuple(map(cycle_type, c.perms))] += factorial(d) // order
+        expected = {}
+        for passport in product(enumeration._partitions_desc(d), repeat=n):
+            count = transitive_with_passport(passport)
+            assert count >= 0
+            if count:
+                expected[passport] = count
+        assert dict(marked) == expected
 
     @pytest.mark.parametrize("n,d", HALL_CELLS)
     def test_classes_validate_and_orders_match_core(self, n, d):

@@ -459,6 +459,13 @@ class TestCmTable:
         with pytest.raises(DessinryError):
             cm_value(11)
 
+    @pytest.mark.parametrize("n", [True, False, 1.0, 2.0, 58.0, "1", None])
+    def test_rejects_values_equal_to_a_row_number(self, n):
+        # True == 1 and 2.0 == 2, but only an exact int names a row.
+        with pytest.raises(DessinryError) as exc:
+            cm_value(n)
+        assert exc.value.code == "invalid-parameter"
+
     def test_first_row_is_exactly_two(self):
         assert cm_value(1) == 2
 
