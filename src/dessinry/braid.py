@@ -17,14 +17,26 @@ from .errors import DessinryError
 from .perms import identity, inverse
 
 
+def _letters(w, n=None):
+    """w as a tuple of (index, sign) letters of exact ints, 0 <= index (< n
+    when n is given) and sign +1 or -1; anything else is index-out-of-range."""
+    try:
+        out = tuple((idx, sign) for idx, sign in w)
+    except (TypeError, ValueError):
+        raise DessinryError("index-out-of-range", "word %r is not a sequence of (index, sign) letters" % (w,)) from None
+    for idx, sign in out:
+        # Exact types: a float or bool letter would pass the range test.
+        exact = type(idx) is int and type(sign) is int
+        if not exact or sign not in (1, -1) or idx < 0 or (n is not None and idx >= n):
+            bound = "" if n is None else " < %d" % n
+            message = "letter %r needs ints 0 <= index%s and sign +1 or -1" % ((idx, sign), bound)
+            raise DessinryError("index-out-of-range", message)
+    return out
+
+
 def word(*letters):
-    """Build a FreeWord from (index, sign) pairs; signs are +1 or -1."""
-    out = []
-    for idx, sign in letters:
-        if sign not in (1, -1):
-            raise DessinryError("index-out-of-range", "letter sign must be +1 or -1, got %r" % (sign,))
-        out.append((idx, sign))
-    return tuple(out)
+    """Build a FreeWord from (index, sign) pairs of ints, index >= 0 and sign +1 or -1."""
+    return _letters(letters)
 
 
 def word_inverse(w):
@@ -67,14 +79,12 @@ class EndomorphismTable:
     __slots__ = ("n", "images", "name", "splits")
 
     def __init__(self, n, images, name=""):
-        images = tuple(word_reduce(tuple(w)) for w in images)
+        # Exact type: a float or bool n would pass the length test.
+        if type(n) is not int:
+            raise DessinryError("index-out-of-range", "n must be an int, got %r" % (n,))
+        images = tuple(word_reduce(_letters(w, n)) for w in images)
         if len(images) != n:
             raise DessinryError("index-out-of-range", "need %d images, got %d" % (n, len(images)))
-        for w in images:
-            for idx, sign in w:
-                # Exact types: a float or bool letter would pass the range test.
-                if type(idx) is not int or type(sign) is not int or sign not in (1, -1) or not 0 <= idx < n:
-                    raise DessinryError("index-out-of-range", "letter %r outside alphabet of size %d" % ((idx, sign), n))
         self.n = n
         self.images = images
         self.name = name
@@ -118,10 +128,7 @@ def _evaluate(w, perms, inverses, d):
 
 def evaluate_word(w, t):
     """Substitute g_v for x_v and compose left to right."""
-    for idx, _sign in w:
-        if not 0 <= idx < t.n:
-            raise DessinryError("index-out-of-range", "word letter x%d, tuple has n=%d" % (idx, t.n))
-    return _evaluate(w, t.perms, t._inverse_perms(), t.d)
+    return _evaluate(_letters(w, t.n), t.perms, t._inverse_perms(), t.d)
 
 
 def _evaluate_split(split, perms, inverses, d):
@@ -189,8 +196,8 @@ def chain_tables(tables, name=""):
 def _half_twist(n, i, sign, name):
     """x_m -> x_m^sign x_o x_m^-sign and x_o -> x_m, other letters fixed; the
     moving strand m is i for sign +1 and i+1 for sign -1, o is the other."""
-    if not 0 <= i < n - 1:
-        raise DessinryError("index-out-of-range", "sigma index %d needs 0 <= i < %d" % (i, n - 1))
+    if type(n) is not int or type(i) is not int or not 0 <= i < n - 1:
+        raise DessinryError("index-out-of-range", "sigma index %r needs an int 0 <= i < %r" % (i, n - 1))
     m, o = (i, i + 1) if sign == 1 else (i + 1, i)
     images = [((v, 1),) for v in range(n)]
     images[m] = ((m, sign), (o, 1), (m, -sign))
@@ -216,9 +223,9 @@ def pure_twist_table(n, i, j, power=1):
     s_{i+1}^-1 ... s_{j-1}^-1 (action order), with p = power.
     The result is pure: every letter maps to a conjugate of itself.
     """
-    if not (0 <= i < j < n):
-        raise DessinryError("index-out-of-range", "need 0 <= i < j < n, got i=%d j=%d n=%d" % (i, j, n))
-    if power not in (1, -1):
+    if not (all(type(v) is int for v in (n, i, j)) and 0 <= i < j < n):
+        raise DessinryError("index-out-of-range", "need ints 0 <= i < j < n, got i=%r j=%r n=%r" % (i, j, n))
+    if type(power) is not int or power not in (1, -1):
         raise DessinryError("index-out-of-range", "power must be +1 or -1")
     prefix = [sigma_table(n, k) for k in range(j - 1, i, -1)]
     suffix = [sigma_inv_table(n, k) for k in range(i + 1, j)]
@@ -235,8 +242,8 @@ def preset_pure_generators(n):
     preserves the finite orbit set acts on it as a bijection, which
     braid_orbit verifies after the closure.
     """
-    if n < 3:
-        raise DessinryError("index-out-of-range", "need n >= 3, got %d" % n)
+    if type(n) is not int or n < 3:
+        raise DessinryError("index-out-of-range", "need an int n >= 3, got %r" % (n,))
     out = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -280,15 +287,16 @@ class OrbitResult:
 
     elements are canonical forms in sorted encoding order; generator_log
     has one entry (source index, operation name, target index) for every
-    element and operation, in that sorted order.
+    element and operation, in that sorted order; orbits holds the indices
+    of each orbit in ascending order, the orbits ordered by least index.
     """
 
-    __slots__ = ("seeds", "elements", "generator_log")
+    __slots__ = ("elements", "generator_log", "orbits")
 
-    def __init__(self, seeds, elements, generator_log):
-        self.seeds = seeds
+    def __init__(self, elements, generator_log, orbits):
         self.elements = elements
         self.generator_log = generator_log
+        self.orbits = orbits
 
 
 def orbit_closure(seeds, ops, key):
@@ -308,7 +316,6 @@ def orbit_closure(seeds, ops, key):
         if key(x) not in found:
             found[key(x)] = len(order)
             order.append(x)
-    seeds = tuple(sorted(order, key=key))
     targets = []  # targets[k][pos]: index of the image of order[k] under ops[pos]
     while len(targets) < len(order):
         x = order[len(targets)]
@@ -331,7 +338,20 @@ def orbit_closure(seeds, ops, key):
     ranked = sorted(range(len(order)), key=lambda k: key(order[k]))
     rank = {old: new for new, old in enumerate(ranked)}
     log = tuple((rank[old], name, rank[dst]) for old in ranked for (name, _op), dst in zip(ops, targets[old]))
-    return OrbitResult(seeds, tuple(order[k] for k in ranked), log)
+    # Each operation permutes the closed set, so an element's orbit is what it
+    # reaches going forwards; in sorted order each orbit is met at its least.
+    orbits, seen = [], set()
+    for old in ranked:
+        members, stack = [], [old]
+        while stack:
+            k = stack.pop()
+            if k not in seen:
+                seen.add(k)
+                members.append(rank[k])
+                stack += targets[k]
+        if members:
+            orbits.append(tuple(sorted(members)))
+    return OrbitResult(tuple(order[k] for k in ranked), log, tuple(orbits))
 
 
 def _canonical_image(g, t, checked):

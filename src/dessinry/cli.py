@@ -246,25 +246,6 @@ def _dessin_dot(t):
     return "\n".join(lines)
 
 
-def _orbit_components(result):
-    parent = list(range(len(result.elements)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for src, _name, dst in result.generator_log:
-        ra, rb = find(src), find(dst)
-        if ra != rb:
-            parent[rb] = ra
-    comps = {}
-    for k in range(len(result.elements)):
-        comps.setdefault(find(k), []).append(k)
-    return [comps[r] for r in sorted(comps)]
-
-
 def _orbit_dot(labels, log):
     lines = ["digraph orbit {"]
     for k, lab in enumerate(labels):
@@ -338,18 +319,19 @@ def _cmd_orbit(args):
 
     gens = _gens_for(args.gens, n)
     result = braid.braid_orbit(seeds, gens)
-    comps = _orbit_components(result)
     memo = _Printed("\n      ")
     labels = [_tuple_label([memo[p] for p in t.perms]) for t in result.elements]
 
     def lines():
-        yield "%d elements, %d orbits under %s" % (len(result.elements), len(comps), args.gens)
-        for k, comp in enumerate(comps):
+        yield "%d elements, %d orbits under %s" % (len(result.elements), len(result.orbits), args.gens)
+        for k, comp in enumerate(result.orbits):
             yield "orbit %d (size %d):" % (k, len(comp))
             for idx in comp:
                 yield "  element %d: %s" % (idx, labels[idx])
 
-    _emit_orbit(args, result, labels, lambda t: [memo[p][2] for p in t.perms], lines, gens=args.gens, orbits=comps)
+    _emit_orbit(
+        args, result, labels, lambda t: [memo[p][2] for p in t.perms], lines, gens=args.gens, orbits=result.orbits
+    )
 
 
 def _cmd_origami(args):

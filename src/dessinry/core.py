@@ -285,20 +285,26 @@ def centralizer_order(t):
     return _canonical_key(t.perms, t._inverse_perms())[1]
 
 
-def from_json(obj):
-    """The tuple of the CLI's JSON {n, d, perms, ...}; raises invalid-tuple on malformed input."""
+def _json_fields(obj, code, names, sizes):
+    """The values of names in the CLI's JSON object obj, the first sizes of
+    them exact ints; anything else raises code naming the problem."""
     if not isinstance(obj, dict):
-        raise DessinryError("invalid-tuple", "expected a JSON object with n, d and perms, got %s" % type(obj).__name__)
+        listed = "%s and %s" % (", ".join(names[:-1]), names[-1])
+        raise DessinryError(code, "expected a JSON object with %s, got %s" % (listed, type(obj).__name__))
     try:
-        n = obj["n"]
-        d = obj["d"]
-        perms = obj["perms"]
+        values = [obj[name] for name in names]
     except KeyError as exc:
-        raise DessinryError("invalid-tuple", "missing field %s" % exc) from None
-    for name, value in (("n", n), ("d", d)):
+        raise DessinryError(code, "missing field %s" % exc) from None
+    for name, value in zip(names[:sizes], values):
         # Exact type: JSON true loads as a bool and 1.0 as a float, both equal to 1.
         if type(value) is not int:
-            raise DessinryError("invalid-tuple", "%s must be an integer, got %r" % (name, value))
+            raise DessinryError(code, "%s must be an integer, got %r" % (name, value))
+    return values
+
+
+def from_json(obj):
+    """The tuple of the CLI's JSON {n, d, perms, ...}; raises invalid-tuple on malformed input."""
+    n, d, perms = _json_fields(obj, "invalid-tuple", ("n", "d", "perms"), 2)
     if not isinstance(perms, (list, tuple)) or len(perms) != n:
         raise DessinryError("invalid-tuple", "perms length does not match n=%r" % (n,))
     t = MonodromyTuple(perms)

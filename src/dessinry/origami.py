@@ -28,7 +28,7 @@ not merely up to isomorphism.
 """
 
 from .braid import orbit_closure
-from .core import MonodromyTuple, _canonical_key, _require_valid, canonical_form
+from .core import MonodromyTuple, _canonical_key, _json_fields, _require_valid, canonical_form
 from .errors import DessinryError
 from .perms import acts_transitively, compose, identity, inverse, is_perm
 
@@ -239,18 +239,7 @@ def origami_orbit(o):
 
 def origami_from_json(obj):
     """The origami of the CLI's JSON {m, R, L, U, D}; raises invalid-origami on malformed input."""
-    if not isinstance(obj, dict):
-        raise DessinryError(
-            "invalid-origami", "expected a JSON object with m, R, L, U and D, got %s" % type(obj).__name__
-        )
-    try:
-        m = obj["m"]
-        maps = [obj[k] for k in ("R", "L", "U", "D")]
-    except KeyError as exc:
-        raise DessinryError("invalid-origami", "missing field %s" % exc) from None
-    # Exact type: JSON true loads as a bool and 1.0 as a float, both equal to 1.
-    if type(m) is not int:
-        raise DessinryError("invalid-origami", "m must be an integer, got %r" % (m,))
+    m, *maps = _json_fields(obj, "invalid-origami", ("m", "R", "L", "U", "D"), 1)
     o = BipartiteOrigami(*maps)
     if o.m != m:
         raise DessinryError("invalid-origami", "declared m=%r but maps have length %d" % (m, o.m))

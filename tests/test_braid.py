@@ -27,6 +27,7 @@ from dessinry.braid import (
     word_substitute,
 )
 from dessinry.core import MonodromyTuple
+from dessinry.enumeration import enumerate_classes
 from dessinry.errors import DessinryError
 
 CHESSBOARD = MonodromyTuple([(1, 0), (1, 0), (1, 0), (1, 0)])
@@ -55,6 +56,11 @@ def is_conjugate_of_generator(w, v):
     return True
 
 
+# Not an (index, sign) pair of exact ints with 0 <= index and sign +1 or -1:
+# 0.0, True and 1.5 pass a range test, and a float or bool once escaped as a
+# TypeError or read an entry.
+BAD_LETTERS = [(0.0, 1), (1, 1.0), (True, 1), (1, True), (1, 2), (1, 0), (-1, 1), (1.5, 1), (0, 1, 1), 5]
+
 letters = st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from((1, -1)))
 words = st.lists(letters, max_size=12).map(tuple)
 
@@ -63,6 +69,15 @@ class TestWords:
     def test_word_builder_rejects_bad_sign(self):
         with pytest.raises(DessinryError) as exc:
             word((0, 2))
+        assert exc.value.code == "index-out-of-range"
+
+    def test_word_builder_keeps_valid_letters(self):
+        assert word((0, 1), (2, -1), (0, 1)) == ((0, 1), (2, -1), (0, 1))
+
+    @pytest.mark.parametrize("letter", BAD_LETTERS)
+    def test_word_builder_refuses_a_letter_that_is_not_an_int_pair(self, letter):
+        with pytest.raises(DessinryError) as exc:
+            word((0, 1), letter)
         assert exc.value.code == "index-out-of-range"
 
     def test_reduce_cancels_adjacent_pair(self):
@@ -104,17 +119,60 @@ class TestEvaluate:
             evaluate_word(((5, 1),), TREFOIL)
         assert exc.value.code == "index-out-of-range"
 
+    @pytest.mark.parametrize("letter", BAD_LETTERS + [(3, 1)])
+    def test_letter_that_is_not_an_int_pair_in_range_is_refused(self, letter):
+        # (True, 1) once read entry 1 and (0, 2) evaluated as x0^-1.
+        with pytest.raises(DessinryError) as exc:
+            evaluate_word(((0, 1), letter), TREFOIL)
+        assert exc.value.code == "index-out-of-range"
+
 
 class TestTables:
     def test_identity_table_acts_trivially(self):
         assert apply_endomorphism(identity_table(4), CHESSBOARD) == CHESSBOARD
 
-    @pytest.mark.parametrize("letter", [(0.0, 1), (1, 1.0), (True, 1), (1, True), (1, 2), (1, 0)])
+    @pytest.mark.parametrize("letter", BAD_LETTERS)
     def test_letter_that_is_not_an_int_pair_is_refused(self, letter):
         # 0.0 and True pass the range test and once escaped apply_endomorphism
         # as a TypeError; a sign other than +1 or -1 has no meaning.
         with pytest.raises(DessinryError) as exc:
             EndomorphismTable(3, [(letter,), ((1, 1),), ((2, 1),)])
+        assert exc.value.code == "index-out-of-range"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EndomorphismTable(3.0, [((0, 1),), ((1, 1),), ((2, 1),)]),
+            lambda: EndomorphismTable(3, [((0, 1),), 5, ((2, 1),)]),
+            lambda: sigma_table(4, 1.0),
+            lambda: sigma_table(4.0, 1),
+            lambda: sigma_inv_table(4, 1.0),
+            lambda: pure_twist_table(4, 0, 1.0),
+            lambda: pure_twist_table(4, True, 2),
+            lambda: pure_twist_table(4, 0, 1, power=1.0),
+            lambda: preset_pure_generators(4.0),
+            lambda: preset_pure_generators(2),
+            lambda: compose_tables(sigma_table(3, 0), sigma_table(4, 0)),
+            lambda: chain_tables([]),
+        ],
+        ids=[
+            "table-n-float",
+            "image-not-a-word",
+            "sigma-i-float",
+            "sigma-n-float",
+            "sigma-inv-i-float",
+            "pure-j-float",
+            "pure-i-bool",
+            "pure-power-float",
+            "preset-n-float",
+            "preset-n-2",
+            "compose-mixed-n",
+            "chain-empty",
+        ],
+    )
+    def test_table_of_bad_shape_is_refused(self, build):
+        with pytest.raises(DessinryError) as exc:
+            build()
         assert exc.value.code == "index-out-of-range"
 
     def test_wrong_image_count(self):
@@ -307,12 +365,53 @@ class TestHurwitzOrbit:
         assert weight == d ** (d - 3) * factorial(2 * d - 2)
 
 
+def log_components(res):
+    """The connected components of the generator log, found by a search
+    over its edges taken both ways."""
+    adjacent = [set() for _ in res.elements]
+    for src, _name, dst in res.generator_log:
+        adjacent[src].add(dst)
+        adjacent[dst].add(src)
+    comps, unseen = [], set(range(len(res.elements)))
+    while unseen:
+        comp, frontier = set(), [min(unseen)]
+        while frontier:
+            k = frontier.pop()
+            if k in unseen:
+                unseen.discard(k)
+                comp.add(k)
+                frontier.extend(adjacent[k])
+        comps.append(comp)
+    return comps
+
+
 class TestOrbit:
+    @pytest.mark.parametrize(
+        "seeds,gens",
+        [
+            (lambda: enumerate_classes(4, 4).classes, lambda: preset_pure_generators(4)),
+            (lambda: enumerate_classes(4, 4).classes, preset_gamma2),
+            (lambda: enumerate_classes(4, 3).classes, preset_gamma2),
+            (lambda: enumerate_classes(5, 3).classes, lambda: preset_pure_generators(5)),
+            (lambda: [star_seed(4)], lambda: preset_pure_generators(6)),
+        ],
+        ids=["n4d4-pure", "n4d4-gamma2", "n4d3-gamma2", "n5d3-pure", "star4-pure"],
+    )
+    def test_orbits_are_the_components_of_the_log(self, seeds, gens):
+        res = braid_orbit(seeds(), gens())
+        assert sorted(k for orbit in res.orbits for k in orbit) == list(range(len(res.elements)))
+        where = {k: pos for pos, orbit in enumerate(res.orbits) for k in orbit}
+        for src, _name, dst in res.generator_log:
+            assert where[src] == where[dst]
+        assert all(list(orbit) == sorted(orbit) for orbit in res.orbits)
+        assert [orbit[0] for orbit in res.orbits] == sorted(orbit[0] for orbit in res.orbits)
+        assert sorted(map(set, res.orbits), key=min) == sorted(log_components(res), key=min)
+        assert all(type(orbit) is tuple for orbit in res.orbits)
+
     def test_seed_always_in_orbit(self):
         res = braid_orbit([CHESSBOARD], preset_gamma2())
         canon = core.canonical_form(CHESSBOARD)
         assert canon in res.elements
-        assert res.seeds == (canon,)
 
     def test_log_covers_every_pair(self):
         gens = preset_pure_generators(4)

@@ -326,6 +326,11 @@ CONTRACT_INPUTS = [
     (["orbit", "--seed", "deep.json"], None, {}),
     (["monodromy", "--poly", DEEP_JSON, "--branch-points", "[0, 1]"], None, {}),
     (["monodromy", "--poly", "[1, 0, 0]", "--branch-points", DEEP_JSON], None, {}),
+    # A seed whose d contradicts --d, a --tau of three parts, a --poly that is
+    # JSON but not a list.
+    (["orbit", "--seed", "-", "--d", "3"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
+    (["lambda-star", "--tau", "1,2,3"], None, {}),
+    (["monodromy", "--poly", "5", "--branch-points", "[0, 1]"], None, {}),
 ]
 # JSON of the wrong shape; the same argv recurs, so each is named by its stdin.
 SHAPE_INPUTS = [

@@ -64,6 +64,11 @@ class TestConstruction:
             MonodromyTuple([(1, 0), (0, 0), (1, 0)])
         assert exc.value.code == "invalid-tuple"
 
+    def test_rejects_degree_zero(self):
+        with pytest.raises(DessinryError) as exc:
+            MonodromyTuple([(), (), ()])
+        assert (exc.value.code, exc.value.message) == ("invalid-tuple", "degree must be at least 1")
+
     def test_rejects_mixed_degrees(self):
         with pytest.raises(DessinryError):
             MonodromyTuple([(1, 0), (1, 0, 2), (1, 0)])
@@ -111,6 +116,11 @@ class TestCanonicalForm:
             pi = tuple(range(t.d))
         conj = MonodromyTuple([perms.relabel(p, tuple(pi)) for p in t.perms])
         assert core.canonical_form(conj) == core.canonical_form(t)
+
+    def test_different_shapes_are_not_isomorphic(self):
+        chessboard = MonodromyTuple([(1, 0)] * 4)
+        assert not core.isomorphic(chessboard, MonodromyTuple([(1, 0), (1, 0), (0, 1)]))
+        assert not core.isomorphic(chessboard, MonodromyTuple([(1, 2, 0), (1, 2, 0), (1, 2, 0), (0, 1, 2)]))
 
     def test_distinguishes_nonconjugate(self):
         a = tuple_from((1, 0, 2), (0, 2, 1), (0, 2, 1), (1, 0, 2))
@@ -289,6 +299,11 @@ class TestJson:
         with pytest.raises(DessinryError) as exc:
             core.from_json({"n": 3, "d": 4, "perms": [[1, 0], [1, 0], [0, 1]]})
         assert exc.value.code == "invalid-tuple"
+
+    def test_rejects_perms_length_other_than_n(self):
+        with pytest.raises(DessinryError) as exc:
+            core.from_json({"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [0, 1]]})
+        assert (exc.value.code, exc.value.message) == ("invalid-tuple", "perms length does not match n=4")
 
     def test_rejects_missing_fields(self):
         with pytest.raises(DessinryError):

@@ -466,6 +466,11 @@ class TestCmTable:
             cm_value(n)
         assert exc.value.code == "invalid-parameter"
 
+    def test_unknown_expression_head(self):
+        with pytest.raises(DessinryError) as exc:
+            eval_radical(("log", 2))
+        assert (exc.value.code, exc.value.message) == ("invalid-parameter", "unknown expression head 'log'")
+
     def test_first_row_is_exactly_two(self):
         assert cm_value(1) == 2
 

@@ -193,6 +193,9 @@ class TestRoundtrip:
             back = dessin_to_origami(origami_to_dessin(o))
             assert isomorphic_origami(back, o)
 
+    def test_different_sizes_are_not_isomorphic(self):
+        assert not isomorphic_origami(chessboard_origami(), SIX_A)
+
     def test_dessin_to_origami_needs_four_colors(self):
         t = MonodromyTuple([(1, 0), (1, 0), (0, 1)])
         with pytest.raises(DessinryError):

@@ -85,3 +85,8 @@ def test_cycles_str():
 def test_from_cycles_rejects_overlap():
     with pytest.raises(ValueError):
         perms.from_cycles(4, [(0, 1), (1, 2)])
+
+
+def test_from_cycles_rejects_entry_out_of_range():
+    with pytest.raises(ValueError, match="cycle entry 4 out of range for degree 4"):
+        perms.from_cycles(4, [(0, 4)])
