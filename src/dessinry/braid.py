@@ -57,7 +57,7 @@ def word_reduce(w):
 def word_substitute(w, images):
     """Replace letter x_i by images[i] (inverted for negative letters)."""
     out = []
-    for idx, sign in w:
+    for idx, sign in _letters(w, len(images)):
         piece = images[idx] if sign == 1 else word_inverse(images[idx])
         out.extend(piece)
     return word_reduce(tuple(out))
@@ -82,7 +82,11 @@ class EndomorphismTable:
         # Exact type: a float or bool n would pass the length test.
         if type(n) is not int:
             raise DessinryError("index-out-of-range", "n must be an int, got %r" % (n,))
-        images = tuple(word_reduce(_letters(w, n)) for w in images)
+        try:
+            words = iter(images)
+        except TypeError:
+            raise DessinryError("index-out-of-range", "images %r is not a sequence of words" % (images,)) from None
+        images = tuple(word_reduce(_letters(w, n)) for w in words)
         if len(images) != n:
             raise DessinryError("index-out-of-range", "need %d images, got %d" % (n, len(images)))
         self.n = n

@@ -29,6 +29,7 @@ from .perms import (
     identity,
     inverse,
     is_perm,
+    relabel,
     sheets_reached,
 )
 
@@ -268,10 +269,9 @@ def orientation_reverse(t):
     suffix = [identity(d)] * n
     for v in range(n - 2, 0, -1):
         suffix[v] = compose(t.perms[v + 1], suffix[v + 1])
-    out = [inverse(t.perms[0])]
-    for v in range(1, n):
-        s = suffix[v]
-        out.append(compose(compose(inverse(s), inverse(t.perms[v])), s))
+    inverses = t._inverse_perms()
+    # S_v^-1 g_v^-1 S_v is g_v^-1 relabeled by S_v.
+    out = [inverses[0]] + [relabel(inverses[v], suffix[v]) for v in range(1, n)]
     return MonodromyTuple._trusted(tuple(out))
 
 

@@ -37,7 +37,7 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # step q <- z q + c rounds by at most 2 sqrt(2) u |z q| + u |z q + c|, so at a
 # root the computed p(z) can be as large as (1 + 2 sqrt(2)) u mu < 4 u mu.
 _ACCEPT_ROUNDING = 4.0 * _UNIT_ROUNDOFF
-# classify_lift's margin for "real" and "real above 1".
+# The margin of "real" and "real above 1" for a lift and its base value.
 _LIFT_TOL = 1e-8
 # Sweeps of the root finder; a root still moving after them is left to the
 # polish and acceptance test of poly_roots.
@@ -450,14 +450,20 @@ def hurwitz_fiber(a):
         ) from None
 
 
+def _real_above_one(z):
+    """Whether z is real above 1, within _LIFT_TOL relative to |z| once that
+    exceeds 1, where rounding grows with it."""
+    return abs(z.imag) <= _LIFT_TOL * max(1.0, abs(z)) and z.real > 1.0 + _LIFT_TOL
+
+
 def classify_lift(s):
     """Which of the four standard regions over (1, inf) contains s.
 
-    None when p(s) is not real above 1 (within _LIFT_TOL, relative to
-    |p(s)| once that exceeds 1, where rounding grows with it).  Over (1, inf):
-    L3 for real s < -1, L4 for real s in (1/2, 1), L1 and L2 for the upper
-    and lower half plane.  A real s clear of both intervals while p(s)
-    looks real above 1 cannot be classified and raises 'ambiguous'.
+    None unless p(s) is real above 1 (_real_above_one).  Then L1 and L2 for
+    the upper and lower half plane, and a real s (within _LIFT_TOL) is L3
+    left of 1/2 and L4 right of it: on the real line p(s) - 1 =
+    -(s - 1)^3 (s + 1) / (2s - 1) is positive exactly for s < -1 and for
+    1/2 < s < 1.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -466,20 +472,10 @@ def classify_lift(s):
         p = hurwitz_projection(s)
     except DessinryError:
         return None
-    if abs(p.imag) > _LIFT_TOL * max(1.0, abs(p)) or p.real <= 1.0 + _LIFT_TOL:
+    if not _real_above_one(p):
         return None
     if abs(s.imag) <= _LIFT_TOL:
-        x = s.real
-        if x < -1.0 - _LIFT_TOL:
-            return "L3"
-        # With p(s) real above 1, a real s near the pole lies above 1/2
-        # exactly when 2s - 1 > 0, so that side needs no margin.
-        if 0.5 < x < 1.0 - _LIFT_TOL:
-            return "L4"
-        raise DessinryError(
-            "ambiguous",
-            "s=%r looks real with p(s)=%r above 1, but lies in neither real interval" % (s, p),
-        )
+        return "L3" if s.real < 0.5 else "L4"
     return "L1" if s.imag > 0 else "L2"
 
 
@@ -498,18 +494,12 @@ def hurwitz_dessin(a, lift):
     a = complex(a)
     if not cmath.isfinite(a):
         raise DessinryError("invalid-parameter", "a must be finite, got %r" % (a,))
-    if abs(a.imag) > 1e-8 or a.real <= 1.0:
-        raise DessinryError("no-such-lift", "lifts are labeled only over real a > 1, got %r" % (a,))
-    # A fiber point that cannot be classified is reported only when no other
-    # point carries the label, whatever order the roots come in.
-    unclassified = None
+    if not _real_above_one(a):
+        raise DessinryError("no-such-lift", "lifts are labeled only over real a above 1 + %g, got %r" % (_LIFT_TOL, a))
     for s in hurwitz_fiber(a):
-        try:
-            if classify_lift(s) == lift:
-                break
-        except DessinryError as exc:
-            unclassified = exc
+        if classify_lift(s) == lift:
+            break
     else:
-        raise unclassified or DessinryError("no-such-lift", "no fiber point of p over %r carries label %r" % (a, lift))
+        raise DessinryError("no-such-lift", "no fiber point of p over %r carries label %r" % (a, lift))
     t = numerical_monodromy(hurwitz_cover(s))
     return canonical_form(t)

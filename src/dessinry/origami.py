@@ -27,7 +27,6 @@ shear_gate_pair.json); the inverse rewrites undo the forward ones exactly,
 not merely up to isomorphism.
 """
 
-from .braid import orbit_closure
 from .core import MonodromyTuple, _canonical_key, _json_fields, _require_valid, canonical_form
 from .errors import DessinryError
 from .perms import acts_transitively, compose, identity, inverse, is_perm
@@ -88,32 +87,30 @@ class BipartiteOrigami:
         return "BipartiteOrigami(R=%r, L=%r, U=%r, D=%r)" % (self.R, self.L, self.U, self.D)
 
 
-def _bijection_diag(o):
-    """'ok', or a diagnostic naming the first of R, L, U, D that is not a
-    bijection onto the grey squares."""
-    for label, seq in (("R", o.R), ("L", o.L), ("U", o.U), ("D", o.D)):
+def _valid_corners(o):
+    """The corner permutations of o and their inverses (_dessin_perms), or
+    invalid-origami naming the first violated gluing condition."""
+    for label, seq in zip("RLUD", (o.R, o.L, o.U, o.D)):
         if not is_perm(seq, o.m):
-            return "violated: %s is not a bijection onto the grey squares" % label
-    return "ok"
-
-
-def validate_origami(o):
-    """'ok', or a diagnostic naming the violated gluing condition."""
-    diag = _bijection_diag(o)
+            raise DessinryError("invalid-origami", "violated: %s is not a bijection onto the grey squares" % label)
+    corners = _dessin_perms(o)
     # Every grey square is glued to a white one, so the gluing graph is
     # connected when its white squares are.  A step white -> grey -> white
     # leaves by one gluing X and returns by another Y, and the corner
     # permutations, the steps for (L, D), (D, R), (R, U), (U, L) in turn,
     # generate every such step.
-    if diag == "ok" and not acts_transitively(_dessin_perms(o)[0], o.m):
-        return "violated: gluing graph is not connected"
-    return diag
+    if not acts_transitively(corners[0], o.m):
+        raise DessinryError("invalid-origami", "violated: gluing graph is not connected")
+    return corners
 
 
-def _require_valid_origami(o):
-    diag = validate_origami(o)
-    if diag != "ok":
-        raise DessinryError("invalid-origami", diag)
+def validate_origami(o):
+    """'ok', or a diagnostic naming the violated gluing condition."""
+    try:
+        _valid_corners(o)
+    except DessinryError as exc:
+        return exc.message
+    return "ok"
 
 
 def _dessin_perms(o):
@@ -135,8 +132,7 @@ def _origami_of(perms):
 
 def origami_to_dessin(o):
     """Monodromy tuple on the white squares, one permutation per corner color."""
-    _require_valid_origami(o)
-    return MonodromyTuple._trusted(*_dessin_perms(o))
+    return MonodromyTuple._trusted(*_valid_corners(o))
 
 
 def dessin_to_origami(t):
@@ -154,17 +150,8 @@ def isomorphic_origami(a, b):
 
 
 def canonical_origami(o):
-    """Canonical representative of the relabeling class; idempotent.
-
-    The corner permutations of bijective gluing data multiply to the
-    identity, so they go to the canonical kernel unchecked, and the kernel's
-    None is the connectivity test: either failure raises the diagnostic of
-    validate_origami.
-    """
-    key = _canonical_key(*_dessin_perms(o)) if _bijection_diag(o) == "ok" else None
-    if key is None:
-        raise DessinryError("invalid-origami", validate_origami(o))
-    return _origami_of(key[0])
+    """Canonical representative of the relabeling class; idempotent."""
+    return _origami_of(_canonical_key(*_valid_corners(o))[0])
 
 
 # The shear rewrites on valid gluing data, unchecked: the orbit closure
@@ -204,7 +191,7 @@ _SHEARS = {
 
 def _delta(o, name):
     """The shear named name, after validating o."""
-    _require_valid_origami(o)
+    _valid_corners(o)
     return _SHEARS[name](o)
 
 
@@ -233,6 +220,10 @@ def origami_orbit(o):
     lists (source index, op name, target index) for every element and op.
     Shear images of valid origamis are valid, so they go to the kernel unchecked.
     """
+    # Only the orbit needs braid's closure; the conversions and shears
+    # do not load braid.
+    from .braid import orbit_closure
+
     ops = [(name, lambda x, f=f: _origami_of(_canonical_key(*_dessin_perms(f(x)))[0])) for name, f in _SHEARS.items()]
     return orbit_closure([canonical_origami(o)], ops, lambda x: (x.R, x.L, x.U, x.D))
 

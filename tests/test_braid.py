@@ -144,6 +144,10 @@ class TestTables:
         [
             lambda: EndomorphismTable(3.0, [((0, 1),), ((1, 1),), ((2, 1),)]),
             lambda: EndomorphismTable(3, [((0, 1),), 5, ((2, 1),)]),
+            lambda: EndomorphismTable(3, 5),
+            lambda: word_substitute(((5, 1),), sigma_table(3, 0).images),
+            lambda: word_substitute(((0, 1.0),), sigma_table(3, 0).images),
+            lambda: word_substitute(((0, 2),), sigma_table(3, 0).images),
             lambda: sigma_table(4, 1.0),
             lambda: sigma_table(4.0, 1),
             lambda: sigma_inv_table(4, 1.0),
@@ -158,6 +162,10 @@ class TestTables:
         ids=[
             "table-n-float",
             "image-not-a-word",
+            "images-not-iterable",
+            "substitute-letter-out-of-range",
+            "substitute-sign-float",
+            "substitute-sign-2",
             "sigma-i-float",
             "sigma-n-float",
             "sigma-inv-i-float",

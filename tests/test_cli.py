@@ -178,6 +178,15 @@ class TestHurwitz:
         assert code == 1
         assert err.startswith("no-such-lift:")
 
+    def test_lift_just_above_one(self, capsys):
+        # At a = 1 + 2e-8 the L3 point lies 7.5e-9 left of -1.
+        argv = ["hurwitz", "--lift", "L3", "--format", "table", "--a"]
+        near, far = run_cli(capsys, argv + ["1.00000002"]), run_cli(capsys, argv + ["2"])
+        assert near == far and far[0] == 0
+        code, out, err = run_cli(capsys, ["hurwitz", "--a", "1.000000005", "--lift", "L1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("no-such-lift:") and "1e-08" in err
+
 
 class TestMonodromy:
     BELYI = ["--poly", "[-6.75, 6.75, 0, 0]", "--branch-points", "[0, 1]"]
@@ -717,11 +726,22 @@ IMPORT_BUDGET = [
     (["enumerate", "--n", "3", "--d", "2"], {"numpy", "mpmath"} | BRAID_COVERS_ORIGAMI),
     (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2"], {"numpy", "mpmath"}),
     (["origami", "orbit", "--in", "chessboard.json"], {"numpy", "mpmath"}),
+    # Only the orbit needs braid's closure.
+    (["origami", "to-dessin", "--in", "chessboard.json"], {"numpy", "mpmath", "dessinry.braid", "dessinry.covers"}),
+    (
+        ["origami", "from-dessin", "--in", "chessboard-dessin.json"],
+        {"numpy", "mpmath", "dessinry.braid", "dessinry.covers"},
+    ),
+    (
+        ["origami", "delta", "--op", "hor", "--in", "chessboard.json"],
+        {"numpy", "mpmath", "dessinry.braid", "dessinry.covers"},
+    ),
     (
         ["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]"],
         {"numpy", "mpmath", "dessinry.braid", "dessinry.origami"},
     ),
     (["hurwitz", "--a", "2", "--lift", "L3"], {"numpy", "mpmath"}),
+    (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "origami"], {"numpy", "mpmath", "dessinry.braid"}),
     (["ap", "--t", "2"], {"numpy"} | BRAID_COVERS_ORIGAMI),
     (["lambda-star", "--tau", "0,1"], {"numpy"}),
     (["table1", "--rows", "1", "--check"], {"numpy"}),
@@ -758,11 +778,18 @@ def run_fresh(script, cwd):
     return proc.stdout
 
 
-@pytest.mark.parametrize(
-    "argv,banned", IMPORT_BUDGET, ids=["import dessinry" if a is None else a[0] for a, _ in IMPORT_BUDGET]
-)
+def budget_id(i):
+    """The subcommand of case i, or its whole argv where an earlier case has the same subcommand."""
+    argv = IMPORT_BUDGET[i][0]
+    if argv is None:
+        return "import dessinry"
+    return " ".join(argv) if any(a and a[0] == argv[0] for a, _ in IMPORT_BUDGET[:i]) else argv[0]
+
+
+@pytest.mark.parametrize("argv,banned", IMPORT_BUDGET, ids=[budget_id(i) for i in range(len(IMPORT_BUDGET))])
 def test_import_budget(tmp_path, argv, banned):
     (tmp_path / "chessboard.json").write_text(CHESSBOARD_JSON)
+    (tmp_path / "chessboard-dessin.json").write_text('{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}')
     if argv is None:
         script = "import dessinry\n"
     else:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from dessinry import core, covers, perms
 from dessinry.covers import (
@@ -33,6 +34,21 @@ class HurwitzPoint:
         self.s = complex(s)
         self.a = hurwitz_projection(self.s)
         self.lift_label = classify_lift(self.s)
+
+
+def assert_lift_matches_exact_sign(x):
+    """classify_lift on a real x against p(x) - 1 in exact arithmetic: a label
+    only where it is positive, and where it exceeds 2e-8, L3 exactly left
+    of -1 and L4 exactly on (1/2, 1)."""
+    label = classify_lift(x)
+    s = Fraction(x)
+    excess = None if 2 * s == 1 else (2 - s) * s**3 / (2 * s - 1) - 1
+    if label is not None:
+        assert excess is not None and excess > 0, (x, label)
+    if excess is not None and excess > Fraction(2, 10**8):
+        assert label in ("L3", "L4"), (x, label)
+        assert (label == "L3") == (x < -1.0), (x, label)
+        assert (label == "L4") == (0.5 < x < 1.0), (x, label)
 
 
 SQ3 = math.sqrt(3.0)
@@ -517,11 +533,19 @@ class TestQuarticFamily:
         assert classify_lift(0.5) is None
 
     def test_classify_ambiguous(self):
-        # Just left of -1, p(s) is real and just above 1 + tol, but s is
-        # within tol of the end of the L3 interval.
-        with pytest.raises(DessinryError) as exc:
-            classify_lift(-1.0 - 5e-9)
-        assert exc.value.code == "ambiguous"
+        # Just left of -1, p(s) is real and just above 1 + tol: s lies left
+        # of -1, however close to it.
+        assert classify_lift(-1.0 - 5e-9) == "L3"
+
+    @given(st.floats(min_value=-10.0, max_value=10.0))
+    def test_classify_real_points_by_the_exact_sign(self, x):
+        assert_lift_matches_exact_sign(x)
+
+    @pytest.mark.parametrize("end", [-1.0, 0.5, 1.0])
+    def test_classify_real_points_by_the_exact_sign_near_the_ends(self, end):
+        for k in range(1, 51):
+            for x in (end - k * 1e-9, end + k * 1e-9):
+                assert_lift_matches_exact_sign(x)
 
     @pytest.mark.parametrize("s", [complex(math.nan, math.nan), math.inf, complex(1, math.inf), -math.inf])
     def test_classify_rejects_non_finite(self, s):

@@ -181,6 +181,13 @@ class TestCornerTracing:
         with pytest.raises(DessinryError):
             origami_to_dessin(BipartiteOrigami((0, 0), (0, 1), (0, 1), (0, 1)))
 
+    def test_corners_are_built_once(self, monkeypatch):
+        # The corners that pass the connectivity test are the ones returned.
+        calls = []
+        monkeypatch.setattr(origami, "_dessin_perms", lambda o, f=origami._dessin_perms: calls.append(o) or f(o))
+        assert origami_to_dessin(SIX_A).perms == ((1, 0, 2), (0, 2, 1), (0, 2, 1), (1, 0, 2))
+        assert calls == [SIX_A]
+
 
 class TestRoundtrip:
     def test_tuple_roundtrip_is_exact(self):
@@ -296,7 +303,7 @@ class TestOrbit:
 
     def test_shear_images_skip_the_bijection_check(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(origami, "_bijection_diag", lambda o, f=origami._bijection_diag: calls.append(o) or f(o))
+        monkeypatch.setattr(origami, "_valid_corners", lambda o, f=origami._valid_corners: calls.append(o) or f(o))
         res = origami_orbit(SIX_B)
         assert len(res.elements) == 4
         assert calls == [SIX_B]
