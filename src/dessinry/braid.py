@@ -34,6 +34,16 @@ def _letters(w, n=None):
     return out
 
 
+def _words(images, n=None):
+    """images as a tuple of words read by _letters(w, n); an images that is
+    not iterable is index-out-of-range."""
+    try:
+        words = iter(images)
+    except TypeError:
+        raise DessinryError("index-out-of-range", "images %r is not a sequence of words" % (images,)) from None
+    return tuple(_letters(w, n) for w in words)
+
+
 def word(*letters):
     """Build a FreeWord from (index, sign) pairs of ints, index >= 0 and sign +1 or -1."""
     return _letters(letters)
@@ -54,13 +64,19 @@ def word_reduce(w):
     return tuple(stack)
 
 
+def _substitute(w, images):
+    """word_substitute of letters and images known to be valid, each index
+    of w below len(images), as a table's are."""
+    out = []
+    for idx, sign in w:
+        out.extend(images[idx] if sign == 1 else word_inverse(images[idx]))
+    return word_reduce(tuple(out))
+
+
 def word_substitute(w, images):
     """Replace letter x_i by images[i] (inverted for negative letters)."""
-    out = []
-    for idx, sign in _letters(w, len(images)):
-        piece = images[idx] if sign == 1 else word_inverse(images[idx])
-        out.extend(piece)
-    return word_reduce(tuple(out))
+    images = _words(images)
+    return _substitute(_letters(w, len(images)), images)
 
 
 def word_str(w):
@@ -82,11 +98,7 @@ class EndomorphismTable:
         # Exact type: a float or bool n would pass the length test.
         if type(n) is not int:
             raise DessinryError("index-out-of-range", "n must be an int, got %r" % (n,))
-        try:
-            words = iter(images)
-        except TypeError:
-            raise DessinryError("index-out-of-range", "images %r is not a sequence of words" % (images,)) from None
-        images = tuple(word_reduce(_letters(w, n)) for w in words)
+        images = tuple(map(word_reduce, _words(images, n)))
         if len(images) != n:
             raise DessinryError("index-out-of-range", "need %d images, got %d" % (n, len(images)))
         self.n = n
@@ -182,7 +194,7 @@ def compose_tables(first, second):
     """Table acting as `first`, then `second`."""
     if first.n != second.n:
         raise DessinryError("index-out-of-range", "cannot compose tables with n=%d and n=%d" % (first.n, second.n))
-    images = [word_substitute(w, first.images) for w in second.images]
+    images = [_substitute(w, first.images) for w in second.images]
     return EndomorphismTable(first.n, images)
 
 
@@ -385,6 +397,6 @@ def braid_orbit(seeds, gens):
     boundary = tuple((v, 1) for v in range(shape[0]))
     ops = []
     for pos, g in enumerate(gens):
-        checked = g.n != shape[0] or word_substitute(boundary, g.images) != boundary
+        checked = g.n != shape[0] or _substitute(boundary, g.images) != boundary
         ops.append((g.name or "g%d" % pos, lambda t, g=g, checked=checked: _canonical_image(g, t, checked)))
     return orbit_closure(seeds, ops, lambda t: t.perms)

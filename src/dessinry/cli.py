@@ -438,7 +438,11 @@ def _cmd_ap(args):
 
 
 def _cmd_table1(args):
-    from .modular import mpmath  # modular first: uncached, it compiles before mpmath fills the heap
+    # modular first: uncached, it compiles before mpmath fills the heap.  With
+    # cm_values first, table1 --check peaked at 19.12 MB, not 18.40 (ru_maxrss,
+    # medians of 12 alternating runs, PYTHONDONTWRITEBYTECODE=1, Python 3.11,
+    # 2-core VM), above the numeric benchmark's peak of about 18.6 MB.
+    from .modular import mpmath
 
     from . import cm_values, modular
 

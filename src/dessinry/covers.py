@@ -16,10 +16,9 @@ The concrete family of interest is the pencil of quartics
 
 normalized so f_s(0) = 0 and f_s(1) = 1, with critical points 0, 1, s and
 infinity; the third finite critical value is p(s) = f_s(s) =
-(2-s) s^3 / (2s-1).  For a real target a > 1 the fiber p^-1(a) consists of
-four points in distinct regions of the s-plane (upper half plane, lower
-half plane, the real intervals left of -1 and between 1/2 and 1), labeled
-L1..L4 by classify_lift.
+(2-s) s^3 / (2s-1).  Over a real a > 1 the fiber p^-1(a) is four points, in
+the upper and lower half planes, left of -1 and on (1/2, 1): L1..L4, labeled
+by region for one point (classify_lift) and by order in a fiber (_lifts).
 """
 
 import cmath
@@ -489,6 +488,15 @@ def belyi_cubic_cover():
     return CoverSpec((-6.75, 6.75, 0.0, 0.0), (0.0, 1.0))
 
 
+def _lifts(a):
+    """The fiber over a real a > 1 by label: the two roots nearest the axis
+    are L3 and L4 from the left, the conjugate pair L1 and L2 from above.  An
+    a within the margin barely moves them, so this needs no tolerance."""
+    roots = sorted(hurwitz_fiber(a), key=lambda s: abs(s.imag))
+    near, far = sorted(roots[:2], key=lambda s: s.real), sorted(roots[2:], key=lambda s: -s.imag)
+    return dict(zip(("L1", "L2", "L3", "L4"), far + near))
+
+
 def hurwitz_dessin(a, lift):
     """Canonical monodromy tuple of the lift of p over a with the given label."""
     a = complex(a)
@@ -496,10 +504,7 @@ def hurwitz_dessin(a, lift):
         raise DessinryError("invalid-parameter", "a must be finite, got %r" % (a,))
     if not _real_above_one(a):
         raise DessinryError("no-such-lift", "lifts are labeled only over real a above 1 + %g, got %r" % (_LIFT_TOL, a))
-    for s in hurwitz_fiber(a):
-        if classify_lift(s) == lift:
-            break
-    else:
+    s = next((s for label, s in _lifts(a).items() if label == lift), None)
+    if s is None:
         raise DessinryError("no-such-lift", "no fiber point of p over %r carries label %r" % (a, lift))
-    t = numerical_monodromy(hurwitz_cover(s))
-    return canonical_form(t)
+    return canonical_form(numerical_monodromy(hurwitz_cover(s)))

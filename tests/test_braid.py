@@ -97,6 +97,11 @@ class TestWords:
         # x0 x1^-1 becomes x1 (x0 x1)^-1 = x1 x1^-1 x0^-1, which reduces.
         assert word_substitute(((0, 1), (1, -1)), images) == ((0, -1),)
 
+    def test_substitute_reads_images_once(self):
+        # An iterator of images is read once, as EndomorphismTable reads it.
+        images = iter([((1, 1),), ((0, 1), (1, 1))])
+        assert word_substitute(((0, 1), (1, -1)), images) == ((0, -1),)
+
     def test_str(self):
         assert word_str(()) == "1"
         assert word_str(((0, 1), (2, -1))) == "x0 x2^-1"
@@ -148,6 +153,11 @@ class TestTables:
             lambda: word_substitute(((5, 1),), sigma_table(3, 0).images),
             lambda: word_substitute(((0, 1.0),), sigma_table(3, 0).images),
             lambda: word_substitute(((0, 2),), sigma_table(3, 0).images),
+            lambda: word_substitute(((1, 1),), iter([((0, 1),)])),
+            lambda: word_substitute(((0, 1),), [((0, 1.0),)]),
+            lambda: word_substitute(((0, 1),), [((True, 1),)]),
+            lambda: word_substitute(((0, 1),), [5]),
+            lambda: word_substitute(((0, 1),), 5),
             lambda: sigma_table(4, 1.0),
             lambda: sigma_table(4.0, 1),
             lambda: sigma_inv_table(4, 1.0),
@@ -166,6 +176,11 @@ class TestTables:
             "substitute-letter-out-of-range",
             "substitute-sign-float",
             "substitute-sign-2",
+            "substitute-images-iterator",
+            "substitute-image-sign-float",
+            "substitute-image-index-bool",
+            "substitute-image-not-a-word",
+            "substitute-images-not-iterable",
             "sigma-i-float",
             "sigma-n-float",
             "sigma-inv-i-float",

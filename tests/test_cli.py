@@ -187,6 +187,15 @@ class TestHurwitz:
         assert (code, out) == (1, "")
         assert err.startswith("no-such-lift:") and "1e-08" in err
 
+    def test_every_lift_at_the_first_a_above_the_margin(self, capsys):
+        # 1.0000000100000002 is the float after 1 + 1e-8.  The rounded p of
+        # its L4 root is not above the margin, and L4 was once refused there.
+        argv = ["hurwitz", "--format", "table", "--lift"]
+        for lift in ("L1", "L2", "L3", "L4"):
+            near = run_cli(capsys, argv + [lift, "--a", "1.0000000100000002"])
+            assert near == run_cli(capsys, argv + [lift, "--a", "1.0000000100000004"]) and near[0] == 0
+        assert near[1] == "(0 1 3 2) | (2 3) | (0 1) | (1 2)\n"
+
 
 class TestMonodromy:
     BELYI = ["--poly", "[-6.75, 6.75, 0, 0]", "--branch-points", "[0, 1]"]
@@ -802,6 +811,27 @@ def test_import_budget(tmp_path, argv, banned):
     loaded = set(run_fresh(script, tmp_path).split())
     assert "dessinry" in loaded
     assert not banned & loaded
+
+
+def test_table1_imports_modular_before_mpmath(tmp_path):
+    # Requested first, dessinry.modular is compiled before mpmath fills the
+    # heap, which holds the peak of table1 --check (see _cmd_table1).
+    # sys.modules cannot show the order: a module goes to its end when its
+    # import completes, so mpmath lands there before modular does.
+    script = (
+        "import contextlib, io, sys\n"
+        "asked = []\n"
+        "class Recorder:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        asked.append(name)\n"
+        "sys.meta_path.insert(0, Recorder())\n"
+        "import dessinry.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert dessinry.cli.main(['table1', '--rows', '1', '--check']) == 0\n"
+        "print(' '.join(asked))\n"
+    )
+    asked = run_fresh(script, tmp_path).split()
+    assert asked.index("dessinry.modular") < asked.index("mpmath"), asked
 
 
 ENUMERATE_44_JSON = ["enumerate", "--n", "4", "--d", "4", "--format", "json"]

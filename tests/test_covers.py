@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dessinry import core, covers, perms
 from dessinry.covers import (
@@ -558,6 +558,70 @@ class TestQuarticFamily:
         assert {p.lift_label for p in pts} == {"L1", "L2", "L3", "L4"}
         for p in pts:
             assert abs(p.a - 3.0) < 1e-8
+
+
+# Real a > 1 with a - 1 log-uniform in (2e-8, 4e13), where the fiber is two
+# real roots and a conjugate pair far enough apart for double precision.
+REAL_A = st.floats(min_value=math.log10(2e-8), max_value=math.log10(4e13)).map(lambda e: 1.0 + 10.0**e)
+
+
+def floats_above(x, count):
+    """The count floats that follow x."""
+    out = []
+    for _ in range(count):
+        x = math.nextafter(x, math.inf)
+        out.append(x)
+    return out
+
+
+def assert_order_matches_regions(a):
+    """The fiber over a labeled by its order gives L1..L4 to its four roots,
+    once each, and the label classify_lift gives to every root it labels."""
+    lifts = covers._lifts(a)
+    assert sorted(lifts) == ["L1", "L2", "L3", "L4"]
+    assert sorted(lifts.values(), key=lambda z: (z.real, z.imag)) == sorted(
+        hurwitz_fiber(a), key=lambda z: (z.real, z.imag)
+    )
+    for label, s in lifts.items():
+        assert classify_lift(s) in (None, label), (a, label, s)
+
+
+class TestLiftOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(REAL_A)
+    def test_order_agrees_with_regions_on_real_a(self, a):
+        assert_order_matches_regions(a)
+
+    def test_order_agrees_with_regions_just_above_the_margin(self):
+        # 1 + 1e-8 itself is refused; at the float after it classify_lift
+        # labels only three roots, since the rounded p of the L4 root is not
+        # above the margin.
+        for a in floats_above(1.0 + 1e-8, 400):
+            assert_order_matches_regions(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(REAL_A, st.floats(min_value=-1e-8, max_value=1e-8))
+    def test_complex_a_within_the_margin_follows_its_real_part(self, x, eps):
+        a = complex(x, x * eps)
+        assert covers._real_above_one(a)
+        over_x = covers._lifts(x)
+        for label, s in covers._lifts(a).items():
+            nearest = min(over_x, key=lambda other: abs(over_x[other] - s))
+            assert nearest == label, (a, label, s)
+
+    @pytest.mark.parametrize("a", [50 + 4e-7j, 1e6 + 1e-3j])
+    def test_complex_a_within_the_margin_gives_the_lifts_of_its_real_part(self, a):
+        # The L3 root's imaginary part is above 1e-8 here, and a test of each
+        # root by region once called it L2: L2 took the class of L3, and L3
+        # was refused.
+        for lift in ("L1", "L2", "L3", "L4"):
+            assert hurwitz_dessin(a, lift) == hurwitz_dessin(a.real, lift)
+
+    def test_l4_at_the_pole_is_refused_as_a_pole(self):
+        # Above about 1.25e11 the L4 root lies within hurwitz_fs's margin of 1/2.
+        with pytest.raises(DessinryError) as exc:
+            hurwitz_dessin(2e11, "L4")
+        assert exc.value.code == "pole-at-half"
 
 
 class TestHurwitzDessin:
