@@ -59,9 +59,10 @@ class _Encoded(str):
 
 class _Printed(dict):
     """A command's memo of the permutations it prints, keyed by the tuple:
-    each maps to its cycle string, its cycle type and its JSON array text at
-    indent, the newline and indentation of the line that holds it, all from
-    one cycles() pass per distinct permutation."""
+    each maps to its cycle string, its cycle type, and the JSON texts of its
+    array, its quoted cycle string and its cycle type at indent, the newline
+    and indentation of the line that holds them, all from one cycles() pass
+    per distinct permutation."""
 
     def __init__(self, indent):
         super().__init__()
@@ -69,7 +70,9 @@ class _Printed(dict):
 
     def __missing__(self, p):
         cycs = perm_cycles(p)
-        entry = self[p] = (cycles_text(cycs), core._cycle_type(cycs), _Encoded(_json(p, self.indent)))
+        text, ctype = cycles_text(cycs), core._cycle_type(cycs)
+        texts = _json(p, self.indent), encode_basestring_ascii(text), _json(ctype, self.indent)
+        entry = self[p] = (text, ctype, *map(_Encoded, texts))
         return entry
 
 
@@ -88,11 +91,8 @@ def _json(value, indent="\n"):
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -143,8 +143,8 @@ def _emit(args, payload, lines):
 def _tuple_json(printed):
     """The JSON keys that every printed tuple carries, from the _Printed
     entries of its permutations."""
-    strs, profile, arrays = zip(*printed)
-    return {"perms": arrays, "cycles": strs, "genus": core._genus(profile), "profile": profile}
+    _, profile, arrays, strs, shapes = zip(*printed)
+    return {"perms": arrays, "cycles": strs, "genus": core._genus(profile), "profile": shapes}
 
 
 def _emit_tuple(args, t, **extra):
@@ -176,17 +176,21 @@ def _emit_orbit(args, result, labels, element_json, lines, **extra):
         if args.format == "dot":
             print(dot)
             return
-    _emit(
-        args,
-        lambda: {
+
+    def payload():
+        # Elements and edges are streamed; an edge [src, name, dst] is one
+        # text from its generator's template.
+        log = result.generator_log
+        edge = {name: _json([_Encoded("%d"), name, _Encoded("%d")], "\n    ") for name in {e[1] for e in log}}
+        return {
             **extra,
             "element_count": len(result.elements),
-            "elements": [element_json(x) for x in result.elements],
+            "elements": (element_json(x) for x in result.elements),
             "labels": labels,
-            "edges": [[src, name, dst] for src, name, dst in result.generator_log],
-        },
-        lines,
-    )
+            "edges": (_Encoded(edge[name] % (src, dst)) for src, name, dst in log),
+        }
+
+    _emit(args, payload, lines)
 
 
 def _emit_value(args, head, shown, out, tol, **where):
@@ -267,11 +271,22 @@ def _cmd_enumerate(args):
     def lines():
         yield "n=%d d=%d: %d classes, %d marked" % (result.n, result.d, len(result.classes), result.marked_count)
         for k, (t, order) in enumerate(zip(result.classes, result.centralizer_orders)):
-            strs, profile, _ = zip(*[memo[p] for p in t.perms])
+            strs, profile, *_ = zip(*[memo[p] for p in t.perms])
             shape = " ".join("+".join(map(str, part)) for part in profile)
             normal = "yes" if order == result.d else "no"
             genus = core._genus(profile)
             yield "class %d: %s  genus %d  profile %s  normal %s" % (k, " | ".join(strs), genus, shape, normal)
+
+    def classes():
+        # Each class is one text: a template over its five sorted keys, the
+        # lists filled with the memo's texts.
+        slot = _Encoded("%s")
+        template = _json({"cycles": [slot], "genus": slot, "normal": slot, "perms": [slot], "profile": [slot]}, "\n    ")
+        sep = ",\n        "
+        for t, order in zip(result.classes, result.centralizer_orders):
+            _, profile, arrays, strs, shapes = zip(*[memo[p] for p in t.perms])
+            normal = "true" if order == result.d else "false"
+            yield _Encoded(template % (sep.join(strs), core._genus(profile), normal, sep.join(arrays), sep.join(shapes)))
 
     _emit(
         args,
@@ -280,10 +295,7 @@ def _cmd_enumerate(args):
             "d": result.d,
             "class_count": len(result.classes),
             "marked_count": result.marked_count,
-            "classes": (
-                {**_tuple_json([memo[p] for p in t.perms]), "normal": order == result.d}
-                for t, order in zip(result.classes, result.centralizer_orders)
-            ),
+            "classes": classes(),
         },
         lines,
     )

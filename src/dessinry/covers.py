@@ -502,9 +502,9 @@ def hurwitz_dessin(a, lift):
     a = complex(a)
     if not cmath.isfinite(a):
         raise DessinryError("invalid-parameter", "a must be finite, got %r" % (a,))
+    # The label is checked before the fiber is solved, which can fail on its own.
+    if lift not in ("L1", "L2", "L3", "L4"):
+        raise DessinryError("no-such-lift", "no fiber point of p over %r carries label %r" % (a, lift))
     if not _real_above_one(a):
         raise DessinryError("no-such-lift", "lifts are labeled only over real a above 1 + %g, got %r" % (_LIFT_TOL, a))
-    s = next((s for label, s in _lifts(a).items() if label == lift), None)
-    if s is None:
-        raise DessinryError("no-such-lift", "no fiber point of p over %r carries label %r" % (a, lift))
-    return canonical_form(numerical_monodromy(hurwitz_cover(s)))
+    return canonical_form(numerical_monodromy(hurwitz_cover(_lifts(a)[lift])))

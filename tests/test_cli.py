@@ -605,6 +605,21 @@ def test_json_writer_matches_json_dumps(doc):
     assert emit_json({k: (x for x in v) if isinstance(v, list) else v for k, v in doc.items()}) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(JSON_VALUES, max_size=5), depth=st.integers(0, 3))
+def test_encoded_items_write_as_their_values(items, depth):
+    # A list of items each already written by _json at the depth it is
+    # printed, alone or among plain strings, writes what the list of the
+    # items writes; so does such a list streamed at the top level.
+    indent = "\n" + "  " * depth
+    encoded = [cli._Encoded(cli._json(x, indent + "  ")) for x in items]
+    mixed = [x if isinstance(x, str) else cli._Encoded(cli._json(x, indent + "  ")) for x in items]
+    assert cli._json(encoded, indent) == cli._json(mixed, indent) == cli._json(items, indent)
+    expected = json.dumps({"schema": cli.SCHEMA, "items": items}, indent=2, sort_keys=True) + "\n"
+    top = [cli._Encoded(cli._json(x, "\n    ")) for x in items]
+    assert emit_json({"items": top}) == emit_json({"items": (x for x in top)}) == expected
+
+
 def test_enumerate_json_matches_json_dumps(capsys):
     # Each class's keys come from perms and core's public invariants, not
     # from the CLI's one-pass helper.
@@ -627,6 +642,56 @@ def test_enumerate_json_matches_json_dumps(capsys):
         ],
     }
     code, out, err = run_cli(capsys, ["enumerate", "--n", "3", "--d", "5", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def orbit_document(result, label, element, **extra):
+    """The JSON document of an orbit, from the closure's public result."""
+    return {
+        "schema": cli.SCHEMA,
+        **extra,
+        "element_count": len(result.elements),
+        "elements": [element(x) for x in result.elements],
+        "labels": [label(x) for x in result.elements],
+        "edges": [list(e) for e in result.generator_log],
+    }
+
+
+SHEAR_ORBIT_JSON = json.dumps({"m": 3, "R": [1, 2, 0], "L": [0, 1, 2], "U": [1, 0, 2], "D": [1, 0, 2]})
+
+
+def test_orbit_json_matches_json_dumps(capsys):
+    # Labels from perms.cycles_str and arrays from list(), not from the
+    # CLI's memo or its templates.
+    from dessinry import braid
+
+    result = braid.braid_orbit(enumerate_classes(4, 3).classes, braid.preset_gamma2())
+    doc = orbit_document(
+        result,
+        lambda t: " | ".join(perms.cycles_str(p) for p in t.perms),
+        lambda t: [list(p) for p in t.perms],
+        gens="preset:gamma2",
+        orbits=[list(c) for c in result.orbits],
+    )
+    assert len(doc["edges"]) > len(doc["elements"]) > 1
+    code, out, err = run_cli(capsys, ["orbit", "--n", "4", "--d", "3", "--gens", "preset:gamma2", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_origami_orbit_json_matches_json_dumps(capsys, monkeypatch):
+    from dessinry import origami
+
+    result = origami.origami_orbit(origami.origami_from_json(json.loads(SHEAR_ORBIT_JSON)))
+    doc = orbit_document(
+        result,
+        lambda o: "R=%s L=%s U=%s D=%s" % tuple(perms.cycles_str(p) for p in (o.R, o.L, o.U, o.D)),
+        lambda o: {"m": o.m, "R": list(o.R), "L": list(o.L), "U": list(o.U), "D": list(o.D)},
+    )
+    assert len(doc["edges"]) > len(doc["elements"]) > 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(SHEAR_ORBIT_JSON))
+    code, out, err = run_cli(capsys, ["origami", "orbit", "--format", "json"])
     assert (code, err) == (0, "")
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -667,9 +732,6 @@ def test_enumerate_decomposes_each_printed_permutation_once(capsys, monkeypatch,
     assert_decomposed_once(capsys, monkeypatch, ["enumerate", "--n", "3", "--d", "4", "--format", fmt])
 
 
-SHEAR_ORBIT_JSON = json.dumps({"m": 3, "R": [1, 2, 0], "L": [0, 1, 2], "U": [1, 0, 2], "D": [1, 0, 2]})
-
-
 @pytest.mark.parametrize("fmt", ["table", "json", "dot"])
 @pytest.mark.parametrize(
     "argv,stdin",
@@ -702,6 +764,29 @@ def test_enumerate_json_does_not_hold_its_output(monkeypatch):
     tracemalloc.start()
     try:
         code = main(ENUMERATE_44_JSON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.size, "peak %d bytes for %d characters of output" % (peak, sink.size)
+
+
+def test_orbit_json_does_not_hold_its_output(monkeypatch):
+    # Only the writing is measured: the seeds and the orbit (604 elements,
+    # 3624 edges) are found beforehand, and the elements and edges are
+    # written one at a time.
+    from dessinry import braid
+
+    seeds = enumerate_classes(4, 4)
+    result = braid.braid_orbit(seeds.classes, braid.preset_pure_generators(4))
+    assert (len(result.elements), len(result.generator_log)) == (604, 3624)
+    monkeypatch.setattr(cli, "enumerate_classes", lambda n, d: seeds)
+    monkeypatch.setattr(braid, "braid_orbit", lambda seeds, gens: result)
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["orbit", "--n", "4", "--d", "4", "--gens", "preset:pure", "--format", "json"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -690,6 +690,18 @@ class TestHurwitzDessin:
         with pytest.raises(DessinryError) as exc:
             hurwitz_dessin(2.0, "L9")
         assert exc.value.code == "no-such-lift"
+        assert exc.value.message == "no fiber point of p over (2+0j) carries label 'L9'"
+
+    def test_rejects_unknown_label_before_solving_the_fiber(self):
+        # At a = 1e14 the fiber polynomial's leading coefficient is
+        # negligible, so solving the fiber first would refuse the fiber.
+        with pytest.raises(DessinryError) as exc:
+            hurwitz_dessin(1e14, "L9")
+        assert exc.value.code == "no-such-lift"
+        assert exc.value.message == "no fiber point of p over (100000000000000+0j) carries label 'L9'"
+        with pytest.raises(DessinryError) as exc:
+            hurwitz_dessin(1e14, "L1")
+        assert exc.value.code == "degenerate-leading-coefficient"
 
     def test_base_point_constant(self):
         assert BASE_POINT == 2j
