@@ -21,6 +21,19 @@ the Weber quotient f^8/f1^8 and the discriminant combination
 -(Delta((tau+1)/2) + 16 Delta(tau)) / (Delta(tau/2) + 16 Delta(tau)),
 and their agreement is enforced; the accessory parameter of the square
 pillowcase tiling with parameter t is ap(t) = lambda*(it).
+
+lambda* is a modular function for Gamma(2).  Below Im tau = sqrt(3)/2
+both expressions are read at tau' = gamma tau in the standard fundamental
+domain (gamma in SL2(Z), found in exact integers), where every eta runs at
+|q| <= e^{-pi sqrt(3)/2}.  T sends lambda* to 1/lambda* and S to
+lambda*/(lambda* - 1), so gamma mod 2, one of the six elements of SL2(Z/2),
+picks one of f^8/f1^8, f1^8/f^8, f^8/f2^8, f2^8/f^8, -f2^8/f1^8 and
+-f1^8/f2^8 at tau' (by f^8 = f1^8 + f2^8), and the discriminant side is
+mapped by the matching Moebius map.  ap(t) below t = sqrt(3)/2 is thus
+f(i/t)^8 / f2(i/t)^8.  A reduced value is refused (tolerance-unreachable)
+when its working precision would pass _PRECISION_BUDGET digits: about
+2.73 / t digits for ap(t), half for e^{pi/t} under an absolute tol and
+half for the discriminant side's cancellation.
 """
 
 import math
@@ -28,12 +41,16 @@ import operator
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_rational
 
 from .errors import DessinryError
 
 _I = mpmath.mpc(0, 1)
 _PRODUCT_BUDGET = 400000
+# Digits past which a reduced lambda* refuses: above the 472700 digits that
+# _PRODUCT_BUDGET allows an eta at any Im tau < sqrt(3)/4, so that whatever
+# the unreduced path accepted is still accepted.
+_PRECISION_BUDGET = 480000
 # Largest order lambda_star_qseries accepts.  Its recurrence takes about
 # N^2 / 4 integer products; order 2000 builds in about 0.09 s of CPU, 400
 # in 3.5 ms (Python 3.11, one core of an Intel Xeon).
@@ -201,7 +218,8 @@ def _eta(tau, rel):
     for x = |q|.  The product runs with extra bits for its own rounding: a
     unit per factor and per product, and the phase error of q and q^{1/24}
     from exp (3 |2 pi tau| units), which the powers q^n carry into the
-    product at most x / (1-x)^3 times.
+    product at most x / (1-x)^3 times.  A reduced point tau' is itself
+    rounded, with extra bits of its own (_lambda_star).
     """
     x = mpmath.exp(-2 * mpmath.pi * mpmath.im(tau))
     if x >= 1:
@@ -281,28 +299,106 @@ def weber_f2(p, tol=1e-12):
 def lambda_star(p, tol=1e-12):
     """lambda*(tau) via two expressions with enforced agreement.
 
-    Returns the Weber-quotient value f(tau)^8 / f1(tau)^8; the discriminant
-    expression, which also uses eta(tau), must agree with it within 10*tol,
-    else expression-mismatch is raised.
+    Returns the Weber-quotient value f(tau)^8 / f1(tau)^8, read at the
+    reduced point (_lambda_star); the discriminant expression, which also
+    uses eta there, must agree with it within 10*tol, else
+    expression-mismatch is raised.
     """
     tau = as_upper_half(p).tau
     return _lambda_star(tau, tol, "tau=%s" % tau)
 
 
+# gamma mod 2 -> (num, den, sign, m): lambda*(tau) = sign * (w_num / w_den)^8
+# at tau' = gamma tau, with w = (f, f1, f2), and lambda*(tau) = m(lambda*(tau'))
+# for m = (p, q, r, s), x -> (p x + q) / (r x + s).  T sends lambda* to
+# 1 / lambda* and S to lambda* / (lambda* - 1); f^8 = f1^8 + f2^8 turns each
+# m(f^8 / f1^8) into one quotient, from which eta(tau') cancels.
+_CLASSES = {
+    (1, 0, 0, 1): (0, 1, 1, None),  # x = f^8 / f1^8
+    (1, 1, 0, 1): (1, 0, 1, (0, 1, 1, 0)),  # 1 / x = f1^8 / f^8
+    (0, 1, 1, 0): (0, 2, 1, (1, 0, 1, -1)),  # x / (x - 1) = f^8 / f2^8
+    (0, 1, 1, 1): (2, 0, 1, (1, -1, 1, 0)),  # (x - 1) / x = f2^8 / f^8
+    (1, 0, 1, 1): (2, 1, -1, (-1, 1, 0, 1)),  # 1 - x = -f2^8 / f1^8
+    (1, 1, 1, 0): (1, 2, -1, (0, 1, -1, 1)),  # 1 / (1 - x) = -f1^8 / f2^8
+}
+
+
+def _reduce(tau):
+    """(gamma mod 2, tau') for the gamma in SL2(Z) that moves tau into the
+    standard fundamental domain, found in integers; tau' is None, gamma the
+    identity, where Im tau >= sqrt(3)/2 already.  With tau = (u + iv) / D,
+    gamma tau = (P + iav) / (Q + icv) for P = au + bD and Q = cu + dD, so
+    tau' is the exact (x, y, n) with tau' = (x + iy) / n."""
+    (u, e), (v, g) = to_rational(tau.real._mpf_), to_rational(tau.imag._mpf_)
+    D = max(e, g)  # powers of 2
+    u, v = u * (D // e), v * (D // g)
+    if 4 * v * v >= 3 * D * D:
+        return (1, 0, 0, 1), None
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        P, Q = a * u + b * D, c * u + d * D
+        n2 = Q * Q + c * c * v * v
+        k = (2 * (P * Q + a * c * v * v) + n2) // (2 * n2)  # nearest integer to Re gamma tau
+        a, b, P = a - k * c, b - k * d, P - k * Q
+        if P * P + a * a * v * v >= n2:
+            return (a & 1, b & 1, c & 1, d & 1), (P * Q + a * c * v * v, v * D, n2)
+        a, b, c, d = -c, -d, a, b
+
+
 def _lambda_star(tau, tol, at):
-    """lambda_star at the mpc tau; at names the caller's argument in diagnostics."""
-    t_shift, t_half = _affine(tau, 1, 0.5), _affine(tau, 0, 0.5)
+    """lambda_star at the mpc tau; at names the caller's argument in diagnostics.
+
+    Below Im tau = sqrt(3)/2 both expressions are read at tau' = gamma tau
+    (_reduce), Im tau' >= sqrt(3)/2: the Weber side as the quotient that
+    gamma mod 2 picks, the discriminant side mapped by m.  tau' is rounded
+    once, from its exact numerator and denominator, to the pass's precision
+    plus _extra_bits(16 |tau'|).  As |d log(w_num / w_den)^8 / d tau'| =
+    (2 pi / 3) |a E2(.) - b E2(.)| < 8 there, that moves the value by at
+    most an eighth of a unit, which the rounding allowance counts, as it
+    counts exp's phase error in _eta.  Where m has its pole at x = 1 (f2 in
+    the denominator), m multiplies x's relative error by |x| / |x - 1| <
+    e^{pi Im tau'}, since |x - 1| = |f2 / f1|^8 >= 9 e^{-pi Im tau'}; the
+    discriminant side then runs that many digits higher, its etas that much
+    tighter.  A reduced value whose final pass, at tol / (2 |value|), would
+    need more than _PRECISION_BUDGET digits is refused.
+    """
+    key, image = _reduce(tau)
+    num, den, sign, mobius = _CLASSES[key]
+    lift = 0 if den < 2 else int(mpmath.pi * mpmath.fdiv(image[1], image[2]) / mpmath.ln(10)) + 1
 
     def compute(rel):
-        # Each eta to rel / 32: expr1 is the eighth power of a quotient of two
-        # (eta(tau) cancels from f / f1), so its relative error is about rel / 2.
-        (vs, bs), (vh, bh), (vt, _) = (_eta(z, rel / 32) for z in (t_shift, t_half, tau))
-        f = mpmath.exp(-mpmath.pi * _I / 24) * vs / vt
-        f1 = vh / vt
-        expr1 = _ipow(f / f1, 8)
-        bound1 = abs(expr1) * _rel_err((bs / abs(vs), 8), (bh / abs(vh), -8))
-        d_shift, d_half, d_tau = ((2 * mpmath.pi) ** 12 * _ipow(v, 24) for v in (vs, vh, vt))
-        expr3 = -(d_shift + 16 * d_tau) / (d_half + 16 * d_tau)
+        z = tau
+        if image is not None:
+            # The final pass runs at about this many digits: at tol / (2 |value|),
+            # and |value| < 10^lift / 9 + 3.
+            with mp.workdps(15):
+                if _dps_for(mpmath.mpf(tol)) + 2 * lift > _PRECISION_BUDGET:
+                    raise DessinryError(
+                        "tolerance-unreachable", "working precision needs more than %d digits" % _PRECISION_BUDGET
+                    )
+                x, y, n = image
+                extra = _extra_bits(16 * mpmath.fdiv(abs(x) + y, n))
+            z = mpmath.mpc(mpmath.fdiv(x, n, prec=mp.prec + extra), mpmath.fdiv(y, n, prec=mp.prec + extra))
+        # Each eta to rel / 32 (10^lift tighter for the discriminant side):
+        # expr1 is the eighth power of a quotient of two (eta(tau') cancels
+        # from it), so its relative error is about rel / 2.
+        with mp.workdps(mp.dps + lift):  # the pass's own precision where lift is 0
+            points = (_affine(z, 1, 0.5), _affine(z, 0, 0.5), z)
+            (vs, bs), (vh, bh), (vt, _) = (_eta(p, rel / (32 * 10 ** lift)) for p in points)
+            d_shift, d_half, d_tau = ((2 * mpmath.pi) ** 12 * _ipow(v, 24) for v in (vs, vh, vt))
+            expr3 = -(d_shift + 16 * d_tau) / (d_half + 16 * d_tau)
+            if mobius:
+                p, q, r, s = mobius
+                expr3 = (p * expr3 + q) / (r * expr3 + s)
+        etas = [(vs, bs), (vh, bh)]
+        w = [mpmath.exp(-mpmath.pi * _I / 24) * vs / vt, vh / vt]
+        if 2 in (num, den):
+            etas.append(_eta(_affine(z, 0, 2), rel / 32))
+            w.append(mpmath.sqrt(2) * etas[2][0] / vt)
+        (vn, bn), (vd, bd) = etas[num], etas[den]
+        expr1 = _ipow(w[num] / w[den], 8)
+        expr1 = -expr1 if sign < 0 else expr1
+        bound1 = abs(expr1) * _rel_err((bn / abs(vn), 8), (bd / abs(vd), -8))
         return expr1, bound1, expr3
 
     expr1, bound1, expr3 = _two_passes(compute, tol, at)

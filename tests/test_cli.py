@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -425,10 +426,10 @@ def test_poly_entries_are_json_numbers(capsys, poly):
 @pytest.mark.parametrize(
     "argv,diagnostic",
     [
-        (["ap", "--t", "1e-5"], "tolerance-unreachable: eta product needs more than 400000 terms at t=1e-05"),
+        (["ap", "--t", "1e-6"], "tolerance-unreachable: working precision needs more than 480000 digits at t=1e-06"),
         (
-            ["lambda-star", "--tau", "0.3,1e-5"],
-            "tolerance-unreachable: eta product needs more than 400000 terms at tau=(0.3 + 1.0e-5j)",
+            ["lambda-star", "--tau", "0.4,1e-7"],
+            "tolerance-unreachable: working precision needs more than 480000 digits at tau=(0.4 + 1.0e-7j)",
         ),
         (
             ["hurwitz", "--a", "1e308", "--lift", "L1"],
@@ -456,6 +457,18 @@ def test_diagnostic_names_the_value_given(capsys, argv, diagnostic):
     # Not the derived point (tau + 1) / 2, nor the coefficient 2a, overflowed
     # or dwarfing the leading one.
     assert run_cli(capsys, argv) == (1, "", diagnostic + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [(["ap", "--t", "1e-300"], "t=1e-300"), (["lambda-star", "--tau", "0,1e-300"], "tau=(0.0 + 1.0e-300j)")],
+)
+def test_far_past_the_precision_budget_exits_1_at_once(capsys, argv, named):
+    # The reduced point is 1e300 i: its digits are known before any eta runs.
+    start = time.process_time()
+    diagnostic = "tolerance-unreachable: working precision needs more than 480000 digits at %s\n" % named
+    assert run_cli(capsys, argv) == (1, "", diagnostic)
+    assert time.process_time() - start < 5
 
 
 @pytest.mark.parametrize(

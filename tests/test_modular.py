@@ -222,19 +222,24 @@ class TestEta:
             (eta, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
             (weber_f, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
             (weber_f1, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
-            (lambda_star, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
+            (lambda_star, 0.4 + 1e-7j, "tau=(0.4 + 1.0e-7j)"),
             (j_oracle, 0.3 + 1e-5j, "tau=(0.3 + 1.0e-5j)"),
-            (ap, 1e-5, "t=1e-05"),
+            (ap, 1e-6, "t=1e-06"),
         ],
         ids=["eta", "weber_f", "weber_f1", "lambda_star", "j_oracle", "ap"],
     )
     def test_unreachable_names_the_callers_argument(self, fn, arg, named):
-        # weber_f, lambda_star and ap fail at eta((tau+1)/2) or eta(tau/2);
-        # the diagnostic names what the caller passed, not that point.
+        # weber_f fails at eta((tau+1)/2), weber_f1 at eta(tau/2); lambda_star
+        # and ap fail at the working precision of their reduced point, near
+        # the cusp 2/5 and 0: Im tau' = 4e5 and 1e6, so 2 pi Im tau' / ln 10
+        # digits.  The diagnostic names what the caller passed, not that point.
         with pytest.raises(DessinryError) as exc:
             fn(arg)
         assert exc.value.code == "tolerance-unreachable"
-        assert exc.value.message == "eta product needs more than 400000 terms at " + named
+        if fn in (lambda_star, ap):
+            assert exc.value.message == "working precision needs more than 480000 digits at " + named
+        else:
+            assert exc.value.message == "eta product needs more than 400000 terms at " + named
 
     def test_discriminant_from_eta(self):
         with mp.workdps(40):
@@ -284,6 +289,15 @@ class TestWeber:
                     assert abs(a(tau, 1e-22).value - weber_product(tau, kind)) < 1e-20
 
 
+# One tau per class of gamma mod 2 (in _CLASSES order), each with Im tau < sqrt(3)/2.
+SIX_CLASSES = [0.5 + 0.1j, 0.4 + 0.1j, 0.2 + 0.1j, 0.35 + 0.1j, 0.75 + 0.1j, 0.1 + 0.1j]
+FAULT_CASES = [pytest.param(lambda_star, 0.1 + 1.3j, 0.1 + 1.3j, w, id=w) for w in ("shift", "half", "tau")] + [
+    pytest.param(fn, arg, moved, w, id="%s-%s-%s" % (fn.__name__, arg, w))
+    for fn, arg, moved in ((lambda_star, 0.1 + 0.3j, 3j), (ap, 0.3, 1j / 0.3))
+    for w in ("shift", "half", "double", "tau")
+]
+
+
 class TestLambdaStar:
     def test_value_at_i(self):
         got = lambda_star(1j, 1e-20)
@@ -329,22 +343,75 @@ class TestLambdaStar:
             want = mpmath.jtheta(3, 0, q) ** 4 / mpmath.jtheta(4, 0, q) ** 4
             assert abs(got.value - want) <= got.trunc_bound <= tol
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-1, 1), st.floats(0.02, 2), st.floats(-30, -8).map(lambda e: 10.0 ** e))
+    @example(0.1, 1.3, 1e-12)  # Im tau >= sqrt(3)/2: gamma is the identity
+    @example(0.5, 0.1, 1e-12)  # gamma = 1 mod 2, another element of Gamma(2): f^8 / f1^8
+    @example(0.4, 0.1, 1e-12)  # f1^8 / f^8
+    @example(0.2, 0.1, 1e-12)  # f^8 / f2^8
+    @example(0.35, 0.1, 1e-12)  # f2^8 / f^8
+    @example(0.75, 0.1, 1e-12)  # -f2^8 / f1^8
+    @example(0.1, 0.1, 1e-12)  # -f1^8 / f2^8
+    @example(0.0, 0.02, 1e-30)  # lambda* about e^{50 pi} / 16
+    def test_lambda_star_bound_holds_against_theta_quotient(self, re_tau, im_tau, tol):
+        # theta3^4 / theta4^4 at the nome e^{i pi tau} of the caller's tau, not
+        # of the reduced point.  3 / Im tau digits cover |lambda*| up to about
+        # e^{pi / Im tau} and theta4's cancellation near a cusp.
+        got = lambda_star(complex(re_tau, im_tau), tol)
+        with mp.workdps(int(-math.log10(tol) + 3 / im_tau) + 30):
+            q = mpmath.exp(mpmath.pi * I * mpmath.mpc(re_tau, im_tau))
+            want = mpmath.jtheta(3, 0, q) ** 4 / mpmath.jtheta(4, 0, q) ** 4
+            assert abs(got.value - want) <= got.trunc_bound <= tol
 
-    @pytest.mark.parametrize("arg", ["shift", "half", "tau"])
-    def test_a_fault_in_any_eta_is_a_mismatch(self, monkeypatch, arg):
-        # The Weber quotient never uses eta(tau); the discriminant side does.
-        tau = UpperHalfPoint(0.1 + 1.3j).tau
-        target = {"shift": (tau + 1) / 2, "half": tau / 2, "tau": tau}[arg]
-        real_eta = modular._eta
+    @pytest.mark.parametrize("t,tol", [(1.6e-3, "1e-12"), (2.5e-3, "1e-100"), (0.8, "1e-3000")])
+    def test_ap_accepts_what_the_eta_budget_accepted(self, t, tol):
+        # Each of these fit the former limit of 400000 eta factors at the
+        # caller's point, which stopped ap at about t = 1.6e-3 for tol 1e-12.
+        tol = mpmath.mpf(tol)
+        got = ap(t, tol)
+        with mp.workdps(int(-mpmath.log10(tol) + 2 / t) + 30):
+            q = mpmath.exp(-mpmath.pi * mpmath.mpf(t))
+            want = mpmath.jtheta(3, 0, q) ** 4 / mpmath.jtheta(4, 0, q) ** 4
+            assert abs(got.value - want) <= got.trunc_bound <= tol
+
+    @pytest.mark.parametrize("fn,arg,moved,which", FAULT_CASES)
+    def test_a_fault_in_any_eta_is_a_mismatch(self, monkeypatch, fn, arg, moved, which):
+        # The Weber quotient never uses eta(tau'); the discriminant side does.
+        # At tau = 0.1 + 1.3j, gamma is the identity; 0.1 + 0.3j and 0.3i move
+        # to 3i and i / 0.3, where the quotients -f1^8 / f2^8 and f^8 / f2^8
+        # add eta(2 tau').
+        target = {"shift": (moved + 1) / 2, "half": moved / 2, "double": 2 * moved, "tau": moved}[which]
+        real_eta, hit = modular._eta, []
 
         def faulty_eta(z, rel):
             val, bound = real_eta(z, rel)
-            return (val * (1 + 1e-6), bound) if abs(z - target) < 1e-9 else (val, bound)
+            if abs(z - target) < 1e-9:
+                hit.append(z)
+                return val * (1 + 1e-6), bound
+            return val, bound
 
         monkeypatch.setattr(modular, "_eta", faulty_eta)
         with pytest.raises(DessinryError) as exc:
-            lambda_star(0.1 + 1.3j, 1e-12)
-        assert exc.value.code == "expression-mismatch"
+            fn(arg, 1e-12)
+        assert hit and exc.value.code == "expression-mismatch"
+
+    @pytest.mark.parametrize(
+        "fn,arg", [(ap, t) for t in (0.005, 0.07, 0.5)] + [(lambda_star, tau) for tau in SIX_CLASSES + [-0.45 + 0.02j]]
+    )
+    def test_every_eta_runs_in_the_fundamental_domain(self, monkeypatch, fn, arg):
+        # At most four points, (tau' + 1) / 2, tau' / 2, 2 tau' and tau', each
+        # with Im >= sqrt(3) / 4, where x = |q| <= e^{-pi sqrt(3) / 2}: a few
+        # factors per digit, where the caller's point needs 1 / (pi Im tau).
+        seen, real_eta = [], modular._eta
+
+        def recording(z, rel):
+            seen.append(complex(z))
+            return real_eta(z, rel)
+
+        monkeypatch.setattr(modular, "_eta", recording)
+        fn(arg, 1e-12)
+        assert 3 <= len(set(seen)) <= 4
+        assert all(z.imag >= math.sqrt(3) / 4 for z in seen)
 
     def test_ap_far_up_the_cusp(self):
         # ap(t) - 1 is about 16 e^{-pi t}: nothing at t = 10^100.
