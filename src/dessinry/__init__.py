@@ -5,7 +5,7 @@ covers, and the modular side of the square pillowcase family.
 Submodules load on first use: ``import dessinry`` imports none of them,
 ``dessinry.enumerate_classes`` imports ``dessinry.enumeration`` (and what it
 needs), and only ``modular`` and ``cm_values`` pull in mpmath, the one
-runtime dependency.
+runtime dependency; ``qseries``, the exact q-expansion of lambda*, does not.
 """
 
 from importlib import import_module
@@ -78,7 +78,6 @@ _EXPORTS = {
     "modular": (
         "UpperHalfPoint",
         "ModularValue",
-        "QSeries",
         "eta",
         "weber_f",
         "weber_f1",
@@ -87,10 +86,10 @@ _EXPORTS = {
         "ap",
         "j_from_lambda_star",
         "j_oracle",
-        "lambda_star_qseries",
         "qseries_eval",
         "integrality_check",
     ),
+    "qseries": ("QSeries", "lambda_star_qseries"),
     "cm_values": ("CM_ROWS", "cm_value", "eval_radical"),
 }
 

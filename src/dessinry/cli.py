@@ -16,15 +16,16 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import types
 from json.encoder import encode_basestring_ascii
 
-# braid, covers, origami and the mpmath users modular and cm_values are
-# imported by the handlers that need them, so that every other subcommand
-# starts without loading or compiling them.
+# enumeration, braid, covers, origami, qseries and the mpmath users modular
+# and cm_values are imported by the handlers that need them, so that every
+# other subcommand starts without loading or compiling them: only ap,
+# lambda-star and table1 load mpmath.
 from . import core
-from .enumeration import enumerate_classes
 from .errors import DessinryError
 from .perms import cycle_str, cycles_text
 from .perms import cycles as perm_cycles
@@ -32,10 +33,20 @@ from .perms import cycles as perm_cycles
 SCHEMA = "dessinry/1"
 
 
-def _fmt(x):
-    import mpmath
+def __getattr__(name):
+    # enumeration loads on first use: enumerate and orbit --n/--d call
+    # cli.enumerate_classes, where bench/tracing.py wraps it.
+    if name != "enumerate_classes":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from .enumeration import enumerate_classes
 
-    return mpmath.nstr(x, 17)
+    return enumerate_classes
+
+
+def _fmt(x):
+    from .modular import _nstr
+
+    return _nstr(x, 17)
 
 
 def _tol(args, fallback):
@@ -265,7 +276,7 @@ def _tuple_label(printed):
 
 
 def _cmd_enumerate(args):
-    result = enumerate_classes(args.n, args.d)
+    result = sys.modules[__name__].enumerate_classes(args.n, args.d)
     memo = _Printed("\n        ")
 
     def lines():
@@ -325,7 +336,7 @@ def _cmd_orbit(args):
     else:
         if args.n is None or args.d is None:
             raise DessinryError("invalid-parameter", "orbit needs --seed FILE or both --n and --d")
-        seeds = enumerate_classes(args.n, args.d).classes
+        seeds = sys.modules[__name__].enumerate_classes(args.n, args.d).classes
         n = args.n
     from . import braid
 
@@ -495,9 +506,9 @@ def _cmd_table1(args):
 
 
 def _cmd_qseries(args):
-    from . import modular
+    from .qseries import lambda_star_qseries
 
-    series = modular.lambda_star_qseries(args.order)
+    series = lambda_star_qseries(args.order)
     _emit(
         args,
         lambda: {"order": series.order, "coefficients": list(series.coefficients)},
@@ -505,79 +516,100 @@ def _cmd_qseries(args):
     )
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of every subcommand, or, where command names one, of that
+    one alone: it prints and fails as the full parser does on that
+    subcommand's argv, and costs one subparser to build."""
+    names = ("enumerate", "orbit", "origami", "hurwitz", "monodromy", "lambda-star", "ap", "table1", "qseries")
+    command = command if command in names else None
     parser = argparse.ArgumentParser(prog="dessinry", description="computations with n-color dessins and square tilings")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The metavar is the full parser's choice list, so that a top-level error
+    # (an unrecognized argument) prints the same usage line.
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(names))
 
-    p = sub.add_parser("enumerate", help="list canonical classes for (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=_cmd_enumerate)
+    if command in (None, "enumerate"):
+        p = sub.add_parser("enumerate", help="list canonical classes for (n, d)")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("orbit", help="closure of classes under word-level generators")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--seed", help="JSON file with one monodromy tuple")
-    p.add_argument("--gens", choices=("preset:pure", "preset:gamma2"), default="preset:pure")
-    p.add_argument("--dot", help="also write the orbit graph to this DOT file")
-    p.add_argument("--format", choices=("table", "json", "dot"), default="table")
-    p.set_defaults(func=_cmd_orbit)
+    if command in (None, "orbit"):
+        p = sub.add_parser("orbit", help="closure of classes under word-level generators")
+        p.add_argument("--n", type=int)
+        p.add_argument("--d", type=int)
+        p.add_argument("--seed", help="JSON file with one monodromy tuple")
+        p.add_argument("--gens", choices=("preset:pure", "preset:gamma2"), default="preset:pure")
+        p.add_argument("--dot", help="also write the orbit graph to this DOT file")
+        p.add_argument("--format", choices=("table", "json", "dot"), default="table")
+        p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("origami", help="square-tiling conversions, shears, orbits")
-    p.add_argument("action", choices=("to-dessin", "from-dessin", "delta", "orbit"))
-    # The sorted names of origami._SHEARS, spelled out so that building the
-    # parser does not import origami.
-    p.add_argument("--op", choices=("hor", "hor-inv", "ver", "ver-inv"), default=None)
-    p.add_argument("--in", dest="infile", default=None, help="input JSON file (default: stdin)")
-    p.add_argument("--dot", help="for orbit: also write the orbit graph to this DOT file")
-    p.add_argument("--format", choices=("table", "json", "dot"), default="json")
-    p.set_defaults(func=_cmd_origami)
+    if command in (None, "origami"):
+        p = sub.add_parser("origami", help="square-tiling conversions, shears, orbits")
+        p.add_argument("action", choices=("to-dessin", "from-dessin", "delta", "orbit"))
+        # The sorted names of origami._SHEARS, spelled out so that building the
+        # parser does not import origami.
+        p.add_argument("--op", choices=("hor", "hor-inv", "ver", "ver-inv"), default=None)
+        p.add_argument("--in", dest="infile", default=None, help="input JSON file (default: stdin)")
+        p.add_argument("--dot", help="for orbit: also write the orbit graph to this DOT file")
+        p.add_argument("--format", choices=("table", "json", "dot"), default="json")
+        p.set_defaults(func=_cmd_origami)
 
-    p = sub.add_parser("hurwitz", help="monodromy of the quartic family lift")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--lift", choices=("L1", "L2", "L3", "L4"), required=True)
-    p.add_argument("--emit", choices=("dessin", "origami", "dot"), default="dessin")
-    # None reads as json; it tells an explicit --format, which --emit dot refuses.
-    p.add_argument("--format", choices=("table", "json"), default=None)
-    p.set_defaults(func=_cmd_hurwitz)
+    if command in (None, "hurwitz"):
+        p = sub.add_parser("hurwitz", help="monodromy of the quartic family lift")
+        p.add_argument("--a", type=float, required=True)
+        p.add_argument("--lift", choices=("L1", "L2", "L3", "L4"), required=True)
+        p.add_argument("--emit", choices=("dessin", "origami", "dot"), default="dessin")
+        # None reads as json; it tells an explicit --format, which --emit dot refuses.
+        p.add_argument("--format", choices=("table", "json"), default=None)
+        p.set_defaults(func=_cmd_hurwitz)
 
-    p = sub.add_parser("monodromy", help="numerical monodromy of a polynomial cover")
-    p.add_argument("--poly", required=True, help="JSON coefficient list, highest degree first")
-    p.add_argument("--branch-points", required=True, dest="branch_points", help="JSON list of finite branch values")
-    p.add_argument("--base", default=None, help="base point RE,IM (default 0,2)")
-    p.add_argument("--format", choices=("table", "json"), default="json")
-    p.set_defaults(func=_cmd_monodromy)
+    if command in (None, "monodromy"):
+        p = sub.add_parser("monodromy", help="numerical monodromy of a polynomial cover")
+        p.add_argument("--poly", required=True, help="JSON coefficient list, highest degree first")
+        p.add_argument("--branch-points", required=True, dest="branch_points", help="JSON list of finite branch values")
+        p.add_argument("--base", default=None, help="base point RE,IM (default 0,2)")
+        # argparse reads a token that starts with a minus sign as an option
+        # unless it matches this pattern, by default a bare negative number;
+        # here any minus sign followed by a digit or point, as in --base -1,1.
+        p._negative_number_matcher = re.compile(r"-[\d.]")
+        p.add_argument("--format", choices=("table", "json"), default="json")
+        p.set_defaults(func=_cmd_monodromy)
 
-    p = sub.add_parser("lambda-star", help="evaluate lambda* on the upper half plane")
-    p.add_argument("--tau", required=True, help="RE,IM")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
-    p.set_defaults(func=_cmd_lambda_star)
+    if command in (None, "lambda-star"):
+        p = sub.add_parser("lambda-star", help="evaluate lambda* on the upper half plane")
+        p.add_argument("--tau", required=True, help="RE,IM")
+        p._negative_number_matcher = re.compile(r"-[\d.]")  # as for --base
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
+        p.set_defaults(func=_cmd_lambda_star)
 
-    p = sub.add_parser("ap", help="accessory parameter ap(t) = lambda*(it)")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
-    p.set_defaults(func=_cmd_ap)
+    if command in (None, "ap"):
+        p = sub.add_parser("ap", help="accessory parameter ap(t) = lambda*(it)")
+        p.add_argument("--t", type=float, required=True)
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
+        p.set_defaults(func=_cmd_ap)
 
-    p = sub.add_parser("table1", help="stored CM values of ap, optionally re-derived")
-    p.add_argument("--rows", default=None, help="comma list of n values (default: all)")
-    p.add_argument("--check", action="store_true")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
-    p.set_defaults(func=_cmd_table1)
+    if command in (None, "table1"):
+        p = sub.add_parser("table1", help="stored CM values of ap, optionally re-derived")
+        p.add_argument("--rows", default=None, help="comma list of n values (default: all)")
+        p.add_argument("--check", action="store_true")
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
+        p.set_defaults(func=_cmd_table1)
 
-    p = sub.add_parser("qseries", help="exact expansion coefficients of lambda*")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
-    p.set_defaults(func=_cmd_qseries)
+    if command in (None, "qseries"):
+        p = sub.add_parser("qseries", help="exact expansion coefficients of lambda*")
+        p.add_argument("--order", type=int, required=True)
+        p.add_argument("--json", dest="format", action="store_const", const="json", default="table")
+        p.set_defaults(func=_cmd_qseries)
 
     return parser
 
 
 def run(argv):
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     args.func(args)
     return 0
 

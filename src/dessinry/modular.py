@@ -37,13 +37,31 @@ half for the discriminant side's cancellation.
 """
 
 import math
-import operator
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_rational
+from mpmath.libmp import (
+    bin_to_radix,
+    bitcount,
+    from_int,
+    from_man_exp,
+    ften,
+    mpf_div,
+    mpf_ln2,
+    mpf_ln10,
+    mpf_mul,
+    mpf_pow_int,
+    to_fixed,
+    to_int,
+    to_rational,
+    to_str,
+)
 
 from .errors import DessinryError
+
+# Unused here; imported so that bench/tracing.py finds it in this module to
+# wrap, as it did before the series moved to qseries.
+from .qseries import lambda_star_qseries  # noqa: F401
 
 _I = mpmath.mpc(0, 1)
 _PRODUCT_BUDGET = 400000
@@ -51,10 +69,6 @@ _PRODUCT_BUDGET = 400000
 # _PRODUCT_BUDGET allows an eta at any Im tau < sqrt(3)/4, so that whatever
 # the unreduced path accepted is still accepted.
 _PRECISION_BUDGET = 480000
-# Largest order lambda_star_qseries accepts.  Its recurrence takes about
-# N^2 / 4 integer products; order 2000 builds in about 0.09 s of CPU, 400
-# in 3.5 ms (Python 3.11, one core of an Intel Xeon).
-QSERIES_ORDER_LIMIT = 2000
 
 
 def _dps_for(rel):
@@ -124,7 +138,43 @@ class ModularValue:
         self.trunc_bound = trunc_bound
 
     def __repr__(self):
-        return "ModularValue(%s, trunc_bound=%s)" % (self.value, self.trunc_bound)
+        return "ModularValue(%s, trunc_bound=%s)" % (_nstr(self.value, mp.dps), _nstr(self.trunc_bound, mp.dps))
+
+
+def _to_str(s, n):
+    """mpmath's to_str(s, n), the text of nstr and str, for a raw mpf s of
+    any magnitude.
+
+    Beyond 2^3500 either way, to_str divides |s| by 10^b with b taken from
+    s's exponent, not its magnitude, so at high precision the quotient is an
+    integer of about s's precision in digits, and str() refuses that past
+    4300 digits.  Here the same quotient and digits are made, and their
+    leading n + 1 digits read off by integer division.  For n below 1000
+    the exponent, 1000 or more, prints in the same form.
+    """
+    man, exp, bc = s[1:]
+    if not man or abs(exp + bc) <= 3500 or n >= 1000:
+        return to_str(s, n)
+    prec = int((n + 3) * math.log(10, 2)) + 10
+    eprec = bitcount(abs(exp)) + 5
+    b = to_int(mpf_div(mpf_mul(from_int(exp), mpf_ln2(eprec)), mpf_ln10(eprec), eprec))
+    _, man, exp, bc = mpf_div((0, man, exp, bc), mpf_pow_int(ften, b, prec), prec)
+    fixprec = max(prec - exp - bc, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = bin_to_radix(to_fixed((0, man, exp, bc), fixprec), fixprec, 10, fixdps)
+    length = digits.bit_length() * 30103 // 100000  # at most its digit count
+    while 10**length <= digits:
+        length += 1
+    head, tail = to_str(from_int(digits // 10 ** (length - n - 1)), n).split("e")
+    return "-" * s[0] + head + "e%+d" % (b + length - fixdps - 1 + int(tail) - n)
+
+
+def _nstr(x, n):
+    """mpmath.nstr(x, n) for an mpf or mpc x of any magnitude, else str(x)."""
+    if hasattr(x, "_mpc_"):
+        re, im = x._mpc_
+        return "(%s %s %sj)" % (_to_str(re, n), "-+"[not im[0]], _to_str((0,) + im[1:], n))
+    return _to_str(x._mpf_, n) if hasattr(x, "_mpf_") else str(x)
 
 
 def _rel_err(*factors):
@@ -463,45 +513,6 @@ def j_oracle(p, tol=1e-9):
         return val, abs(val) * _rel_err((err4, 3), (eb / abs(ev), -24))
 
     return ModularValue(*_pass(compute, tol, "tau=%s" % tau))
-
-
-class QSeries:
-    """Exact integer q2-expansion coefficients, constant term first."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        self.coefficients = tuple(int(c) for c in coefficients)
-
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
-
-    def __repr__(self):
-        return "QSeries(order=%d, head=%r)" % (self.order, self.coefficients[:5])
-
-
-def lambda_star_qseries(N):
-    """Exact coefficients of lambda* = (prod (1+q2^{2m+1})/(1-q2^{2m+1}))^8.
-
-    Integer arithmetic throughout; the constant term is 1 and the linear
-    coefficient 16.  Coefficients are nonnegative (each factor's expansion
-    is), which downstream evaluation uses for its tail bound.
-    """
-    if type(N) is not int or N < 0:
-        raise DessinryError("invalid-parameter", "order must be a nonnegative integer, got %r" % (N,))
-    if N > QSERIES_ORDER_LIMIT:
-        raise DessinryError("bound-exceeded", "order %d exceeds the limit %d" % (N, QSERIES_ORDER_LIMIT))
-    # With g = lambda*, x g'/g = 16 sum_{m odd} sigma(m) x^m, so
-    # n g_n = 16 sum_{m odd <= n} sigma(m) g_{n-m}, and n divides the sum.
-    sigma = [0] * (N + 1)
-    for d in range(1, N + 1, 2):
-        for m in range(d, N + 1, 2 * d):
-            sigma[m] += d
-    g = [1]
-    for n in range(1, N + 1):
-        g.append(16 * sum(map(operator.mul, sigma[1 : n + 1 : 2], g[n - 1 :: -2])) // n)
-    return QSeries(g)
 
 
 def qseries_eval(series, p):

@@ -33,7 +33,6 @@ from dessinry.modular import (
     j_from_lambda_star,
     j_oracle,
     lambda_star,
-    lambda_star_qseries,
     qseries_eval,
     weber_f,
     weber_f1,
@@ -47,6 +46,7 @@ from dessinry.origami import (
     origami_orbit,
     origami_to_dessin,
 )
+from dessinry.qseries import lambda_star_qseries
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

@@ -13,6 +13,7 @@ import sys
 import time
 import tracemalloc
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -272,7 +273,7 @@ class TestModularCommands:
         assert code == 1 and "invalid-parameter" in err
 
     def test_qseries_refuses_orders_beyond_the_limit(self, capsys):
-        from dessinry.modular import QSERIES_ORDER_LIMIT
+        from dessinry.qseries import QSERIES_ORDER_LIMIT
 
         code, out, err = run_cli(capsys, ["qseries", "--order", str(QSERIES_ORDER_LIMIT + 1)])
         assert code == 1 and out == ""
@@ -771,7 +772,7 @@ class CountingSink:
 def test_enumerate_json_does_not_hold_its_output(monkeypatch):
     # Only the writing is measured: the classes are found beforehand.
     result = enumerate_classes(4, 4)
-    monkeypatch.setattr(cli, "enumerate_classes", lambda n, d: result)
+    monkeypatch.setattr(dessinry.enumeration, "enumerate_classes", lambda n, d: result)
     sink = CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -793,7 +794,7 @@ def test_orbit_json_does_not_hold_its_output(monkeypatch):
     seeds = enumerate_classes(4, 4)
     result = braid.braid_orbit(seeds.classes, braid.preset_pure_generators(4))
     assert (len(result.elements), len(result.generator_log)) == (604, 3624)
-    monkeypatch.setattr(cli, "enumerate_classes", lambda n, d: seeds)
+    monkeypatch.setattr(dessinry.enumeration, "enumerate_classes", lambda n, d: seeds)
     monkeypatch.setattr(braid, "braid_orbit", lambda seeds, gens: result)
     sink = CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
@@ -825,34 +826,40 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(dessinry.__file__)))
 
 # argv (None: a bare `import dessinry`) and the heavy modules it must not load.
 # Modules of the package that only some subcommands use; the CLI does not
-# even compile them for the others.
+# even compile them for the others.  Only enumerate and orbit --n/--d
+# enumerate classes, and only ap, lambda-star and table1 load mpmath.
 BRAID_COVERS_ORIGAMI = {"dessinry.braid", "dessinry.covers", "dessinry.origami"}
+ENUMERATION = "dessinry.enumeration"
 
 IMPORT_BUDGET = [
-    (None, {"numpy", "mpmath"}),
+    (None, {"numpy", "mpmath", ENUMERATION}),
     (["enumerate", "--n", "3", "--d", "2"], {"numpy", "mpmath"} | BRAID_COVERS_ORIGAMI),
     (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2"], {"numpy", "mpmath"}),
-    (["origami", "orbit", "--in", "chessboard.json"], {"numpy", "mpmath"}),
+    (["orbit", "--seed", "chessboard-dessin.json", "--gens", "preset:gamma2"], {"numpy", "mpmath", ENUMERATION}),
+    (["origami", "orbit", "--in", "chessboard.json"], {"numpy", "mpmath", ENUMERATION}),
     # Only the orbit needs braid's closure.
-    (["origami", "to-dessin", "--in", "chessboard.json"], {"numpy", "mpmath", "dessinry.braid", "dessinry.covers"}),
+    (
+        ["origami", "to-dessin", "--in", "chessboard.json"],
+        {"numpy", "mpmath", ENUMERATION, "dessinry.braid", "dessinry.covers"},
+    ),
     (
         ["origami", "from-dessin", "--in", "chessboard-dessin.json"],
-        {"numpy", "mpmath", "dessinry.braid", "dessinry.covers"},
+        {"numpy", "mpmath", ENUMERATION, "dessinry.braid", "dessinry.covers"},
     ),
     (
         ["origami", "delta", "--op", "hor", "--in", "chessboard.json"],
-        {"numpy", "mpmath", "dessinry.braid", "dessinry.covers"},
+        {"numpy", "mpmath", ENUMERATION, "dessinry.braid", "dessinry.covers"},
     ),
     (
         ["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]"],
-        {"numpy", "mpmath", "dessinry.braid", "dessinry.origami"},
+        {"numpy", "mpmath", ENUMERATION, "dessinry.braid", "dessinry.origami"},
     ),
-    (["hurwitz", "--a", "2", "--lift", "L3"], {"numpy", "mpmath"}),
-    (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "origami"], {"numpy", "mpmath", "dessinry.braid"}),
-    (["ap", "--t", "2"], {"numpy"} | BRAID_COVERS_ORIGAMI),
-    (["lambda-star", "--tau", "0,1"], {"numpy"}),
-    (["table1", "--rows", "1", "--check"], {"numpy"}),
-    (["qseries", "--order", "4"], {"numpy"} | BRAID_COVERS_ORIGAMI),
+    (["hurwitz", "--a", "2", "--lift", "L3"], {"numpy", "mpmath", ENUMERATION}),
+    (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "origami"], {"numpy", "mpmath", ENUMERATION, "dessinry.braid"}),
+    (["ap", "--t", "2"], {"numpy", ENUMERATION} | BRAID_COVERS_ORIGAMI),
+    (["lambda-star", "--tau", "0,1"], {"numpy", ENUMERATION}),
+    (["table1", "--rows", "1", "--check"], {"numpy", ENUMERATION}),
+    (["qseries", "--order", "4"], {"numpy", "mpmath", "dessinry.modular", ENUMERATION} | BRAID_COVERS_ORIGAMI),
 ]
 
 EXPORTS = """
@@ -867,9 +874,9 @@ canonical_origami delta_hor delta_hor_inv delta_ver delta_ver_inv
 origami_orbit CoverSpec
 poly_roots numerical_monodromy hurwitz_fs hurwitz_projection hurwitz_fiber
 hurwitz_cover belyi_cubic_cover classify_lift hurwitz_dessin BASE_POINT
-UpperHalfPoint ModularValue QSeries eta weber_f weber_f1 weber_f2
-lambda_star ap j_from_lambda_star j_oracle lambda_star_qseries qseries_eval
-integrality_check CM_ROWS cm_value eval_radical
+UpperHalfPoint ModularValue eta weber_f weber_f1 weber_f2
+lambda_star ap j_from_lambda_star j_oracle qseries_eval integrality_check
+QSeries lambda_star_qseries CM_ROWS cm_value eval_radical
 """.split()
 
 
@@ -1087,3 +1094,70 @@ def test_contract_holds_on_hostile_input(monkeypatch, tmp_path, argv, stdin, env
     if code == 1:
         assert err.getvalue(), "exit 1 without a diagnostic"
         assert re.match(r"^[a-z][a-z-]*: \S", err.getvalue().splitlines()[-1])
+
+
+# --- one subparser per start: the same output as the full parser ----------------------
+
+# Per subcommand, argv that parses, then argv that argparse refuses: a
+# required option or an option's value missing, a bad choice and a bad type
+# (where the subcommand has a choice or a typed option).  The parsing argv
+# plus an unknown option is refused by the top-level parser.
+PARSER_FAILURES = {
+    "enumerate": (["--n", "3", "--d", "3"], ["--n", "3"], ["--n", "3", "--d", "3", "--format", "dot"], ["--n", "x"]),
+    "orbit": ([], ["--seed"], ["--gens", "preset:none"], ["--n", "3.5"]),
+    "origami": (["orbit"], [], ["spin"], None),
+    "hurwitz": (["--a", "2", "--lift", "L1"], ["--a", "2"], ["--a", "2", "--lift", "L5"], ["--a", "two"]),
+    "monodromy": (["--poly", "[1]", "--branch-points", "[]"], ["--poly", "[1]"], ["--format", "dot"], None),
+    "lambda-star": (["--tau", "0,1"], [], None, ["--tau", "0,1", "--tol", "small"]),
+    "ap": (["--t", "1"], [], None, ["--t", "x"]),
+    "table1": ([], ["--tol"], None, ["--tol", "x"]),
+    "qseries": (["--order", "4"], [], None, ["--order", "4.5"]),
+}
+PARSER_CASES = [[], ["--help"], ["-h"], ["census"], ["enumerate-classes", "--n", "3"], ["--n", "3", "enumerate"]]
+for _name, (_valid, *_refused) in PARSER_FAILURES.items():
+    PARSER_CASES += [[_name, "--help"], [_name, *_valid, "--bogus"]]
+    PARSER_CASES += [[_name, *argv] for argv in _refused if argv is not None]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=[" ".join(a) or "(none)" for a in PARSER_CASES])
+def test_one_subparser_prints_and_fails_as_the_full_parser(capsys, argv):
+    try:
+        cli.build_parser().parse_args(argv)
+        full = None
+    except SystemExit as exc:
+        full = exc.code
+    want = (full, *capsys.readouterr())
+    assert want[0] in (0, 2) and (want[1] or want[2])
+    assert run_cli(capsys, argv) == want
+    (sub,) = [a for a in cli.build_parser(argv[0] if argv else None)._actions if a.dest == "command"]
+    assert len(sub.choices) == (1 if argv and argv[0] in PARSER_FAILURES else len(PARSER_FAILURES))
+
+
+MONODROMY_X3 = ["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]"]
+
+
+@pytest.mark.parametrize(
+    "spaced,joined",
+    [
+        (["lambda-star", "--tau", "-0.45,0.5", "--tol", "1e-20"], ["lambda-star", "--tau=-0.45,0.5", "--tol", "1e-20"]),
+        (["lambda-star", "--tau", "-.5,1", "--json"], ["lambda-star", "--tau=-.5,1", "--json"]),
+        (MONODROMY_X3 + ["--base", "-1,1"], MONODROMY_X3 + ["--base=-1,1"]),
+        (MONODROMY_X3 + ["--base", "-.5,1.5"], MONODROMY_X3 + ["--base=-.5,1.5"]),
+    ],
+    ids=["tau", "tau-point", "base", "base-point"],
+)
+def test_negative_values_in_both_spellings(capsys, spaced, joined):
+    code, out, err = run_cli(capsys, spaced)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, joined) == (0, out, "")
+
+
+def test_large_ap_prints_without_traceback(capsys):
+    # ap(3.1e-4) is about e^{pi/t} / 16, near 1e4400: more digits than
+    # Python turns an integer into text by default.
+    code, out, err = run_cli(capsys, ["ap", "--t", "3.1e-4", "--json"])
+    assert (code, err) == (0, "")
+    value = mpmath.mpf(json.loads(out)["value"]["re"])
+    with mpmath.workdps(30):
+        want = mpmath.exp(mpmath.pi / mpmath.mpf(3.1e-4)) / 16 + 0.5
+        assert abs(value / want - 1) < 1e-16

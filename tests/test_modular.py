@@ -1,6 +1,9 @@
 """Eta, Weber, the tiling parameter, j, q-expansions, and the CM table."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -13,7 +16,6 @@ from dessinry.cm_values import CM_ROWS, cm_value, eval_radical
 from dessinry.errors import DessinryError
 from dessinry.modular import (
     ModularValue,
-    QSeries,
     UpperHalfPoint,
     ap,
     eta,
@@ -21,12 +23,12 @@ from dessinry.modular import (
     j_from_lambda_star,
     j_oracle,
     lambda_star,
-    lambda_star_qseries,
     qseries_eval,
     weber_f,
     weber_f1,
     weber_f2,
 )
+from dessinry.qseries import QSeries, lambda_star_qseries
 
 I = mpmath.mpc(0, 1)
 
@@ -591,3 +593,44 @@ def test_tolerance_must_be_positive_and_finite(fn, arg, tol):
 def test_modular_value_repr():
     mv = ModularValue(mpmath.mpf(2), mpmath.mpf("1e-20"))
     assert "trunc_bound" in repr(mv)
+
+
+# Run where Python converts integers of any length to text, so that
+# mpmath.nstr itself prints every value it is compared with.
+NSTR_SCRIPT = """
+import random, sys
+import mpmath
+from dessinry import modular
+sys.set_int_max_str_digits(0)
+rng = random.Random(3)
+# The values ap(t) returns: e^{pi/t} / 16 at t = 1.2e-3 holds 3854 bits.
+out = modular.ap(1.2e-3)
+cases = [out.value, out.trunc_bound]
+for prec in (53, 3854, 16000):
+    with mpmath.workprec(prec):
+        for _ in range(40):
+            x = mpmath.mpf(10) ** rng.randint(-8000, 8000) * (1 + mpmath.mpf(rng.random()) / 3)
+            cases += [x, -x, mpmath.mpc(x, -x / 3)]
+for x in cases:
+    for n in (15, 17):
+        assert modular._nstr(x, n) == mpmath.nstr(x, n), (n, mpmath.nstr(x, n))
+    with mpmath.workdps(17):
+        value = modular.ModularValue(x, abs(x))
+        assert repr(value) == "ModularValue(%s, trunc_bound=%s)" % (x, abs(x))
+print(len(cases))
+"""
+
+
+def test_nstr_matches_mpmath_at_every_magnitude():
+    # A value beyond 2^3500 at ap's precision is where mpmath.nstr converts
+    # an integer of more than 4300 digits to text, which Python refuses by
+    # default.
+    with mp.workprec(15000):
+        big = mpmath.mpf(10) ** 5000 / 3
+    assert modular._nstr(big, 17) == "3.3333333333333333e+4999"
+    assert repr(ModularValue(big, -big)) == "ModularValue(3.33333333333333e+4999, trunc_bound=-3.33333333333333e+4999)"
+    src = os.path.dirname(os.path.dirname(modular.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NSTR_SCRIPT], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 2 + 3 * 40 * 3
