@@ -175,12 +175,14 @@ def _substituted(e, t):
     return MonodromyTuple._trusted(*zip(*[_evaluate_split(s, perms, inverses, d) for s in e.splits]))
 
 
-def apply_endomorphism(e, t):
-    """The image of t under e, checked.  The table's letters are in range and
-    products of permutations are permutations, so only validate can fail."""
-    if e.n != t.n:
-        raise DessinryError("index-out-of-range", "table has n=%d, tuple has n=%d" % (e.n, t.n))
-    out = _substituted(e, t)
+def _require_table(e, n):
+    """index-out-of-range unless e is a table of n letters."""
+    if e.n != n:
+        raise DessinryError("index-out-of-range", "table has n=%d, tuple has n=%d" % (e.n, n))
+
+
+def _require_image(e, out):
+    """out, the image under e; invalid-result naming e when it is not a valid tuple."""
     diag = validate(out)
     if diag != "ok":
         raise DessinryError(
@@ -188,6 +190,13 @@ def apply_endomorphism(e, t):
             "endomorphism %r does not preserve tuple space: %s" % (e.name or e, diag),
         )
     return out
+
+
+def apply_endomorphism(e, t):
+    """The image of t under e, checked.  The table's letters are in range and
+    products of permutations are permutations, so only validate can fail."""
+    _require_table(e, t.n)
+    return _require_image(e, _substituted(e, t))
 
 
 def compose_tables(first, second):
@@ -315,45 +324,44 @@ class OrbitResult:
         self.orbits = orbits
 
 
-def orbit_closure(seeds, ops, key):
-    """Breadth-first closure of canonical seeds under named operations.
+def orbit_closure(seeds, names, images, element):
+    """Breadth-first closure of seeds under named operations.
 
-    ops is a sequence of (name, op) with op(element) the canonical image;
-    key(element) is the hashable encoding that identifies and sorts
-    elements.  Each operation is applied once per element, and the edges
-    found on the way become the log.  The closure is automatically closed
-    under inverses: each operation is checked to act injectively on the
-    final element set, and an injection of a finite set onto itself is a
+    Seeds and images are canonical keys: hashable encodings that identify
+    and sort elements.  images(x) lists the keys of the images of x under
+    the operations, in the order of names; it is called once per element,
+    and the edges found on the way become the log.  element(x) is what the
+    result lists for the key x.  The closure is automatically closed under
+    inverses: each operation is checked to act injectively on the final
+    element set, and an injection of a finite set onto itself is a
     bijection; one that fails the check raises invalid-result.
     """
     found = {}
     order = []
     for x in seeds:
-        if key(x) not in found:
-            found[key(x)] = len(order)
+        if x not in found:
+            found[x] = len(order)
             order.append(x)
-    targets = []  # targets[k][pos]: index of the image of order[k] under ops[pos]
+    targets = []  # targets[k][pos]: index of the image of order[k] under operation pos
     while len(targets) < len(order):
-        x = order[len(targets)]
         row = []
-        for _name, op in ops:
-            img = op(x)
-            k = key(img)
-            if k not in found:
-                found[k] = len(order)
+        for img in images(order[len(targets)]):
+            k = found.get(img)
+            if k is None:
+                k = found[img] = len(order)
                 order.append(img)
-            row.append(found[k])
+            row.append(k)
         targets.append(row)
 
-    for pos, (name, _op) in enumerate(ops):
+    for pos, name in enumerate(names):
         if len({row[pos] for row in targets}) != len(order):
             raise DessinryError(
                 "invalid-result",
                 "generator %s does not act invertibly on the closed orbit" % name,
             )
-    ranked = sorted(range(len(order)), key=lambda k: key(order[k]))
+    ranked = sorted(range(len(order)), key=order.__getitem__)
     rank = {old: new for new, old in enumerate(ranked)}
-    log = tuple((rank[old], name, rank[dst]) for old in ranked for (name, _op), dst in zip(ops, targets[old]))
+    log = tuple((rank[old], name, rank[dst]) for old in ranked for name, dst in zip(names, targets[old]))
     # Each operation permutes the closed set, so an element's orbit is what it
     # reaches going forwards; in sorted order each orbit is met at its least.
     orbits, seen = [], set()
@@ -367,36 +375,51 @@ def orbit_closure(seeds, ops, key):
                 stack += targets[k]
         if members:
             orbits.append(tuple(sorted(members)))
-    return OrbitResult(tuple(order[k] for k in ranked), log, tuple(orbits))
+    return OrbitResult(tuple(element(order[k]) for k in ranked), log, tuple(orbits))
 
 
-def _canonical_image(g, t, checked):
-    """Canonical form of the image of t under g, checked or not; the kernel's
-    None, an intransitive image, raises apply_endomorphism's diagnostic."""
-    img = (apply_endomorphism if checked else _substituted)(g, t)
-    key = _canonical_key(img.perms, img._inverse_perms())
-    if key is None:
-        apply_endomorphism(g, t)
-    return MonodromyTuple._trusted(key[0])
+def _source_images(gens, n, d):
+    """images(x) for orbit_closure: the kernel's raw tuples of the images of
+    the raw tuple x, of shape (n, d), under the tables gens, in order.
+
+    x inverts its n entries once, as a source, and every table's image is
+    evaluated from its split words and those inverses, and handed to the
+    kernel with the inverses that come with it.  Images under a table that
+    fixes the boundary word x_0 ... x_{n-1}, as every sigma, pure and gamma2
+    table does, have product identity, so only the kernel checks them.
+    Other tables are checked as apply_endomorphism checks them, and one that
+    breaks tuple space raises invalid-result.
+    """
+    boundary = tuple((v, 1) for v in range(n))
+    tables = [(g, g.n != n or _substitute(boundary, g.images) != boundary) for g in gens]
+
+    def images(x):
+        inverses = tuple(map(inverse, x))
+        out = []
+        for g, checked in tables:
+            if checked:
+                _require_table(g, n)
+            perms, invs = zip(*[_evaluate_split(s, x, inverses, d) for s in g.splits])
+            key = _canonical_key(perms, invs)
+            # The kernel's None is an intransitive image; validate names it.
+            if checked or key is None:
+                _require_image(g, MonodromyTuple._trusted(perms))
+            out.append(key[0])
+        return out
+
+    return images
 
 
 def braid_orbit(seeds, gens):
-    """Closure of the seeds' classes under the given tables (see orbit_closure).
-
-    Images under a table that fixes the boundary word x_0 ... x_{n-1}, as every
-    sigma, pure and gamma2 table does, have product identity, so only the
-    kernel checks them.  A table that breaks tuple space raises invalid-result.
-    """
+    """Closure of the seeds' classes under the given tables (see orbit_closure),
+    keyed on the kernel's raw tuples and imaged by _source_images."""
     seeds = [canonical_form(t) for t in seeds]
     if not seeds:
         raise DessinryError("invalid-tuple", "need at least one seed")
-    shape = (seeds[0].n, seeds[0].d)
+    n, d = seeds[0].n, seeds[0].d
     for t in seeds:
-        if (t.n, t.d) != shape:
-            raise DessinryError("invalid-tuple", "seeds mix shapes %r and %r" % (shape, (t.n, t.d)))
-    boundary = tuple((v, 1) for v in range(shape[0]))
-    ops = []
-    for pos, g in enumerate(gens):
-        checked = g.n != shape[0] or _substitute(boundary, g.images) != boundary
-        ops.append((g.name or "g%d" % pos, lambda t, g=g, checked=checked: _canonical_image(g, t, checked)))
-    return orbit_closure(seeds, ops, lambda t: t.perms)
+        if (t.n, t.d) != (n, d):
+            raise DessinryError("invalid-tuple", "seeds mix shapes %r and %r" % ((n, d), (t.n, t.d)))
+    gens = list(gens)
+    names = [g.name or "g%d" % pos for pos, g in enumerate(gens)]
+    return orbit_closure([t.perms for t in seeds], names, _source_images(gens, n, d), MonodromyTuple._trusted)

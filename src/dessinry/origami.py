@@ -113,21 +113,31 @@ def validate_origami(o):
     return "ok"
 
 
-def _dessin_perms(o):
-    """Corner permutations g_0..g_3 of bijective gluing data, and their
-    inverses, composed from the same four inverted gluings."""
-    Rinv, Linv, Uinv, Dinv = inverse(o.R), inverse(o.L), inverse(o.U), inverse(o.D)
+def _corners(g, gi):
+    """Corner permutations g_0..g_3 of the gluings g = (R, L, U, D), and their
+    inverses, composed from the gluings and their inverses gi."""
+    R, L, U, D = g
+    Rinv, Linv, Uinv, Dinv = gi
     return (
-        (compose(o.L, Dinv), compose(o.D, Rinv), compose(o.R, Uinv), compose(o.U, Linv)),
-        (compose(o.D, Linv), compose(o.R, Dinv), compose(o.U, Rinv), compose(o.L, Uinv)),
+        (compose(L, Dinv), compose(D, Rinv), compose(R, Uinv), compose(U, Linv)),
+        (compose(D, Linv), compose(R, Dinv), compose(U, Rinv), compose(L, Uinv)),
     )
 
 
-def _origami_of(perms):
-    """Gluing data, with D = id, of a valid 4-colored tuple of permutations."""
-    g0, g1, g2, _ = perms
-    R = inverse(g1)
-    return BipartiteOrigami._trusted(R, g0, compose(inverse(g2), R), identity(len(g0)))
+def _dessin_perms(o):
+    """Corner permutations g_0..g_3 of bijective gluing data, and their
+    inverses, composed from the same four inverted gluings."""
+    g = (o.R, o.L, o.U, o.D)
+    return _corners(g, tuple(map(inverse, g)))
+
+
+def _gluings_of(perms):
+    """Gluings (R, L, U, D), with D = id, of a valid 4-colored tuple of
+    permutations.  With D = id the corner formulas give L = g_0, R = g_1^-1
+    and U = L g_3, and by the product constraint g_1^-1 is g_2, then g_3,
+    then g_0, so nothing is inverted."""
+    g0, _, g2, g3 = perms
+    return tuple([g0[g3[x]] for x in g2]), g0, compose(g3, g0), identity(len(g0))
 
 
 def origami_to_dessin(o):
@@ -140,7 +150,7 @@ def dessin_to_origami(t):
     _require_valid(t)
     if t.n != 4:
         raise DessinryError("invalid-tuple", "need exactly 4 colors, got n=%d" % t.n)
-    return _origami_of(t.perms)
+    return BipartiteOrigami._trusted(*_gluings_of(t.perms))
 
 
 def isomorphic_origami(a, b):
@@ -151,48 +161,67 @@ def isomorphic_origami(a, b):
 
 def canonical_origami(o):
     """Canonical representative of the relabeling class; idempotent."""
-    return _origami_of(_canonical_key(*_valid_corners(o))[0])
+    return BipartiteOrigami._trusted(*_gluings_of(_canonical_key(*_valid_corners(o))[0]))
 
 
-# The shear rewrites on valid gluing data, unchecked: the orbit closure
-# feeds them canonical origamis, which are valid by construction.  Each
-# result is valid when the input is, and its maps are products and inverses
-# of bijections.  Only the horizontal shear is written out: its inverse is
-# its mirror image (R and L swapped), and the vertical pair is the
-# horizontal pair turned a quarter (R with U, L with D).
+# The shear rewrites on the gluings g = (R, L, U, D) of valid gluing data
+# and their inverses gi, unchecked: the orbit closure feeds them canonical
+# origamis, which are valid by construction.  Each returns the image's
+# gluings and their inverses, composed from g and gi, so no image is
+# inverted; each image is valid when the input is.  Only the horizontal
+# shear is written out: its inverse is its mirror image (R and L swapped),
+# and the vertical pair is the horizontal pair turned a quarter (R with U,
+# L with D).  Mirror and turn act on gluings and inverses alike.
 
 
-def _hor(o):
-    Rinv, Linv = inverse(o.R), inverse(o.L)
-    return BipartiteOrigami._trusted(
-        Linv,
-        Rinv,
-        tuple(Rinv[o.U[Linv[g]]] for g in range(o.m)),
-        tuple(Linv[o.D[Rinv[g]]] for g in range(o.m)),
+def _chain(a, b, c):
+    """a, then b, then c."""
+    return tuple([c[b[x]] for x in a])
+
+
+def _hor(g, gi):
+    R, L, U, D = g
+    Rinv, Linv, Uinv, Dinv = gi
+    return (
+        (Linv, Rinv, _chain(Linv, U, Rinv), _chain(Rinv, D, Linv)),
+        (L, R, _chain(R, Uinv, L), _chain(L, Dinv, R)),
     )
 
 
-def _mirror(o):
-    return BipartiteOrigami._trusted(o.L, o.R, o.U, o.D)
+def _mirror(g):
+    R, L, U, D = g
+    return L, R, U, D
 
 
-def _turn(o):
-    return BipartiteOrigami._trusted(o.U, o.D, o.R, o.L)
+def _turn(g):
+    R, L, U, D = g
+    return U, D, R, L
+
+
+def _derived(outer, inner):
+    """The shear outer . _hor . inner."""
+
+    def shear(g, gi):
+        h, hinv = _hor(inner(g), inner(gi))
+        return outer(h), outer(hinv)
+
+    return shear
 
 
 # The shears by their --op names, in the order the orbit log lists them.
 _SHEARS = {
     "hor": _hor,
-    "ver": lambda o: _turn(_hor(_turn(o))),
-    "hor-inv": lambda o: _mirror(_hor(_mirror(o))),
-    "ver-inv": lambda o: _turn(_mirror(_hor(_mirror(_turn(o))))),
+    "ver": _derived(_turn, _turn),
+    "hor-inv": _derived(_mirror, _mirror),
+    "ver-inv": _derived(lambda g: _turn(_mirror(g)), lambda g: _mirror(_turn(g))),
 }
 
 
 def _delta(o, name):
     """The shear named name, after validating o."""
     _valid_corners(o)
-    return _SHEARS[name](o)
+    g = (o.R, o.L, o.U, o.D)
+    return BipartiteOrigami._trusted(*_SHEARS[name](g, tuple(map(inverse, g)))[0])
 
 
 def delta_hor(o):
@@ -213,19 +242,28 @@ def delta_ver_inv(o):
     return _delta(o, "ver-inv")
 
 
+def _shear_images(g):
+    """The canonical gluings of the four shear images of the gluings g of a
+    valid origami, in _SHEARS order.  g is inverted once; each image's
+    gluings, corners and their inverses are composed from g and its inverses."""
+    gi = tuple(map(inverse, g))
+    return [_gluings_of(_canonical_key(*_corners(*shear(g, gi)))[0]) for shear in _SHEARS.values()]
+
+
 def origami_orbit(o):
     """Closure of the class of o under both shears and their inverses.
 
     Elements are canonical origamis sorted by their gluing data; the log
     lists (source index, op name, target index) for every element and op.
-    Shear images of valid origamis are valid, so they go to the kernel unchecked.
+    The closure keys elements on their gluings (R, L, U, D).  Shear images
+    of valid origamis are valid, so they go to the kernel unchecked.
     """
     # Only the orbit needs braid's closure; the conversions and shears
     # do not load braid.
     from .braid import orbit_closure
 
-    ops = [(name, lambda x, f=f: _origami_of(_canonical_key(*_dessin_perms(f(x)))[0])) for name, f in _SHEARS.items()]
-    return orbit_closure([canonical_origami(o)], ops, lambda x: (x.R, x.L, x.U, x.D))
+    c = canonical_origami(o)
+    return orbit_closure([(c.R, c.L, c.U, c.D)], list(_SHEARS), _shear_images, lambda g: BipartiteOrigami._trusted(*g))
 
 
 def origami_from_json(obj):

@@ -363,6 +363,77 @@ class TestSplitEvaluation:
         check_split_images(EndomorphismTable(4, images), MonodromyTuple(entries))
 
 
+# The d = 7 class whose Gamma(2) orbit has 2376 elements.
+GAMMA2_D7 = MonodromyTuple(
+    [(3, 4, 6, 5, 0, 1, 2), (5, 1, 6, 2, 0, 4, 3), (5, 3, 2, 1, 0, 4, 6), (3, 2, 0, 5, 4, 1, 6)]
+)
+
+
+def random_valid_tuple(rng, n, d):
+    """A valid tuple of shape (n, d), g_{n-1} forced by the product constraint."""
+    while True:
+        head = [tuple(rng.sample(range(d), d)) for _ in range(n - 1)]
+        t = MonodromyTuple(head + [perms.inverse(perms.compose_all(head, d))])
+        if core.is_valid(t):
+            return t
+
+
+class TestSourceImages:
+    """The images of one source under every table, evaluated from its
+    inverses taken once, are the canonical forms of the per-table images;
+    tables that do not fix the boundary word are checked as
+    apply_endomorphism checks them."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_against_apply_endomorphism(self, n):
+        rng = random.Random(n)
+        table_sets = [preset_pure_generators(n)] + [[sigma_table(n, i)] for i in range(n - 1)]
+        table_sets += [preset_gamma2()] if n == 4 else []
+        for d in range(1, 8):
+            for _ in range(3):
+                t = random_valid_tuple(rng, n, d)
+                for tables in table_sets:
+                    want = [core.canonical_form(apply_endomorphism(g, t)).perms for g in tables]
+                    assert braid._source_images(tables, n, d)(t.perms) == want
+
+    @pytest.mark.parametrize(
+        "name,gens",
+        [("swap", []), ("swap", preset_gamma2()), (None, [])],
+        ids=["alone", "after-gamma2", "unnamed"],
+    )
+    def test_table_that_breaks_the_boundary_word(self, name, gens):
+        # x0 and x1 swapped without a conjugation: x0 x1 x2 x3 goes to x1 x0 x2 x3.
+        swap = EndomorphismTable(4, [((1, 1),), ((0, 1),), ((2, 1),), ((3, 1),)], name=name or "")
+        with pytest.raises(DessinryError) as exc:
+            braid_orbit([GAMMA2_D7], gens + [swap])
+        label = "'swap'" if name else "EndomorphismTable(n=4: x1; x0; x2; x3)"
+        assert exc.value.code == "invalid-result"
+        assert exc.value.message == (
+            "endomorphism %s does not preserve tuple space: "
+            "violated: product of the permutations is (2, 6, 5, 1, 3, 4, 0), not the identity" % label
+        )
+
+    def test_table_that_breaks_the_boundary_word_but_not_tuple_space(self):
+        # Every letter conjugated by x0: the image is a relabeling, so each
+        # element is its own image, though the boundary word is not fixed.
+        conj = EndomorphismTable(4, [((0, 1), (v, 1), (0, -1)) for v in range(4)], name="conj")
+        res = braid_orbit([GAMMA2_D7], preset_gamma2() + [conj])
+        assert res.elements == braid_orbit([GAMMA2_D7], preset_gamma2()).elements
+        assert all(src == dst for src, name, dst in res.generator_log if name == "conj")
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_table_of_the_wrong_n(self, n):
+        with pytest.raises(DessinryError) as exc:
+            braid_orbit([GAMMA2_D7], preset_gamma2() + preset_pure_generators(n)[:1])
+        assert (exc.value.code, exc.value.message) == ("index-out-of-range", "table has n=%d, tuple has n=4" % n)
+
+    def test_inversions_are_n_per_element(self, inverse_calls):
+        # One per entry of each element as a source, and the seed's own in canonical_form.
+        res = braid_orbit([MonodromyTuple(GAMMA2_D7.perms)], preset_gamma2())
+        assert len(res.elements) == 2376
+        assert len(inverse_calls) == 4 * (len(res.elements) + 1)
+
+
 def star_seed(d):
     """((0 1), (0 2), ..., (0 d-1), (0 d-1), ..., (0 1)): n = 2d - 2 simple
     branch points, genus 0, transitive."""
@@ -526,6 +597,6 @@ class TestOrbit:
 
     def test_closure_rejects_non_injective_operation(self):
         with pytest.raises(DessinryError) as exc:
-            orbit_closure([0, 1, 2, 3], [("half", lambda x: x // 2)], lambda x: x)
+            orbit_closure([0, 1, 2, 3], ["half"], lambda x: [x // 2], int)
         assert exc.value.code == "invalid-result"
         assert "half" in exc.value.message

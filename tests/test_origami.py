@@ -309,6 +309,35 @@ class TestOrbit:
         assert calls == [SIX_B]
 
 
+# The four tilings of the census pool: 5, 6, 6 and 7 squares.
+CENSUS_TILINGS = (
+    BipartiteOrigami((4, 1, 2, 0, 3), (2, 0, 4, 3, 1), (2, 4, 3, 0, 1), (2, 4, 1, 0, 3)),
+    BipartiteOrigami((5, 3, 2, 1, 0, 4), (5, 2, 0, 3, 4, 1), (3, 5, 4, 2, 0, 1), (4, 1, 5, 3, 0, 2)),
+    BipartiteOrigami((0, 5, 3, 2, 4, 1), (3, 0, 1, 4, 2, 5), (5, 3, 0, 2, 4, 1), (4, 0, 5, 3, 1, 2)),
+    BipartiteOrigami((2, 4, 0, 1, 5, 3, 6), (2, 4, 5, 3, 1, 0, 6), (2, 6, 0, 1, 4, 3, 5), (6, 4, 3, 0, 2, 5, 1)),
+)
+
+
+class TestShearImages:
+    """The orbit's four images of one source, composed from its gluings
+    inverted once, are the classes of the public shears' images."""
+
+    def test_against_the_public_shears(self):
+        drawn = random_valid_origamis(5, 200)
+        assert {o.m for o in drawn} == set(range(1, 8))
+        assert list(origami._SHEARS) == ["hor", "ver", "hor-inv", "ver-inv"]
+        for o in CENSUS_TILINGS + tuple(drawn):
+            got = origami._shear_images((o.R, o.L, o.U, o.D))
+            want = [canonical_origami(f(o)) for f in (delta_hor, delta_ver, delta_hor_inv, delta_ver_inv)]
+            assert [BipartiteOrigami(*g) for g in got] == want, o
+
+    def test_inversions_per_element(self, inverse_calls):
+        # The source's four gluings, once per element, and the seed's in canonical_origami.
+        res = origami_orbit(CENSUS_TILINGS[3])
+        assert len(res.elements) == 465
+        assert len(inverse_calls) <= 4 * (len(res.elements) + 1)
+
+
 class TestJson:
     def test_roundtrip(self):
         obj = {"m": 3, "R": list(SIX_A.R), "L": list(SIX_A.L), "U": list(SIX_A.U), "D": list(SIX_A.D)}
