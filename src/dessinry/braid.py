@@ -276,12 +276,13 @@ def preset_pure_generators(n):
     return out
 
 
-# Pinned by the development cross-validation described in preset_gamma2:
-# over all 49 canonical classes with n = 4 and d <= 3, the horizontal
+# Over all 49 canonical classes with n = 4 and d <= 3, the horizontal
 # rewrite agrees pointwise with the (0,1)-twist at power +1 and the
-# vertical rewrite with the (1,2)-twist at power -1 (equivalently, with
-# the complementary twists about {2,3} and {0,3}, which act identically
-# on classes).  No other of the twelve candidate twists matches.
+# vertical rewrite with the (1,2)-twist at power -1, and, of the twelve
+# candidate twists, only with these and the complementary twists about
+# {2,3} and {0,3}.  Those act identically on classes: hor and A23 differ
+# by an inner automorphism of G, and so do ver and A03^-1.  TestRelations
+# in tests/test_braid.py checks all of it.
 _GAMMA2_HOR_POWER = 1
 _GAMMA2_VER_POWER = -1
 
@@ -324,25 +325,31 @@ class OrbitResult:
         self.orbits = orbits
 
 
-def orbit_closure(seeds, names, images, element):
+def orbit_closure(seeds, names, images, element, words=None):
     """Breadth-first closure of seeds under named operations.
 
     Seeds and images are canonical keys: hashable encodings that identify
-    and sort elements.  images(x) lists the keys of the images of x under
-    the operations, in the order of names; it is called once per element,
-    and the edges found on the way become the log.  element(x) is what the
-    result lists for the key x.  The closure is automatically closed under
-    inverses: each operation is checked to act injectively on the final
-    element set, and an injection of a finite set onto itself is a
-    bijection; one that fails the check raises invalid-result.
+    and sort elements.  words[pos] is None for an operation the closure is
+    closed under, its basis, or a word of (position, sign) letters over the
+    basis, read in action order as in chain_tables, that acts on elements
+    as names[pos] does; words None closes under every operation.  images(x)
+    lists the keys of the images of x under the basis, in the order of
+    names; it is called once per element, and the edges found on the way
+    become the log.  The edges of a word are read off the closed set, a
+    letter of sign -1 by inverting its operation there.  element(x) is what
+    the result lists for the key x.  The closure is automatically closed
+    under inverses: each basis operation is checked to act injectively on
+    the final element set, and an injection of a finite set onto itself is
+    a bijection; one that fails the check raises invalid-result.
     """
+    words = words or [None] * len(names)
     found = {}
     order = []
     for x in seeds:
         if x not in found:
             found[x] = len(order)
             order.append(x)
-    targets = []  # targets[k][pos]: index of the image of order[k] under operation pos
+    targets = []  # targets[k][j]: index of the image of order[k] under basis operation j
     while len(targets) < len(order):
         row = []
         for img in images(order[len(targets)]):
@@ -353,17 +360,31 @@ def orbit_closure(seeds, names, images, element):
             row.append(k)
         targets.append(row)
 
-    for pos, name in enumerate(names):
-        if len({row[pos] for row in targets}) != len(order):
+    size = len(order)
+    columns, backwards = [None] * len(names), {}  # each operation, and each basis operation's inverse, on indices
+    for j, pos in enumerate(pos for pos, w in enumerate(words) if w is None):
+        columns[pos] = column = [row[j] for row in targets]
+        back = backwards[pos] = [None] * size
+        for k, dst in enumerate(column):
+            back[dst] = k
+        if None in back:
             raise DessinryError(
                 "invalid-result",
-                "generator %s does not act invertibly on the closed orbit" % name,
+                "generator %s does not act invertibly on the closed orbit" % names[pos],
             )
-    ranked = sorted(range(len(order)), key=order.__getitem__)
+    for pos, w in enumerate(words):
+        if w is not None:
+            column = range(size)
+            for b, sign in w:
+                step = columns[b] if sign == 1 else backwards[b]
+                column = [step[k] for k in column]
+            columns[pos] = column
+    ranked = sorted(range(size), key=order.__getitem__)
     rank = {old: new for new, old in enumerate(ranked)}
-    log = tuple((rank[old], name, rank[dst]) for old in ranked for name, dst in zip(names, targets[old]))
-    # Each operation permutes the closed set, so an element's orbit is what it
-    # reaches going forwards; in sorted order each orbit is met at its least.
+    log = tuple((rank[old], name, rank[column[old]]) for old in ranked for name, column in zip(names, columns))
+    # Each operation permutes the closed set, and every word is one in the
+    # basis, so an element's orbit is what the basis reaches going forwards;
+    # in sorted order each orbit is met at its least.
     orbits, seen = [], set()
     for old in ranked:
         members, stack = [], [old]
@@ -410,9 +431,98 @@ def _source_images(gens, n, d):
     return images
 
 
+def _is_braid_automorphism(e, n):
+    """True when the table e of n letters sends each letter to a conjugate
+    of a letter, the letters a permutation of x_0..x_{n-1}, and fixes the
+    boundary word x_0 ... x_{n-1}.  By Artin's theorem (Birman, Braids,
+    Links, and Mapping Class Groups, 1974, ch. 1) e is then a braid
+    automorphism, so it permutes the classes of every degree."""
+    boundary = tuple((v, 1) for v in range(n))
+    return (
+        e.n == n
+        and sorted(core for _, core in e.splits) == [(letter,) for letter in boundary]
+        and _substitute(boundary, e.images) == boundary
+    )
+
+
+def _outer_form(images):
+    """The images of x_0, x_1, ... in a free group conjugated by the inner
+    automorphism they pick: the one that strips x_0's image to its core,
+    then, where that core is a letter, the power of it that keeps x_1's
+    image from starting with that letter.  Endomorphisms with equal forms
+    differ by an inner automorphism."""
+    if not images:
+        return ()
+    tail, core = _split(images[0])
+    out = [core] + [word_reduce(tail + w + word_inverse(tail)) for w in images[1:]]
+    if len(core) == 1 and len(out) > 1:
+        ((j, _),) = core
+        lead = 0
+        while lead < len(out[1]) and out[1][lead][0] == j:
+            lead += 1
+        power = out[1][:lead]
+        out = [word_reduce(word_inverse(power) + w + power) for w in out]
+    return tuple(out)
+
+
+def _read_off_words(gens, n):
+    """words for orbit_closure over the tables gens of n letters: None for
+    a table to close under, or a word over closed tables that acts on
+    classes as the table does.
+
+    Only braid automorphisms enter a word.  One, T, is read off as u v^-1
+    when T v and u have equal outer forms in G = <x_0..x_{n-1} |
+    x_0 ... x_{n-1}>, free on x_0..x_{n-2}: then T v and u fix the boundary
+    word and differ by an inner automorphism of G, so they act alike on
+    classes.  u and v run over products of at most two closed braid
+    automorphisms in action order, and the search runs while at most two
+    are closed.  Forms are compared on x_0 and x_1 first, which pick the
+    inner automorphism, and in full only where those agree.  Every other
+    table is closed under."""
+    # images[w]: the images of x_0..x_{n-1} in G under the tables at the
+    # positions w, in action order; x_{n-1} is (x_0 ... x_{n-2})^-1 in G.
+    free = tuple(((v, 1),) for v in range(n - 1))
+    images = {(): free + (word_inverse(tuple(letter for (letter,) in free)),)}
+
+    def full(w):
+        if w not in images:
+            images[w] = tuple(_substitute(x, full(w[:-1])) for x in gens[w[-1]].images)
+        return images[w]
+
+    forms = {}
+
+    def form(w, count=n - 1):
+        if (w, count) not in forms:
+            first = gens[w[-1]].images[:count] if w else free[:count]
+            forms[w, count] = _outer_form([_substitute(x, full(w[:-1])) for x in first])
+        return forms[w, count]
+
+    words, closed = [], []  # closed: positions of closed braid automorphisms
+    for pos, g in enumerate(gens):
+        found = None
+        if len(closed) <= 2 and _is_braid_automorphism(g, n):
+            products = [()] + [(a,) for a in closed] + [(a, b) for a in closed for b in closed]
+            heads = {}
+            for u in products:
+                heads.setdefault(form(u, 2), []).append(u)
+            for v in products:
+                for u in heads.get(form((pos,) + v, 2), ()):
+                    if form((pos,) + v) == form(u):
+                        found = tuple((a, 1) for a in u) + tuple((b, -1) for b in v[::-1])
+                        break
+                if found is not None:
+                    break
+            if found is None:
+                closed.append(pos)
+        words.append(found)
+    return words
+
+
 def braid_orbit(seeds, gens):
     """Closure of the seeds' classes under the given tables (see orbit_closure),
-    keyed on the kernel's raw tuples and imaged by _source_images."""
+    keyed on the kernel's raw tuples.  The closure is closed under the tables
+    _read_off_words finds no word for, imaged by _source_images, and reads
+    the others' edges off the closed orbit."""
     seeds = [canonical_form(t) for t in seeds]
     if not seeds:
         raise DessinryError("invalid-tuple", "need at least one seed")
@@ -422,4 +532,6 @@ def braid_orbit(seeds, gens):
             raise DessinryError("invalid-tuple", "seeds mix shapes %r and %r" % ((n, d), (t.n, t.d)))
     gens = list(gens)
     names = [g.name or "g%d" % pos for pos, g in enumerate(gens)]
-    return orbit_closure([t.perms for t in seeds], names, _source_images(gens, n, d), MonodromyTuple._trusted)
+    words = _read_off_words(gens, n)
+    basis = [g for g, w in zip(gens, words) if w is None]
+    return orbit_closure([t.perms for t in seeds], names, _source_images(basis, n, d), MonodromyTuple._trusted, words)

@@ -243,11 +243,11 @@ def delta_ver_inv(o):
 
 
 def _shear_images(g):
-    """The canonical gluings of the four shear images of the gluings g of a
-    valid origami, in _SHEARS order.  g is inverted once; each image's
+    """The canonical gluings of the hor and ver images of the gluings g of a
+    valid origami, in that order.  g is inverted once; each image's
     gluings, corners and their inverses are composed from g and its inverses."""
     gi = tuple(map(inverse, g))
-    return [_gluings_of(_canonical_key(*_corners(*shear(g, gi)))[0]) for shear in _SHEARS.values()]
+    return [_gluings_of(_canonical_key(*_corners(*_SHEARS[name](g, gi)))[0]) for name in ("hor", "ver")]
 
 
 def origami_orbit(o):
@@ -255,15 +255,23 @@ def origami_orbit(o):
 
     Elements are canonical origamis sorted by their gluing data; the log
     lists (source index, op name, target index) for every element and op.
-    The closure keys elements on their gluings (R, L, U, D).  Shear images
-    of valid origamis are valid, so they go to the kernel unchecked.
+    The closure keys elements on their gluings (R, L, U, D) and is closed
+    under hor and ver.  hor-inv and ver-inv undo them exactly, so on classes
+    they act as their inverses, and their edges are read off the closed
+    orbit.  Shear images of valid origamis are valid, so they go to the
+    kernel unchecked.
     """
     # Only the orbit needs braid's closure; the conversions and shears
     # do not load braid.
     from .braid import orbit_closure
 
     c = canonical_origami(o)
-    return orbit_closure([(c.R, c.L, c.U, c.D)], list(_SHEARS), _shear_images, lambda g: BipartiteOrigami._trusted(*g))
+    # _SHEARS lists hor, ver, hor-inv and ver-inv, so the last two are the
+    # inverses of positions 0 and 1.
+    words = [None, None, ((0, -1),), ((1, -1),)]
+    return orbit_closure(
+        [(c.R, c.L, c.U, c.D)], list(_SHEARS), _shear_images, lambda g: BipartiteOrigami._trusted(*g), words
+    )
 
 
 def origami_from_json(obj):

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dessinry import braid, core, perms
+from dessinry import braid, core, origami, perms
 from dessinry.braid import (
     EndomorphismTable,
     apply_endomorphism,
@@ -319,6 +319,113 @@ class TestBoundaryWord:
             assert word_substitute(boundary, table.images) == boundary, table
 
 
+def images_in_g(table):
+    """The images of x_0..x_{n-2} under a table that fixes the boundary word,
+    in G = <x_0..x_{n-1} | x_0 ... x_{n-1}>: x_{n-1} is (x_0 ... x_{n-2})^-1,
+    and G is free on the rest."""
+    n = table.n
+    head = tuple((v, 1) for v in range(n - 1))
+    free = [(letter,) for letter in head] + [word_inverse(head)]
+    return [word_substitute(w, free) for w in table.images[: n - 1]]
+
+
+def conjugator(first, second):
+    """A word c with c first(x_i) c^-1 = second(x_i) in G for every i, or
+    None when there is none: then the tables act alike on classes exactly
+    when c exists.
+
+    Both tables send x_0 to conjugates of it, p x_0 p^-1 and q x_0 q^-1.
+    The centralizer of x_0 in a free group is <x_0>, so c = q x_0^k p^-1
+    for some k.  Conjugating x_1's image by x_0^k adds at least 2|k| letters
+    less the letters of both images and of p and q, so the search over
+    |k| <= that total decides it."""
+    f, s = images_in_g(first), images_in_g(second)
+    assert is_conjugate_of_generator(f[0], 0) and is_conjugate_of_generator(s[0], 0)
+    p, q = f[0][: len(f[0]) // 2], s[0][: len(s[0]) // 2]
+    bound = 2 * (len(p) + len(q)) + len(f[1]) + len(s[1])
+    # x_1's image is not a power of x_0, so the length argument applies.
+    assert any(idx != 0 for idx, _ in word_reduce(word_inverse(p) + f[1] + p))
+    for k in range(-bound, bound + 1):
+        c = word_reduce(q + ((0, 1 if k > 0 else -1),) * abs(k) + word_inverse(p))
+        if all(word_reduce(c + a + word_inverse(c)) == b for a, b in zip(f, s)):
+            return c
+    return None
+
+
+class TestRelations:
+    """The relations the orbit closure reads twists off by, proved by an
+    oracle of its own: a search for the conjugator in G that carries one
+    table's images to the other's.  The pure twists act on classes through
+    PMod(S_{0,4}), free on two twists, with the other four given by
+    complementary curves and the lantern relation (Farb and Margalit, A
+    Primer on Mapping Class Groups, 2012); at n = 3 through the trivial group."""
+
+    def table(self, *names):
+        by_name = {g.name: g for g in preset_pure_generators(4) + preset_gamma2()}
+        return chain_tables([by_name[name] for name in names]) if names else identity_table(4)
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            (("A23",), ("A01",)),
+            (("A03",), ("A12",)),
+            (("A02", "A12", "A01"), ()),
+            (("A13", "A01", "A12"), ()),
+            (("hor",), ("A23",)),
+            (("ver", "A03"), ()),
+        ],
+    )
+    def test_relation_at_n4(self, left, right):
+        assert conjugator(self.table(*left), self.table(*right)) is not None
+
+    def test_gamma2_tables_are_the_shears(self):
+        # Of the twelve twists, the ones that agree with a shear on every
+        # class of degree at most 3 are the preset's and their complements.
+        classes = [t for d in (1, 2, 3) for t in enumerate_classes(4, d).classes]
+        assert len(classes) == 49
+        shears = {"hor": origami.delta_hor, "ver": origami.delta_ver}
+        twists = [(i, j, power) for i in range(4) for j in range(i + 1, 4) for power in (1, -1)]
+        agree = {
+            name: [
+                (i, j, power)
+                for i, j, power in twists
+                if all(
+                    core.canonical_form(origami.origami_to_dessin(shear(origami.dessin_to_origami(t))))
+                    == core.canonical_form(apply_endomorphism(pure_twist_table(4, i, j, power), t))
+                    for t in classes
+                )
+            ]
+            for name, shear in shears.items()
+        }
+        assert agree == {"hor": [(0, 1, 1), (2, 3, 1)], "ver": [(0, 3, -1), (1, 2, -1)]}
+        hor, ver = preset_gamma2()
+        assert hor.images == pure_twist_table(4, 0, 1, 1).images
+        assert ver.images == pure_twist_table(4, 1, 2, -1).images
+
+    def test_a02_and_a13_act_apart(self):
+        assert conjugator(self.table("A02"), self.table("A13")) is None
+
+    def test_every_twist_is_inner_at_n3(self):
+        for table in preset_pure_generators(3):
+            assert conjugator(table, identity_table(3)) is not None, table.name
+
+    def test_read_off_words_follow_the_relations(self):
+        assert braid._read_off_words(preset_pure_generators(3), 3) == [(), (), ()]
+        # A01 and A02 closed; A03 and A12 are (A01 A02)^-1, A13 is A01 A02 A01^-1, A23 is A01.
+        inverse_product = ((1, -1), (0, -1))
+        assert braid._read_off_words(preset_pure_generators(4), 4) == [
+            None,
+            None,
+            inverse_product,
+            inverse_product,
+            ((0, 1), (1, 1), (0, -1)),
+            ((0, 1),),
+        ]
+        assert braid._read_off_words(preset_gamma2(), 4) == [None, None]
+        for n in range(5, 9):
+            assert braid._read_off_words(preset_pure_generators(n), n) == [None] * (n * (n - 1) // 2)
+
+
 def check_split_images(table, t):
     """Each image of t under table, evaluated from its split (c^-1, core),
     is _evaluate of the whole word, and the inverse that comes with it
@@ -366,6 +473,21 @@ class TestSplitEvaluation:
 # The d = 7 class whose Gamma(2) orbit has 2376 elements.
 GAMMA2_D7 = MonodromyTuple(
     [(3, 4, 6, 5, 0, 1, 2), (5, 1, 6, 2, 0, 4, 3), (5, 3, 2, 1, 0, 4, 6), (3, 2, 0, 5, 4, 1, 6)]
+)
+
+
+# The census pool's braid seeds of degree 5, 6 and 7: three orbits under the
+# pure twists, three under gamma2 (the last is GAMMA2_D7).
+CENSUS_CLASSES = tuple(
+    MonodromyTuple(t)
+    for t in (
+        [(1, 4, 3, 2, 0), (0, 4, 2, 3, 1), (1, 2, 0, 3, 4), (3, 4, 1, 2, 0)],
+        [(1, 0, 4, 3, 5, 2), (3, 1, 4, 0, 2, 5), (0, 4, 5, 1, 3, 2), (3, 1, 4, 5, 0, 2)],
+        [(6, 1, 2, 0, 5, 3, 4), (3, 2, 5, 4, 1, 0, 6), (1, 0, 4, 6, 2, 5, 3), (6, 4, 5, 0, 1, 2, 3)],
+        [(3, 2, 1, 0, 4), (1, 3, 2, 4, 0), (1, 4, 2, 3, 0), (0, 4, 1, 2, 3)],
+        [(5, 0, 4, 1, 3, 2), (5, 1, 0, 3, 2, 4), (2, 0, 3, 5, 4, 1), (3, 1, 5, 2, 0, 4)],
+        [(3, 4, 6, 5, 0, 1, 2), (5, 1, 6, 2, 0, 4, 3), (5, 3, 2, 1, 0, 4, 6), (3, 2, 0, 5, 4, 1, 6)],
+    )
 )
 
 
@@ -537,16 +659,28 @@ class TestOrbit:
             braid_orbit([CHESSBOARD, TREFOIL_N4], preset_pure_generators(4))
 
     def test_log_matches_direct_images(self):
-        gens = preset_pure_generators(4)
-        res = braid_orbit([TRANSPOSITIONS], gens)
-        by_name = {g.name: g for g in gens}
-        for src, name, dst in res.generator_log:
-            image = core.canonical_form(apply_endomorphism(by_name[name], res.elements[src]))
-            assert image == res.elements[dst]
+        # Edges read off the closed orbit as words are the direct images too.
+        cases = [
+            ([TRANSPOSITIONS], preset_pure_generators(4)),
+            (CENSUS_CLASSES, preset_pure_generators(4)),
+            (CENSUS_CLASSES, preset_gamma2()),
+            ([t for d in range(1, 5) for t in enumerate_classes(4, d).classes], preset_pure_generators(4)),
+            ([t for d in range(1, 6) for t in enumerate_classes(3, d).classes], preset_pure_generators(3)),
+            (enumerate_classes(5, 3).classes[::25], preset_pure_generators(5)),
+        ]
+        for seeds, gens in cases:
+            by_name = {g.name: g for g in gens}
+            for shape in sorted({(t.n, t.d) for t in seeds}):
+                res = braid_orbit([t for t in seeds if (t.n, t.d) == shape], gens)
+                assert len(res.generator_log) == len(res.elements) * len(gens)
+                for src, name, dst in res.generator_log:
+                    image = core.canonical_form(apply_endomorphism(by_name[name], res.elements[src]))
+                    assert image == res.elements[dst]
 
-    def test_each_generator_applied_once_per_element(self, monkeypatch):
-        # The seed is made canonical through core, so the kernel calls that
-        # go through braid are the images, one per element and table.
+    def test_kernel_calls_per_element(self, monkeypatch):
+        # The seeds are made canonical through core, so the kernel calls that
+        # go through braid are the images under the closed tables: A01 and
+        # A02 of pure(4), none of pure(3), and both gamma2 tables.
         calls = []
         original = braid._canonical_key
 
@@ -555,10 +689,17 @@ class TestOrbit:
             return original(perms, inverses)
 
         monkeypatch.setattr(braid, "_canonical_key", counting)
-        gens = preset_pure_generators(4)
-        res = braid_orbit([TRANSPOSITIONS], gens)
-        assert len(res.elements) == 4
-        assert len(calls) == len(res.elements) * len(gens)
+        cases = [
+            ([TRANSPOSITIONS], preset_pure_generators(4), 2),
+            ([CENSUS_CLASSES[2]], preset_pure_generators(4), 2),
+            ([TREFOIL], preset_pure_generators(3), 0),
+            (enumerate_classes(3, 5).classes, preset_pure_generators(3), 0),
+            ([CENSUS_CLASSES[5]], preset_gamma2(), 2),
+        ]
+        for seeds, gens, per_element in cases:
+            calls.clear()
+            res = braid_orbit(seeds, gens)
+            assert len(calls) == per_element * len(res.elements)
 
     def test_orbit_names_a_table_that_breaks_transitivity(self):
         # Every letter to the empty word: the product is still the
@@ -576,13 +717,17 @@ class TestOrbit:
         seed = MonodromyTuple([g0, perms.inverse(perms.compose(g2, g0)), g2])
         table = EndomorphismTable(3, [(), ((0, 1), (1, 1)), ((2, 1),)], name="x")
         assert word_substitute(((0, 1), (1, 1), (2, 1)), table.images) == ((0, 1), (1, 1), (2, 1))
-        with pytest.raises(DessinryError) as exc:
-            braid_orbit([seed], [table])
-        assert exc.value.code == "invalid-result"
-        assert exc.value.message == (
-            "endomorphism 'x' does not preserve tuple space: "
-            "violated: not transitive, sheet 1 is not reachable from sheet 0"
-        )
+        # It is no braid automorphism, so it is closed under, never read off,
+        # even where every pure twist is.
+        assert braid._read_off_words(preset_pure_generators(3) + [table], 3) == [(), (), (), None]
+        for gens in ([table], preset_pure_generators(3) + [table]):
+            with pytest.raises(DessinryError) as exc:
+                braid_orbit([seed], gens)
+            assert exc.value.code == "invalid-result"
+            assert exc.value.message == (
+                "endomorphism 'x' does not preserve tuple space: "
+                "violated: not transitive, sheet 1 is not reachable from sheet 0"
+            )
 
     def test_boundary_fixing_images_are_checked_only_by_the_kernel(self, monkeypatch):
         # validate, compose_all and sheets_reached run once, on the seed.

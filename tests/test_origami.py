@@ -29,6 +29,13 @@ from dessinry.perms import inverse
 # Six-square example: three whites, three greys, a nontrivial shear image.
 SIX_A = BipartiteOrigami((1, 2, 0), (0, 1, 2), (1, 0, 2), (1, 0, 2))
 SIX_B = BipartiteOrigami((1, 2, 0), (0, 1, 2), (1, 0, 2), (0, 2, 1))
+# The four tilings of the census pool: 5, 6, 6 and 7 squares.
+CENSUS_TILINGS = (
+    BipartiteOrigami((4, 1, 2, 0, 3), (2, 0, 4, 3, 1), (2, 4, 3, 0, 1), (2, 4, 1, 0, 3)),
+    BipartiteOrigami((5, 3, 2, 1, 0, 4), (5, 2, 0, 3, 4, 1), (3, 5, 4, 2, 0, 1), (4, 1, 5, 3, 0, 2)),
+    BipartiteOrigami((0, 5, 3, 2, 4, 1), (3, 0, 1, 4, 2, 5), (5, 3, 0, 2, 4, 1), (4, 0, 5, 3, 1, 2)),
+    BipartiteOrigami((2, 4, 0, 1, 5, 3, 6), (2, 4, 5, 3, 1, 0, 6), (2, 6, 0, 1, 4, 3, 5), (6, 4, 3, 0, 2, 5, 1)),
+)
 DELTAS = {"hor": delta_hor, "ver": delta_ver, "hor-inv": delta_hor_inv, "ver-inv": delta_ver_inv}
 
 
@@ -240,7 +247,10 @@ class TestShears:
         assert (img.R, img.L, img.U, img.D) == ((0, 1, 2), (2, 0, 1), (0, 2, 1), (2, 1, 0))
 
     def test_inverses_undo_exactly(self):
-        for o in (chessboard_origami(), SIX_A, SIX_B):
+        # What lets the orbit read hor-inv and ver-inv off as inverses.
+        drawn = random_valid_origamis(3, 200)
+        assert {o.m for o in drawn} == set(range(1, 8))
+        for o in (chessboard_origami(), SIX_A, SIX_B) + CENSUS_TILINGS + tuple(drawn):
             assert delta_hor_inv(delta_hor(o)) == o
             assert delta_hor(delta_hor_inv(o)) == o
             assert delta_ver_inv(delta_ver(o)) == o
@@ -309,18 +319,10 @@ class TestOrbit:
         assert calls == [SIX_B]
 
 
-# The four tilings of the census pool: 5, 6, 6 and 7 squares.
-CENSUS_TILINGS = (
-    BipartiteOrigami((4, 1, 2, 0, 3), (2, 0, 4, 3, 1), (2, 4, 3, 0, 1), (2, 4, 1, 0, 3)),
-    BipartiteOrigami((5, 3, 2, 1, 0, 4), (5, 2, 0, 3, 4, 1), (3, 5, 4, 2, 0, 1), (4, 1, 5, 3, 0, 2)),
-    BipartiteOrigami((0, 5, 3, 2, 4, 1), (3, 0, 1, 4, 2, 5), (5, 3, 0, 2, 4, 1), (4, 0, 5, 3, 1, 2)),
-    BipartiteOrigami((2, 4, 0, 1, 5, 3, 6), (2, 4, 5, 3, 1, 0, 6), (2, 6, 0, 1, 4, 3, 5), (6, 4, 3, 0, 2, 5, 1)),
-)
-
-
 class TestShearImages:
-    """The orbit's four images of one source, composed from its gluings
-    inverted once, are the classes of the public shears' images."""
+    """The orbit's hor and ver images of one source, composed from its
+    gluings inverted once, are the classes of the public shears' images;
+    the hor-inv and ver-inv edges it reads off are those of the inverse shears."""
 
     def test_against_the_public_shears(self):
         drawn = random_valid_origamis(5, 200)
@@ -328,8 +330,24 @@ class TestShearImages:
         assert list(origami._SHEARS) == ["hor", "ver", "hor-inv", "ver-inv"]
         for o in CENSUS_TILINGS + tuple(drawn):
             got = origami._shear_images((o.R, o.L, o.U, o.D))
-            want = [canonical_origami(f(o)) for f in (delta_hor, delta_ver, delta_hor_inv, delta_ver_inv)]
+            want = [canonical_origami(f(o)) for f in (delta_hor, delta_ver)]
             assert [BipartiteOrigami(*g) for g in got] == want, o
+
+    def test_log_matches_the_public_shears(self):
+        for o in CENSUS_TILINGS + tuple(random_valid_origamis(9, 12)):
+            res = origami_orbit(o)
+            assert len(res.generator_log) == 4 * len(res.elements)
+            for src, name, dst in res.generator_log:
+                assert res.elements[dst] == canonical_origami(DELTAS[name](res.elements[src])), (o, name)
+
+    def test_kernel_calls_per_element(self, monkeypatch):
+        # One per element under each of hor and ver, and the seed's in canonical_origami.
+        calls = []
+        original = origami._canonical_key
+        monkeypatch.setattr(origami, "_canonical_key", lambda *a: calls.append(a) or original(*a))
+        res = origami_orbit(CENSUS_TILINGS[3])
+        assert len(res.elements) == 465
+        assert len(calls) == 2 * len(res.elements) + 1
 
     def test_inversions_per_element(self, inverse_calls):
         # The source's four gluings, once per element, and the seed's in canonical_origami.
