@@ -30,10 +30,9 @@ lambda*/(lambda* - 1), so gamma mod 2, one of the six elements of SL2(Z/2),
 picks one of f^8/f1^8, f1^8/f^8, f^8/f2^8, f2^8/f^8, -f2^8/f1^8 and
 -f1^8/f2^8 at tau' (by f^8 = f1^8 + f2^8), and the discriminant side is
 mapped by the matching Moebius map.  ap(t) below t = sqrt(3)/2 is thus
-f(i/t)^8 / f2(i/t)^8.  A reduced value is refused (tolerance-unreachable)
-when its working precision would pass _PRECISION_BUDGET digits: about
-2.73 / t digits for ap(t), half for e^{pi/t} under an absolute tol and
-half for the discriminant side's cancellation.
+f(i/t)^8 / f2(i/t)^8.  One rule refuses work (tolerance-unreachable): an
+eta whose predicted CPU time passes _BUDGET (_afford).  For ap(t) it falls
+at t = 2.14e-4, 2.15e-4 and 2.19e-4 for tol 1e-12, 1e-100 and 1e-300.
 """
 
 import math
@@ -64,11 +63,7 @@ from .errors import DessinryError
 from .qseries import lambda_star_qseries  # noqa: F401
 
 _I = mpmath.mpc(0, 1)
-_PRODUCT_BUDGET = 400000
-# Digits past which a reduced lambda* refuses: above the 472700 digits that
-# _PRODUCT_BUDGET allows an eta at any Im tau < sqrt(3)/4, so that whatever
-# the unreduced path accepted is still accepted.
-_PRECISION_BUDGET = 480000
+_BUDGET = 1.0  # predicted CPU seconds past which an eta is refused (_afford)
 
 
 def _dps_for(rel):
@@ -79,6 +74,15 @@ def _dps_for(rel):
 def _extra_bits(amp):
     """Extra bits that shrink amp units of rounding below an eighth of a unit."""
     return int(mpmath.log(amp, 2)) + 4
+
+
+def _afford(n, dps):
+    """Refuse (tolerance-unreachable) an eta of n factors at D = dps digits
+    whose predicted CPU time, (n + 12 D^0.3) (3000 + D^1.6) 1.3 ns (fitted
+    within 25 % to _eta under mpmath 1.3.0 on x86-64), passes _BUDGET s."""
+    seconds = (n + 12 * dps ** 0.3) * (3000 + dps ** 1.6) * 1.3e-9
+    if not seconds <= _BUDGET:
+        raise DessinryError("tolerance-unreachable", "eta would take %.2g s, past the %g s budget" % (seconds, _BUDGET))
 
 
 def _rounding(value):
@@ -265,18 +269,18 @@ def _eta(tau, rel):
     at most rel * |value|, at the working precision.
 
     N is the least length, at least 8, with expm1(x^{N+1} / (1-x)^2) <= rel
-    for x = |q|.  The product runs with extra bits for its own rounding: a
-    unit per factor and per product, and the phase error of q and q^{1/24}
-    from exp (3 |2 pi tau| units), which the powers q^n carry into the
-    product at most x / (1-x)^3 times.  A reduced point tau' is itself
-    rounded, with extra bits of its own (_lambda_star).
+    for x = |q|, first estimated in floats (infinite where -log x underflows)
+    for the cost rule (_afford), which at tol 1e-12 refuses Im tau below 3e-5.
+    The product runs with extra bits for its own rounding: a unit per factor
+    and per product, and the phase error of q and q^{1/24} from exp
+    (3 |2 pi tau| units), which the powers q^n carry into the product at
+    most x / (1-x)^3 times.  A reduced point tau' is itself rounded, with
+    extra bits of its own (_lambda_star).
     """
+    a = 2 * math.pi * float(mpmath.im(tau))  # -log x, 0 where it underflows
+    _afford((-float(mpmath.ln(rel, prec=53)) - 2 * math.log(-math.expm1(-a))) / a if a else math.inf, mp.dps)
     x = mpmath.exp(-2 * mpmath.pi * mpmath.im(tau))
-    if x >= 1:
-        raise DessinryError("tolerance-unreachable", "|q| rounds to 1, eta cannot converge")
     N = max(8, int(mpmath.ceil(mpmath.log(mpmath.log1p(rel) * (1 - x) ** 2) / mpmath.log(x))))
-    if N > _PRODUCT_BUDGET:
-        raise DessinryError("tolerance-unreachable", "eta product needs more than %d terms" % _PRODUCT_BUDGET)
     with mp.workprec(mp.prec + _extra_bits(3 * N + 8 + (20 * abs(tau) + 4) * (1 + x / (1 - x) ** 3))):
         prod = _eta_product(mpmath.exp(2 * mpmath.pi * _I * tau), N)
         val = mpmath.exp(mpmath.pi * _I * tau / 12) * prod
@@ -409,26 +413,21 @@ def _lambda_star(tau, tol, at):
     the denominator), m multiplies x's relative error by |x| / |x - 1| <
     e^{pi Im tau'}, since |x - 1| = |f2 / f1|^8 >= 9 e^{-pi Im tau'}; the
     discriminant side then runs that many digits higher, its etas that much
-    tighter.  A reduced value whose final pass, at tol / (2 |value|), would
-    need more than _PRECISION_BUDGET digits is refused.
+    tighter.  Before any eta runs, _afford is asked about one of the final
+    pass (|value| < 10^lift / 9 + 3): ap(t) is refused past about 12780 digits,
+    below t = 2.14e-4, 2.15e-4, 2.19e-4 at tol 1e-12, 1e-100, 1e-300.
     """
     key, image = _reduce(tau)
     num, den, sign, mobius = _CLASSES[key]
-    lift = 0 if den < 2 else int(mpmath.pi * mpmath.fdiv(image[1], image[2]) / mpmath.ln(10)) + 1
+    im = mpmath.im(tau) if image is None else mpmath.fdiv(image[1], image[2])  # Im tau'
+    lift = 0 if den < 2 else int(mpmath.pi * im / mpmath.ln(10)) + 1
 
     def compute(rel):
-        z = tau
-        if image is not None:
-            # The final pass runs at about this many digits: at tol / (2 |value|),
-            # and |value| < 10^lift / 9 + 3.
-            with mp.workdps(15):
-                if _dps_for(mpmath.mpf(tol)) + 2 * lift > _PRECISION_BUDGET:
-                    raise DessinryError(
-                        "tolerance-unreachable", "working precision needs more than %d digits" % _PRECISION_BUDGET
-                    )
-                x, y, n = image
-                extra = _extra_bits(16 * mpmath.fdiv(abs(x) + y, n))
-            z = mpmath.mpc(mpmath.fdiv(x, n, prec=mp.prec + extra), mpmath.fdiv(y, n, prec=mp.prec + extra))
+        with mp.workdps(15):
+            dps = mpmath.mpf(_dps_for(mpmath.mpf(tol)) + 2 * lift)  # the final pass's etas, to 10^-dps
+            _afford(dps * mpmath.ln10 / (mpmath.pi * im), dps)  # at Im tau' / 2, the least
+            extra = image and _extra_bits(16 * mpmath.fdiv(abs(image[0]) + image[1], image[2]))
+        z = tau if image is None else mpmath.mpc(*(mpmath.fdiv(v, image[2], prec=mp.prec + extra) for v in image[:2]))
         # Each eta to rel / 32 (10^lift tighter for the discriminant side):
         # expr1 is the eighth power of a quotient of two (eta(tau') cancels
         # from it), so its relative error is about rel / 2.

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -232,16 +233,13 @@ class TestEta:
     )
     def test_unreachable_names_the_callers_argument(self, fn, arg, named):
         # weber_f fails at eta((tau+1)/2), weber_f1 at eta(tau/2); lambda_star
-        # and ap fail at the working precision of their reduced point, near
+        # and ap fail at the cost of their reduced point's final pass, near
         # the cusp 2/5 and 0: Im tau' = 4e5 and 1e6, so 2 pi Im tau' / ln 10
         # digits.  The diagnostic names what the caller passed, not that point.
         with pytest.raises(DessinryError) as exc:
             fn(arg)
         assert exc.value.code == "tolerance-unreachable"
-        if fn in (lambda_star, ap):
-            assert exc.value.message == "working precision needs more than 480000 digits at " + named
-        else:
-            assert exc.value.message == "eta product needs more than 400000 terms at " + named
+        assert re.fullmatch(r"eta would take \S+ s, past the 1 s budget at " + re.escape(named), exc.value.message)
 
     def test_discriminant_from_eta(self):
         with mp.workdps(40):
