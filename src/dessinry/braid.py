@@ -144,7 +144,7 @@ def _evaluate(w, perms, inverses, d):
 
 def evaluate_word(w, t):
     """Substitute g_v for x_v and compose left to right."""
-    return _evaluate(_letters(w, t.n), t.perms, t._inverse_perms(), t.d)
+    return _evaluate(_letters(w, t.n), t.perms, tuple(map(inverse, t.perms)), t.d)
 
 
 def _evaluate_split(split, perms, inverses, d):
@@ -168,11 +168,11 @@ def _evaluate_split(split, perms, inverses, d):
     return tuple(out), tuple(back)
 
 
-def _substituted(e, t):
-    """The image of t under a table of its n, unchecked, with the inverses
-    of its entries; t keeps its inverses."""
-    perms, inverses, d = t.perms, t._inverse_perms(), t.d
-    return MonodromyTuple._trusted(*zip(*[_evaluate_split(s, perms, inverses, d) for s in e.splits]))
+def _image(e, perms, inverses, d):
+    """The entries of the image of the raw tuple perms under a table of its
+    n, unchecked, and their inverses, evaluated from the table's split words
+    and the inverses of perms."""
+    return zip(*[_evaluate_split(s, perms, inverses, d) for s in e.splits])
 
 
 def _require_table(e, n):
@@ -196,7 +196,8 @@ def apply_endomorphism(e, t):
     """The image of t under e, checked.  The table's letters are in range and
     products of permutations are permutations, so only validate can fail."""
     _require_table(e, t.n)
-    return _require_image(e, _substituted(e, t))
+    perms, _ = _image(e, t.perms, tuple(map(inverse, t.perms)), t.d)
+    return _require_image(e, MonodromyTuple._trusted(perms))
 
 
 def compose_tables(first, second):
@@ -420,7 +421,7 @@ def _source_images(gens, n, d):
         for g, checked in tables:
             if checked:
                 _require_table(g, n)
-            perms, invs = zip(*[_evaluate_split(s, x, inverses, d) for s in g.splits])
+            perms, invs = _image(g, x, inverses, d)
             key = _canonical_key(perms, invs)
             # The kernel's None is an intransitive image; validate names it.
             if checked or key is None:

@@ -175,18 +175,10 @@ def _emit_origami(args, o, **extra):
 
 def _emit_orbit(args, result, labels, element_json, lines, **extra):
     """An orbit as DOT, JSON or text; its DOT text is built only for
-    --format dot or --dot, which also writes it to that file."""
-    if args.dot is not None or args.format == "dot":
-        dot = _orbit_dot(labels, result.generator_log)
-        if args.dot is not None:
-            try:
-                with open(args.dot, "w", encoding="utf-8") as fh:
-                    fh.write(dot + "\n")
-            except OSError as exc:
-                raise DessinryError("invalid-parameter", "cannot write %s: %s" % (args.dot, exc.strerror)) from None
-        if args.format == "dot":
-            print(dot)
-            return
+    --format dot."""
+    if args.format == "dot":
+        print(_orbit_dot(labels, result.generator_log))
+        return
 
     def payload():
         # Elements and edges are streamed; an edge [src, name, dst] is one
@@ -313,15 +305,14 @@ def _cmd_enumerate(args):
 
 
 def _gens_for(spec_name, n):
+    """The tables of a --gens choice: preset:pure or preset:gamma2."""
     from . import braid
 
     if spec_name == "preset:pure":
         return braid.preset_pure_generators(n)
-    if spec_name == "preset:gamma2":
-        if n != 4:
-            raise DessinryError("invalid-parameter", "preset:gamma2 is defined for n=4, got n=%d" % n)
-        return braid.preset_gamma2()
-    raise DessinryError("invalid-parameter", "unknown generator preset %r" % spec_name)
+    if n != 4:
+        raise DessinryError("invalid-parameter", "preset:gamma2 is defined for n=4, got n=%d" % n)
+    return braid.preset_gamma2()
 
 
 def _cmd_orbit(args):
@@ -360,9 +351,8 @@ def _cmd_orbit(args):
 def _cmd_origami(args):
     from . import origami
 
-    if args.action != "orbit" and (args.format == "dot" or args.dot is not None):
-        flag = "--format dot" if args.format == "dot" else "--dot"
-        raise DessinryError("invalid-parameter", "%s is only for origami orbit, not %s" % (flag, args.action))
+    if args.action != "orbit" and args.format == "dot":
+        raise DessinryError("invalid-parameter", "--format dot is only for origami orbit, not %s" % args.action)
     if args.action != "delta" and args.op is not None:
         raise DessinryError("invalid-parameter", "--op is only for origami delta, not %s" % args.action)
     if args.action == "from-dessin":
@@ -406,13 +396,11 @@ def _cmd_hurwitz(args):
 
 
 def _parse_complex_pair(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DessinryError("invalid-parameter", "expected RE,IM, got %r" % text)
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        re_part, im_part = map(float, text.split(","))
     except ValueError:
-        raise DessinryError("invalid-parameter", "expected RE,IM, got %r" % text)
+        raise DessinryError("invalid-parameter", "expected RE,IM, got %r" % text) from None
+    return complex(re_part, im_part)
 
 
 def _parse_complex_list(text, what):
@@ -540,7 +528,6 @@ def build_parser(command=None):
         p.add_argument("--d", type=int)
         p.add_argument("--seed", help="JSON file with one monodromy tuple")
         p.add_argument("--gens", choices=("preset:pure", "preset:gamma2"), default="preset:pure")
-        p.add_argument("--dot", help="also write the orbit graph to this DOT file")
         p.add_argument("--format", choices=("table", "json", "dot"), default="table")
         p.set_defaults(func=_cmd_orbit)
 
@@ -551,7 +538,6 @@ def build_parser(command=None):
         # parser does not import origami.
         p.add_argument("--op", choices=("hor", "hor-inv", "ver", "ver-inv"), default=None)
         p.add_argument("--in", dest="infile", default=None, help="input JSON file (default: stdin)")
-        p.add_argument("--dot", help="for orbit: also write the orbit graph to this DOT file")
         p.add_argument("--format", choices=("table", "json", "dot"), default="json")
         p.set_defaults(func=_cmd_origami)
 

@@ -42,7 +42,7 @@ class MonodromyTuple:
     tuples can still be constructed, inspected and diagnosed.
     """
 
-    __slots__ = ("perms", "_inverses")
+    __slots__ = ("perms",)
 
     def __init__(self, perms):
         try:
@@ -63,24 +63,13 @@ class MonodromyTuple:
         object.__setattr__(self, "perms", perms)
 
     @classmethod
-    def _trusted(cls, perms, inverses=None):
+    def _trusted(cls, perms):
         """Wrap a tuple of permutation tuples of one degree, n >= 3, without
         the structural checks: for results built from permutations already
-        checked, such as relabelings, products and inverses of them.  The
-        inverses of the entries, when the caller has them, are kept."""
+        checked, such as relabelings, products and inverses of them."""
         t = object.__new__(cls)
         object.__setattr__(t, "perms", perms)
-        if inverses is not None:
-            object.__setattr__(t, "_inverses", inverses)
         return t
-
-    def _inverse_perms(self):
-        """The inverses of the entries, built on the first call and kept."""
-        try:
-            return self._inverses
-        except AttributeError:
-            object.__setattr__(self, "_inverses", tuple(inverse(p) for p in self.perms))
-            return self._inverses
 
     @property
     def n(self):
@@ -134,7 +123,7 @@ def _canonical_key(perms, inverses):
     perms is a tuple of permutation tuples of one degree; the product
     constraint is not checked here.  Precondition, unchecked: inverses is
     a tuple with inverses[i] the inverse of perms[i].  Callers hand over
-    inverses they already hold, so the kernel inverts nothing.
+    the inverses, so the kernel inverts nothing.
 
     For each base sheet b the fiber is relabeled in breadth-first
     discovery order, probing the generators g_0..g_{n-1} and then their
@@ -202,7 +191,7 @@ def canonical_form(t):
     same canonical form exactly when they are simultaneously conjugate.
     """
     _require_valid(t)
-    return MonodromyTuple._trusted(_canonical_key(t.perms, t._inverse_perms())[0])
+    return MonodromyTuple._trusted(_canonical_key(t.perms, tuple(map(inverse, t.perms)))[0])
 
 
 def isomorphic(a, b):
@@ -269,7 +258,7 @@ def orientation_reverse(t):
     suffix = [identity(d)] * n
     for v in range(n - 2, 0, -1):
         suffix[v] = compose(t.perms[v + 1], suffix[v + 1])
-    inverses = t._inverse_perms()
+    inverses = tuple(map(inverse, t.perms))
     # S_v^-1 g_v^-1 S_v is g_v^-1 relabeled by S_v.
     out = [inverses[0]] + [relabel(inverses[v], suffix[v]) for v in range(1, n)]
     return MonodromyTuple._trusted(tuple(out))
@@ -282,7 +271,7 @@ def centralizer_order(t):
     sheets whose breadth-first relabeling is the least one.
     """
     _require_valid(t)
-    return _canonical_key(t.perms, t._inverse_perms())[1]
+    return _canonical_key(t.perms, tuple(map(inverse, t.perms)))[1]
 
 
 def _json_fields(obj, code, names, sizes):

@@ -451,10 +451,10 @@ def _lambda_star(tau, tol, at):
         return expr1, bound1, expr3
 
     expr1, bound1, expr3 = _two_passes(compute, tol, at)
-    worst = abs(expr1 - expr3)
-    if worst > 10 * tol:
+    worst, allowed = abs(expr1 - expr3), 10 * mpmath.mpf(tol)  # tol as _two_passes reads it
+    if worst > allowed:
         raise DessinryError(
-            "expression-mismatch", "lambda* expressions disagree by %s at %s (allowed %s)" % (worst, at, 10 * tol)
+            "expression-mismatch", "lambda* expressions disagree by %s at %s (allowed %s)" % (worst, at, allowed)
         )
     return ModularValue(expr1, bound1)
 
@@ -552,15 +552,16 @@ def integrality_check(n, tol=1e-6):
     """
     if type(n) is not int or n < 1:
         raise DessinryError("invalid-parameter", "n must be a positive integer, got %r" % (n,))
-    if not 0 < tol < math.inf:
+    rel = mpmath.mpf(tol)  # as _two_passes reads a tolerance
+    if not 0 < rel < mpmath.inf:
         raise DessinryError("invalid-parameter", "tolerance must be a positive finite number, got %r" % (tol,))
     dps = max(35, int(2 * math.pi * math.sqrt(n) / math.log(10)) + 25)
     with mp.workdps(dps):
         t = mpmath.sqrt(n)
-        inner = min(1e-10, float(tol) * 1e-4)
+        inner = min(1e-10, float(rel) * 1e-4)
         y = 16 * ap(t, inner).value
         j = j_oracle(UpperHalfPoint(_I * t), inner).value
         lhs = (y ** 2 - 16 * y + 256) ** 3
         rhs = j * y ** 2 * (y - 16) ** 2
         scale = max(mpmath.mpf(1), abs(lhs), abs(rhs))
-        return bool(abs(lhs - rhs) <= tol * scale)
+        return bool(abs(lhs - rhs) <= rel * scale)

@@ -142,7 +142,7 @@ def _gluings_of(perms):
 
 def origami_to_dessin(o):
     """Monodromy tuple on the white squares, one permutation per corner color."""
-    return MonodromyTuple._trusted(*_valid_corners(o))
+    return MonodromyTuple._trusted(_valid_corners(o)[0])
 
 
 def dessin_to_origami(t):

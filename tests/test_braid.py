@@ -429,17 +429,18 @@ class TestRelations:
 def check_split_images(table, t):
     """Each image of t under table, evaluated from its split (c^-1, core),
     is _evaluate of the whole word, and the inverse that comes with it
-    inverts it; _substituted hands both on."""
-    entries, inverses, d = t.perms, t._inverse_perms(), t.d
-    image = braid._substituted(table, t)
+    inverts it; _image hands both on."""
+    entries, d = t.perms, t.d
+    inverses = tuple(map(perms.inverse, entries))
+    image, image_inverses = braid._image(table, entries, inverses, d)
     for k, (w, (tail, core)) in enumerate(zip(table.images, table.splits)):
         assert word_inverse(tail) + core + tail == w
         # c is as long as the reduced word allows.
         assert len(core) < 3 or core[0] != (core[-1][0], -core[-1][1])
         entry, back = braid._evaluate_split((tail, core), entries, inverses, d)
-        assert entry == braid._evaluate(w, entries, inverses, d) == image.perms[k]
+        assert entry == braid._evaluate(w, entries, inverses, d) == image[k]
         assert perms.compose(entry, back) == perms.identity(d)
-        assert back == image._inverse_perms()[k]
+        assert back == image_inverses[k]
 
 
 conjugates = st.tuples(words, words).map(lambda cw: word_reduce(cw[0] + cw[1] + word_inverse(cw[0])))

@@ -95,16 +95,14 @@ class TestOrbit:
         code, _, err = run_cli(capsys, ["orbit", "--n", "3", "--d", "2", "--gens", "preset:gamma2"])
         assert code == 1 and "invalid-parameter" in err
 
-    def test_dot_file(self, capsys, tmp_path):
-        dot = tmp_path / "orbit.dot"
-        code, _, _ = run_cli(
-            capsys,
-            ["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--dot", str(dot), "--format", "table"],
-        )
-        assert code == 0
-        text = dot.read_text()
-        assert text.startswith("digraph orbit {")
-        assert '"hor"' in text and '"ver"' in text
+    def test_dot_is_a_format_not_a_file(self, capsys, monkeypatch, tmp_path):
+        # DOT is printed by --format dot; there is no option that writes it to a file.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--dot", "x.dot"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: dessinry ")
+        assert err.endswith("dessinry: error: unrecognized arguments: --dot x.dot\n")
+        assert not (tmp_path / "x.dot").exists()
 
 
 class TestOrigami:
@@ -145,13 +143,11 @@ class TestOrigami:
     def test_orbit_with_dot(self, capsys, tmp_path):
         ori = tmp_path / "o.json"
         ori.write_text(json.dumps({"m": 3, "R": [1, 2, 0], "L": [0, 1, 2], "U": [1, 0, 2], "D": [1, 0, 2]}))
-        dot = tmp_path / "orbit.dot"
-        code, out, _ = run_cli(capsys, ["origami", "orbit", "--in", str(ori), "--dot", str(dot)])
+        code, out, _ = run_cli(capsys, ["origami", "orbit", "--in", str(ori)])
         assert code == 0
         payload = json.loads(out)
         assert payload["element_count"] == 4
         assert len(payload["edges"]) == 16
-        assert dot.read_text().startswith("digraph orbit {")
 
 
 class TestHurwitz:
@@ -310,8 +306,6 @@ CONTRACT_INPUTS = [
     (["monodromy", "--poly", "[1]", "--branch-points", "[0,1]"], None, {}),
     (["lambda-star", "--tau", "nan,1"], None, {}),
     (["lambda-star", "--tau", "0,inf"], None, {}),
-    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--dot", "missing-dir/x.dot"], None, {}),
-    (["origami", "orbit", "--dot", "missing-dir/x.dot"], CHESSBOARD_JSON, {}),
     (["monodromy", "--poly", "[1, NaN]", "--branch-points", "[0, 1]"], None, {}),
     (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]", "--base", "nan,1"], None, {}),
     # Finite, but too large to draw lassos around or to solve the fiber at.
@@ -327,10 +321,6 @@ CONTRACT_INPUTS = [
     # hurwitz --emit dot prints DOT whatever the format, so it takes none.
     (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "dot", "--format", "json"], None, {}),
     (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "dot", "--format", "table"], None, {}),
-    # --dot writes an orbit graph, which only origami orbit has.
-    (["origami", "to-dessin", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
-    (["origami", "from-dessin", "--dot", "out.dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
-    (["origami", "delta", "--op", "hor", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
     # --op names a shear, which only origami delta applies.
     (["origami", "to-dessin", "--op", "hor"], CHESSBOARD_JSON, {}),
     (["origami", "from-dessin", "--op", "hor"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
@@ -521,11 +511,9 @@ DOT_CASES = [
     (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--format", "json"], "", False),
     (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2"], "", False),
     (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--format", "dot"], "", True),
-    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--dot", "out.dot"], "", True),
     (["origami", "orbit"], CHESSBOARD_JSON, False),
     (["origami", "orbit", "--format", "table"], CHESSBOARD_JSON, False),
     (["origami", "orbit", "--format", "dot"], CHESSBOARD_JSON, True),
-    (["origami", "orbit", "--dot", "out.dot"], CHESSBOARD_JSON, True),
 ]
 
 
@@ -1037,10 +1025,9 @@ FLAGS = {
         "--d": NUMBERS,
         "--seed": PATHS,
         "--gens": ("preset:pure", "preset:gamma2", ""),
-        "--dot": PATHS,
         "--format": ("table", "json", "dot"),
     },
-    "origami": {"--op": ("hor", "ver-inv", ""), "--in": PATHS, "--dot": PATHS, "--format": ("table", "json", "dot")},
+    "origami": {"--op": ("hor", "ver-inv", ""), "--in": PATHS, "--format": ("table", "json", "dot")},
     "hurwitz": {
         "--a": NUMBERS,
         "--lift": ("L1", "L3", "L5"),

@@ -81,14 +81,6 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             TORUS.perms = ()
 
-    def test_inverse_perms_built_once(self):
-        t = MonodromyTuple([(1, 2, 0), (2, 0, 1), (0, 1, 2)])
-        inverses = t._inverse_perms()
-        assert inverses == tuple(perms.inverse(p) for p in t.perms)
-        assert t._inverse_perms() is inverses
-        # The kept inverses do not change what the tuple is.
-        assert t == MonodromyTuple(t.perms) and hash(t) == hash(t.perms)
-
 
 class TestValidate:
     def test_ok(self):

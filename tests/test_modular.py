@@ -588,6 +588,17 @@ def test_tolerance_must_be_positive_and_finite(fn, arg, tol):
     assert exc.value.code == "invalid-parameter"
 
 
+@pytest.mark.parametrize("fn,arg", [(ap, 1), (lambda_star, 1j)], ids=["ap", "lambda_star"])
+def test_string_tolerance_reads_as_its_float(fn, arg):
+    # The two-pass rule reads tol through mpmath.mpf; so does the lambda* agreement check.
+    got, want = fn(arg, "1e-12"), fn(arg, 1e-12)
+    assert (got.value, got.trunc_bound) == (want.value, want.trunc_bound)
+
+
+def test_integrality_check_reads_a_string_tolerance():
+    assert integrality_check(2, "1e-6") is integrality_check(2, 1e-6) is True
+
+
 def test_modular_value_repr():
     mv = ModularValue(mpmath.mpf(2), mpmath.mpf("1e-20"))
     assert "trunc_bound" in repr(mv)
