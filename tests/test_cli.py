@@ -306,6 +306,9 @@ CONTRACT_INPUTS = [
     (["monodromy", "--poly", "[1]", "--branch-points", "[0,1]"], None, {}),
     (["lambda-star", "--tau", "nan,1"], None, {}),
     (["lambda-star", "--tau", "0,inf"], None, {}),
+    # --dot is not an option (DOT is printed by --format dot), so argparse refuses these.
+    (["orbit", "--n", "4", "--d", "2", "--gens", "preset:gamma2", "--dot", "missing-dir/x.dot"], None, {}),
+    (["origami", "orbit", "--dot", "missing-dir/x.dot"], CHESSBOARD_JSON, {}),
     (["monodromy", "--poly", "[1, NaN]", "--branch-points", "[0, 1]"], None, {}),
     (["monodromy", "--poly", "[1, 0, -3, 0]", "--branch-points", "[-2, 2]", "--base", "nan,1"], None, {}),
     # Finite, but too large to draw lassos around or to solve the fiber at.
@@ -321,6 +324,9 @@ CONTRACT_INPUTS = [
     # hurwitz --emit dot prints DOT whatever the format, so it takes none.
     (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "dot", "--format", "json"], None, {}),
     (["hurwitz", "--a", "2", "--lift", "L3", "--emit", "dot", "--format", "table"], None, {}),
+    (["origami", "to-dessin", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
+    (["origami", "from-dessin", "--dot", "out.dot"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
+    (["origami", "delta", "--op", "hor", "--dot", "out.dot"], CHESSBOARD_JSON, {}),
     # --op names a shear, which only origami delta applies.
     (["origami", "to-dessin", "--op", "hor"], CHESSBOARD_JSON, {}),
     (["origami", "from-dessin", "--op", "hor"], '{"n": 4, "d": 2, "perms": [[1, 0], [1, 0], [1, 0], [1, 0]]}', {}),
