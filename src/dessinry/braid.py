@@ -12,7 +12,7 @@ Words are tuples of (index, sign) letters.  Tables compose in action
 order: compose_tables(a, b) acts as a first, then b.
 """
 
-from .core import MonodromyTuple, _canonical_key, canonical_form, validate
+from .core import MonodromyTuple, _canonical_key, _entry_pool, canonical_form, validate
 from .errors import DessinryError
 from .perms import identity, inverse
 
@@ -330,45 +330,51 @@ def orbit_closure(seeds, names, images, element, words=None):
     """Breadth-first closure of seeds under named operations.
 
     Seeds and images are canonical keys: hashable encodings that identify
-    and sort elements.  words[pos] is None for an operation the closure is
-    closed under, its basis, or a word of (position, sign) letters over the
-    basis, read in action order as in chain_tables, that acts on elements
-    as names[pos] does; words None closes under every operation.  images(x)
-    lists the keys of the images of x under the basis, in the order of
-    names; it is called once per element, and the edges found on the way
-    become the log.  The edges of a word are read off the closed set, a
-    letter of sign -1 by inverting its operation there.  element(x) is what
-    the result lists for the key x.  The closure is automatically closed
-    under inverses: each basis operation is checked to act injectively on
-    the final element set, and an injection of a finite set onto itself is
-    a bijection; one that fails the check raises invalid-result.
+    and sort elements.  A key that is a tuple, as a tuple's permutations or
+    a tiling's gluings are, is stored sharing one object per distinct entry
+    value (see core._entry_pool).  words[pos] is None for an operation the
+    closure is closed under, its basis, or a word of (position, sign)
+    letters over the basis, read in action order as in chain_tables, that
+    acts on elements as names[pos] does; words None closes under every
+    operation.  images(x) lists the keys of the images of x under the
+    basis, in the order of names; it is called once per element, and the
+    edges found on the way become the log.  The edges of a word are read
+    off the closed set, a letter of sign -1 by inverting its operation
+    there.  element(x) is what the result lists for the key x.  The closure
+    is automatically closed under inverses: each basis operation is checked
+    to act injectively on the final element set, and an injection of a
+    finite set onto itself is a bijection; one that fails the check raises
+    invalid-result.
     """
     words = words or [None] * len(names)
+    m = words.count(None)  # the basis operations
     found = {}
     order = []
+    share = _entry_pool()
     for x in seeds:
         if x not in found:
+            x = share(x)
             found[x] = len(order)
             order.append(x)
-    targets = []  # targets[k][j]: index of the image of order[k] under basis operation j
-    while len(targets) < len(order):
-        row = []
-        for img in images(order[len(targets)]):
+    # targets[k * m + j]: index of the image of order[k] under basis
+    # operation j.  order grows while it is walked, so the walk is breadth
+    # first and ends when every element has its images.
+    targets = []
+    for x in order:
+        for img in images(x):
             k = found.get(img)
             if k is None:
+                img = share(img)
                 k = found[img] = len(order)
                 order.append(img)
-            row.append(k)
-        targets.append(row)
+            targets.append(k)
+    del found, share  # only the closure looks keys up
 
     size = len(order)
-    columns, backwards = [None] * len(names), {}  # each operation, and each basis operation's inverse, on indices
+    columns = [None] * len(names)  # each operation on indices
     for j, pos in enumerate(pos for pos, w in enumerate(words) if w is None):
-        columns[pos] = column = [row[j] for row in targets]
-        back = backwards[pos] = [None] * size
-        for k, dst in enumerate(column):
-            back[dst] = k
-        if None in back:
+        columns[pos] = column = targets[j::m]
+        if len(set(column)) < size:
             raise DessinryError(
                 "invalid-result",
                 "generator %s does not act invertibly on the closed orbit" % names[pos],
@@ -377,24 +383,27 @@ def orbit_closure(seeds, names, images, element, words=None):
         if w is not None:
             column = range(size)
             for b, sign in w:
-                step = columns[b] if sign == 1 else backwards[b]
+                # A bijection's inverse: the indices sorted by their images.
+                step = columns[b] if sign == 1 else sorted(range(size), key=columns[b].__getitem__)
                 column = [step[k] for k in column]
             columns[pos] = column
     ranked = sorted(range(size), key=order.__getitem__)
-    rank = {old: new for new, old in enumerate(ranked)}
+    rank = [None] * size
+    for new, old in enumerate(ranked):
+        rank[old] = new
     log = tuple((rank[old], name, rank[column[old]]) for old in ranked for name, column in zip(names, columns))
     # Each operation permutes the closed set, and every word is one in the
     # basis, so an element's orbit is what the basis reaches going forwards;
     # in sorted order each orbit is met at its least.
-    orbits, seen = [], set()
+    orbits, seen = [], [False] * size
     for old in ranked:
         members, stack = [], [old]
         while stack:
             k = stack.pop()
-            if k not in seen:
-                seen.add(k)
+            if not seen[k]:
+                seen[k] = True
                 members.append(rank[k])
-                stack += targets[k]
+                stack += targets[k * m : k * m + m]
         if members:
             orbits.append(tuple(sorted(members)))
     return OrbitResult(tuple(element(order[k]) for k in ranked), log, tuple(orbits))

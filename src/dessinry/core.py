@@ -183,6 +183,22 @@ def _canonical_key(perms, inverses):
     return best, count
 
 
+def _entry_pool():
+    """share(key) for one call that stores many keys: a tuple key rebuilt
+    from the pool's first object of each entry's value, any other key as it
+    is.  A cell has at most d! distinct permutations however many classes
+    it holds, so the stored keys then hold one object per value.  Hand it
+    only keys about to be stored; the pool lives as long as share."""
+    shared = {}
+
+    def share(key):
+        if type(key) is not tuple:
+            return key
+        return tuple([shared.setdefault(e, e) for e in key])
+
+    return share
+
+
 def canonical_form(t):
     """Lexicographically least relabeling over all breadth-first orders.
 

@@ -21,7 +21,7 @@ index subgroups of a free group, linked by
 from itertools import permutations, product
 from math import factorial
 
-from .core import MonodromyTuple, _canonical_key
+from .core import MonodromyTuple, _canonical_key, _entry_pool
 
 # Unused here; imported so that bench/tracing.py finds them in this module
 # to wrap, as in every module that imports them from core.
@@ -152,7 +152,10 @@ def _within_work_limit(n, d, heads):
 
 
 def enumerate_classes(n, d):
-    """All isomorphism classes of shape (n, d), sorted by canonical encoding."""
+    """All isomorphism classes of shape (n, d), sorted by canonical encoding.
+
+    The classes hold one object per distinct permutation among them, at
+    most d! however many classes there are."""
     _check_shape(n, d)
     if not _within_work_limit(n, d, lambda k: len(_partitions_desc(k))):
         raise DessinryError("bound-exceeded", "enumeration would visit more than %d tuples" % WORK_LIMIT)
@@ -162,6 +165,7 @@ def enumerate_classes(n, d):
     # step; with n = 3 they are empty, and d! may be 40320.
     inverses_all = list(map(inverse, perms_all)) if n > 3 else []
     seen = {}
+    share = _entry_pool()
     for part in _partitions_desc(d):
         g0 = _type_representative(d, part)
         g0_inverse = inverse(g0)
@@ -178,8 +182,8 @@ def enumerate_classes(n, d):
                 found = _canonical_key(
                     (g0, g1) + rest + (inverse(running),), head_inverses + rest_inverses + (running,)
                 )
-                if found is not None:
-                    seen.setdefault(*found)
+                if found is not None and found[0] not in seen:
+                    seen[share(found[0])] = found[1]
 
     keys = sorted(seen)
     orders = tuple(seen[key] for key in keys)

@@ -30,6 +30,8 @@ from dessinry.core import MonodromyTuple
 from dessinry.enumeration import enumerate_classes
 from dessinry.errors import DessinryError
 
+from test_core import entry_objects, traced_peak
+
 CHESSBOARD = MonodromyTuple([(1, 0), (1, 0), (1, 0), (1, 0)])
 TREFOIL = MonodromyTuple([(1, 2, 0), (1, 2, 0), (1, 2, 0)])
 TREFOIL_N4 = MonodromyTuple([(1, 2, 0), (1, 2, 0), (1, 2, 0), (0, 1, 2)])
@@ -624,6 +626,22 @@ class TestOrbit:
         assert [orbit[0] for orbit in res.orbits] == sorted(orbit[0] for orbit in res.orbits)
         assert sorted(map(set, res.orbits), key=min) == sorted(log_components(res), key=min)
         assert all(type(orbit) is tuple for orbit in res.orbits)
+
+    @pytest.mark.parametrize(
+        "seed,gens",
+        [(GAMMA2_D7, preset_gamma2), (CENSUS_CLASSES[2], lambda: preset_pure_generators(4))],
+        ids=["gamma7", "pure7"],
+    )
+    def test_elements_hold_one_object_per_distinct_entry(self, seed, gens):
+        # The seed's class is among the elements, so its entries are counted too.
+        res = braid_orbit([seed], gens())
+        objects, values = entry_objects(t.perms for t in res.elements)
+        assert objects == values
+
+    def test_traced_peak_budget(self):
+        # 2376 classes: 0.9 to 1.2 MB; unshared entries and an index list
+        # per element need 2.3 to 2.7.
+        assert traced_peak(braid_orbit, [GAMMA2_D7], preset_gamma2()) < 1_600_000
 
     def test_seed_always_in_orbit(self):
         res = braid_orbit([CHESSBOARD], preset_gamma2())

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -221,6 +222,43 @@ class TestCanonicalKernel:
             pi = tuple(rng.sample(range(d), d))
             raw = tuple(perms.relabel(p, pi) for p in c.perms)
             assert core._canonical_key(raw, tuple(map(perms.inverse, raw))) == unpruned_canonical_key(raw)
+
+
+def entry_objects(keys):
+    """How many objects, and how many distinct values, the entries of keys
+    hold: equal when every value is held by one object."""
+    entries = [e for key in keys for e in key]
+    return len(set(map(id, entries))), len(set(entries))
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEntryPool:
+    def test_equal_entries_become_one_object(self):
+        share = core._entry_pool()
+        keys = [share(tuple(tuple(list(p)) for p in raw)) for raw in [TREFOIL.perms, TORUS.perms, TREFOIL.perms]]
+        assert keys == [TREFOIL.perms, TORUS.perms, TREFOIL.perms]
+        assert entry_objects(keys) == (2, 2)
+        assert all(e is keys[0][0] for e in keys[0] + keys[2])
+
+    def test_pools_are_per_call(self):
+        first, second = core._entry_pool(), core._entry_pool()
+        entry = (1, 2, 0)
+        assert first((entry,))[0] is entry
+        assert second((tuple([1, 2, 0]),))[0] is not entry
+
+    def test_other_keys_pass_through(self):
+        share = core._entry_pool()
+        key = frozenset({(1, 0)})
+        assert share(key) is key and share(3) == 3
 
 
 class TestInvariants:

@@ -13,6 +13,7 @@ from dessinry import core, enumeration, perms
 from dessinry.enumeration import count_transitive_tuples, enumerate_classes, hall_count
 from dessinry.errors import DessinryError
 
+from test_core import entry_objects, traced_peak
 from test_perms import cycle_type
 
 # Frozen from this package's own Hall recursion, cross-checked below against
@@ -229,6 +230,17 @@ class TestEnumerate:
     @pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5), (5, 3)])
     def test_agrees_with_naive_class_for_class(self, n, d):
         assert list(enumerate_classes(n, d).classes) == naive_classes(n, d)
+
+    @pytest.mark.parametrize("n,d", [(4, 5), (5, 4), (3, 6)])
+    def test_classes_hold_one_object_per_distinct_entry(self, n, d):
+        objects, values = entry_objects(t.perms for t in enumerate_classes(n, d).classes)
+        assert objects == values <= factorial(d)
+
+    @pytest.mark.parametrize("n,d", [(4, 5), (5, 4)])
+    def test_traced_peak_budget(self, n, d):
+        # 13753 and 14120 classes: about 2.9 and 3.2 MB in a fresh
+        # interpreter; classes each holding their own entries need 7.0 and 8.0.
+        assert traced_peak(enumerate_classes, n, d) < 4_000_000
 
     @pytest.mark.parametrize("n,d", HALL_CELLS)
     def test_marked_count_equals_hall_times_factorial(self, n, d):

@@ -26,6 +26,8 @@ from dessinry.origami import (
 )
 from dessinry.perms import inverse
 
+from test_core import entry_objects
+
 # Six-square example: three whites, three greys, a nontrivial shear image.
 SIX_A = BipartiteOrigami((1, 2, 0), (0, 1, 2), (1, 0, 2), (1, 0, 2))
 SIX_B = BipartiteOrigami((1, 2, 0), (0, 1, 2), (1, 0, 2), (0, 2, 1))
@@ -310,6 +312,12 @@ class TestOrbit:
     def test_chessboard_orbit_is_a_point(self):
         res = origami_orbit(chessboard_origami())
         assert len(res.elements) == 1
+
+    def test_elements_hold_one_object_per_distinct_gluing(self):
+        res = origami_orbit(CENSUS_TILINGS[3])
+        assert len(res.elements) == 465
+        objects, values = entry_objects((o.R, o.L, o.U, o.D) for o in res.elements)
+        assert objects == values
 
     def test_shear_images_skip_the_bijection_check(self, monkeypatch):
         calls = []
